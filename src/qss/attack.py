@@ -19,9 +19,8 @@ import numpy as np
 from .errors import InvalidArgument
 from .qsim import (
     DensityMatrix,
-    EIGENBASIS,
     PureState,
-    _apply_one,
+    outcome_probabilities,
     project,
     reduce_state,
 )
@@ -187,26 +186,19 @@ def qber_x(phi: float) -> float:
     return (1.0 - math.cos(phi)) / 2.0
 
 
-def _joint_product_distribution(rho: DensityMatrix, basis: str) -> np.ndarray:
+def _joint_product_distribution(t: TripartiteState, basis: str) -> np.ndarray:
     """Joint distribution of (Alice outcome, product of Bob outcomes).
 
     Entry [i, j]: i = 0 for Alice +1, j = 0 for Bob-product +1.
     """
-    n = rho.n_qubits
-    arr = rho.matrix.reshape((2,) * (2 * n))
-    u = EIGENBASIS[basis].conj().T
-    for q in range(n):
-        arr = _apply_one(arr, q, u)  # rows
-        arr = _apply_one(arr, n + q, u.conj())  # columns
-    probs = np.diag(arr.reshape(2**n, 2**n)).real
-    joint = np.zeros((2, 2))
-    for idx, p in enumerate(probs):
-        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-        a = bits[0]
-        prod_bit = sum(bits[1:]) % 2  # product of +-1 outcomes is -1 iff odd
-        joint[a, prod_bit] += p
+    n = t.scenario.n_parties
+    probs = outcome_probabilities(t.psi, basis * n + "I")
+    idx = np.arange(2**n)
+    # the product of +-1 outcomes is -1 iff an odd number of them are -1
+    prod_bit = ((idx[:, None] >> np.arange(n - 1)) & 1).sum(axis=1) % 2
+    joint = np.bincount(2 * (idx >> (n - 1)) + prod_bit, weights=probs, minlength=4)
     # roundoff can leave entries a few ulp outside [0, 1]
-    return np.clip(joint, 0.0, 1.0)
+    return np.clip(joint.reshape(2, 2), 0.0, 1.0)
 
 
 def exact_mutual_info_ab(scenario: AttackScenario) -> float:
@@ -215,17 +207,17 @@ def exact_mutual_info_ab(scenario: AttackScenario) -> float:
     Both all-x and all-y measurement rounds are exercised with equal weight,
     matching the sifted-round average of the protocol.
     """
-    rho = rho_ab(attacked_state(scenario))
+    t = attacked_state(scenario)
     h_cond = 0.0
     for basis in ("X", "Y"):
-        joint = _joint_product_distribution(rho, basis)
+        joint = _joint_product_distribution(t, basis)
         h = 0.0
         for j in range(2):
             pb = joint[:, j].sum()
             if pb > 0.0:
                 h += pb * binary_entropy(joint[0, j] / pb)
         h_cond += 0.5 * h
-    p_alice = _joint_product_distribution(rho, "X").sum(axis=1)[0]
+    p_alice = _joint_product_distribution(t, "X").sum(axis=1)[0]
     return binary_entropy(p_alice) - h_cond
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgument, InvalidDimension
-from .qsim import DensityMatrix, PauliString, PureState, State, expectation
+from .qsim import DensityMatrix, PauliString, State, expectation
 
 __all__ = [
     "CorrelationTensor",

@@ -29,7 +29,7 @@ from .attack import (
     qber_x,
     rho_ae,
 )
-from .bell import CorrelationTensor, LocalFrame, correlation_tensor, horodecki_m
+from .bell import correlation_tensor, horodecki_m
 from .errors import (
     InternalInconsistency,
     InvalidState,
@@ -44,11 +44,6 @@ from .protocol import (
 from .states import add_white_noise, carrier_state
 
 SCHEMA_VERSION = "qss-1"
-
-#: Upper bound on worker threads for internal parallelism.  The current
-#: implementation is single-process and single-threaded, which trivially
-#: respects any cap.
-QSS_THREADS = max(1, int(os.environ.get("QSS_THREADS", "1") or 1))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -85,15 +80,17 @@ def _csv_text(header: list[str], rows: list[list], comments: list[str] = ()) -> 
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError("grid must be start:stop:count or comma list")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 2:
-            raise argparse.ArgumentTypeError("grid count must be >= 2")
-        return np.linspace(start, stop, count)
-    return np.array([float(v) for v in spec.split(",")])
+    """argparse type of ``--phi-grid``: start:stop:count or a comma list."""
+    try:
+        if ":" not in spec:
+            return np.array([float(v) for v in spec.split(",")])
+        start, stop, count = spec.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid grid {spec!r}") from exc
+    if count < 2:
+        raise argparse.ArgumentTypeError("grid count must be >= 2")
+    return np.linspace(start, stop, count)
 
 
 def _angle(value: float, deg: bool) -> float:
@@ -148,29 +145,19 @@ def _cmd_run_protocol(args) -> int:
 
 
 def _cmd_sweep_attack(args) -> int:
-    grid = _parse_grid(args.phi_grid)
+    grid = args.phi_grid
     if args.deg:
         grid = np.radians(grid)
     if grid.min() < 0 or grid.max() > math.pi / 2 + 1e-12:
         print("error: phi grid must lie within [0, pi/2]", file=sys.stderr)
         return 2
     rows = []
-    for phi in grid:
-        scenario = AttackScenario(args.carrier, args.m, float(phi))
-        t = attacked_state(scenario)
+    for phi in grid.tolist():
+        t = attacked_state(AttackScenario(args.carrier, args.m, phi))
         m_ab = horodecki_m(coalition_collapse(t, kept_bob=1))
         m_ae = horodecki_m(rho_ae(t))
-        rows.append(
-            [
-                float(phi),
-                mutual_info_ab(float(phi)),
-                mutual_info_ae(float(phi)),
-                mutual_info_ab(float(phi)) - mutual_info_ae(float(phi)),
-                qber_x(float(phi)),
-                m_ab,
-                m_ae,
-            ]
-        )
+        i_ab, i_ae = mutual_info_ab(phi), mutual_info_ae(phi)
+        rows.append([phi, i_ab, i_ae, i_ab - i_ae, qber_x(phi), m_ab, m_ae])
     crossing = _bisect_crossing(0.0, math.pi / 2)
     text = _csv_text(
         ["phi", "i_ab", "i_ae", "margin", "qber_x", "horodecki_ab", "horodecki_ae"],
@@ -268,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-attack", help="security sweep over attack angles")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--carrier", choices=["G", "GHZ"], default="G")
-    p.add_argument("--phi-grid", required=True, help="start:stop:count or comma list")
+    p.add_argument("--phi-grid", type=_parse_grid, required=True,
+                   help="start:stop:count or comma list")
     p.add_argument("--deg", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep_attack)
@@ -311,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidState, InternalInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except QssError as exc:
+    except (QssError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

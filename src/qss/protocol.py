@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .attack import AttackScenario, attacked_state
-from .errors import EmptySiftedSet, InvalidArgument
+from .errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from .qsim import EIGENBASIS, Outcome, _apply_one
 
 __all__ = [
@@ -34,6 +34,11 @@ __all__ = [
     "transcript_to_jsonl",
     "transcript_summary",
 ]
+
+
+#: Bytes the outcome tables of one run may take.  They hold 2^(2m) combinations
+#: by 2^(2m) outcomes of 8 bytes, 8 * 16^m in all, so the budget admits m <= 7.
+TABLE_BUDGET_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,9 @@ class ProtocolConfig:
             raise InvalidArgument(f"rounds must be >= 1, got {self.rounds}")
         if self.scenario.m != self.m:
             raise InvalidArgument("scenario.m must match config.m")
+        # compared in log2 so that a huge m never builds a huge integer
+        if 4 * self.m + 3 > math.log2(TABLE_BUDGET_BYTES):
+            raise BudgetExceeded(f"m = {self.m} needs 8 * 16^{self.m} bytes of outcome tables")
 
     @property
     def n_parties(self) -> int:
@@ -64,30 +72,73 @@ class RoundRecord:
     basis_label: str  # "X", "Y", or "mixed"
 
 
-@dataclass(frozen=True)
+def _bases(combo: int, n_parties: int) -> str:
+    """Basis letters of a combination whose bit q (MSB first) is 1 for sigma_y."""
+    return format(combo, f"0{n_parties}b").replace("0", "X").replace("1", "Y")
+
+
+@dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
+    """A run as columns, one entry per round: the basis combination (bit q,
+    MSB first, is 1 when party q measured sigma_y), the outcome index (bit q
+    is 1 when party q saw -1), and whether the round was sifted."""
+
     config: ProtocolConfig
-    records: tuple[RoundRecord, ...]
-    alice_key: tuple[int, ...]
-    bob_product_key: tuple[int, ...]
-    sift_count: int
+    combo_idx: np.ndarray
+    outcome_idx: np.ndarray
+    sifted: np.ndarray
+
+    @property
+    def sift_count(self) -> int:
+        return int(np.count_nonzero(self.sifted))
+
+    def _sifted_bits(self) -> np.ndarray:
+        """Outcome bits of the sifted rounds, shape (sift_count, n_parties)."""
+        shifts = np.arange(self.config.n_parties - 1, -1, -1)
+        return (self.outcome_idx[self.sifted, None] >> shifts) & 1
+
+    @property
+    def alice_key(self) -> tuple[int, ...]:
+        return tuple(self._sifted_bits()[:, 0].tolist())
+
+    @property
+    def bob_product_key(self) -> tuple[int, ...]:
+        # all-y rounds carry a carrier-dependent parity sign: the full-y
+        # correlation is (-1)^(m+1) for the G carrier and (-1)^m for GHZ
+        y_flip = (self.config.m + (self.config.scenario.carrier == "G")) % 2
+        all_y = self.combo_idx[self.sifted] != 0
+        # the product of +-1 outcomes is -1 iff an odd number of them are -1
+        parity = self._sifted_bits()[:, 1:].sum(axis=1) + all_y * y_flip
+        return tuple((parity % 2).tolist())
+
+    def _decode(self) -> tuple[Iterable, dict[int, str], dict[int, Outcome]]:
+        """The (combo, outcome index, sifted) rows, the bases of each combination
+        present and the +-1 outcomes of each outcome index present."""
+        n = self.config.n_parties
+        rows = zip(self.combo_idx.tolist(), self.outcome_idx.tolist(), self.sifted.tolist())
+        bases = {c: _bases(c, n) for c in np.unique(self.combo_idx).tolist()}
+        bits = {o: format(o, f"0{n}b") for o in np.unique(self.outcome_idx).tolist()}
+        return rows, bases, {o: tuple(1 - 2 * int(b) for b in s) for o, s in bits.items()}
+
+    @property
+    def records(self) -> tuple[RoundRecord, ...]:
+        rows, bases, outcomes = self._decode()
+        return tuple(
+            RoundRecord(bases[c], outcomes[o], s, bases[c][0] if s else "mixed")
+            for c, o, s in rows
+        )
 
 
-def _outcome_distributions(config: ProtocolConfig) -> dict[int, np.ndarray]:
-    """Cumulative outcome distribution for every basis combination.
-
-    Key: integer whose bit q (MSB first over parties) is 1 for sigma_y.
-    Value: cumulative probabilities over the 2^(2m) party-outcome indices,
-    marginalized over Evan's probe.
-    """
+def _outcome_distributions(config: ProtocolConfig) -> np.ndarray:
+    """Row c: cumulative probabilities over the 2^(2m) party-outcome indices in
+    basis combination ``_bases(c)``, marginalized over Evan's probe."""
     n_parties = config.n_parties
     psi = attacked_state(config.scenario).psi
     base = psi.amplitudes.reshape((2,) * psi.n_qubits)
-    tables = {}
+    tables = np.empty((2**n_parties, 2**n_parties))
     for combo in range(2**n_parties):
         arr = base
-        for q in range(n_parties):
-            ax = "Y" if (combo >> (n_parties - 1 - q)) & 1 else "X"
+        for q, ax in enumerate(_bases(combo, n_parties)):
             arr = _apply_one(arr, q, EIGENBASIS[ax].conj().T)
         probs = (np.abs(arr) ** 2).reshape(2**n_parties, 2).sum(axis=1)
         tables[combo] = np.cumsum(probs / probs.sum())
@@ -95,57 +146,21 @@ def _outcome_distributions(config: ProtocolConfig) -> dict[int, np.ndarray]:
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
-    """Simulate all rounds, sift, and derive both key strings."""
+    """Simulate all rounds and sift them."""
     n_parties = config.n_parties
     rng = np.random.default_rng(config.seed)
     basis_bits = rng.integers(0, 2, size=(config.rounds, n_parties))
     uniforms = rng.random(config.rounds)
 
     tables = _outcome_distributions(config)
-    powers = 1 << np.arange(n_parties - 1, -1, -1)
-    combos = basis_bits @ powers
+    combos = basis_bits @ (1 << np.arange(n_parties - 1, -1, -1))
     outcome_idx = np.empty(config.rounds, dtype=np.int64)
     for combo in np.unique(combos):
         sel = combos == combo
-        outcome_idx[sel] = np.searchsorted(
-            tables[int(combo)], uniforms[sel], side="right"
-        )
+        outcome_idx[sel] = np.searchsorted(tables[combo], uniforms[sel], side="right")
     outcome_idx = np.minimum(outcome_idx, 2**n_parties - 1)
-
-    shifts = np.arange(n_parties - 1, -1, -1)
-    outcome_bits = (outcome_idx[:, None] >> shifts) & 1
-    outcomes = 1 - 2 * outcome_bits
-
-    # all-y rounds carry a carrier-dependent parity sign: the full-y
-    # correlation is (-1)^(m+1) for the G carrier and (-1)^m for GHZ
-    if config.scenario.carrier == "G":
-        y_sign = (-1) ** (config.m + 1)
-    else:
-        y_sign = (-1) ** config.m
-    records = []
-    alice_key = []
-    bob_key = []
-    for r in range(config.rounds):
-        bases = "".join("Y" if b else "X" for b in basis_bits[r])
-        all_x = bases == "X" * n_parties
-        all_y = bases == "Y" * n_parties
-        sifted = all_x or all_y
-        label = "X" if all_x else ("Y" if all_y else "mixed")
-        outc = tuple(int(v) for v in outcomes[r])
-        records.append(RoundRecord(bases, outc, sifted, label))
-        if sifted:
-            alice_key.append((1 - outc[0]) // 2)
-            prod = int(np.prod(outc[1:]))
-            if all_y:
-                prod *= y_sign
-            bob_key.append((1 - prod) // 2)
-    return ProtocolTranscript(
-        config,
-        tuple(records),
-        tuple(alice_key),
-        tuple(bob_key),
-        len(alice_key),
-    )
+    sifted = (combos == 0) | (combos == 2**n_parties - 1)
+    return ProtocolTranscript(config, combos, outcome_idx, sifted)
 
 
 def reconstruct_key(
@@ -187,27 +202,18 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
         raise InvalidArgument("subset must be proper; use reconstruct_key for all Bobs")
     if t.sift_count == 0:
         raise EmptySiftedSet("transcript has no sifted rounds")
-    samples = []
-    key_iter = iter(t.alice_key)
-    for rec in t.records:
-        if rec.sifted:
-            a = next(key_iter)
-            samples.append((a, tuple(rec.outcomes[q] for q in sub)))
-    return estimate_mutual_info(samples)
+    bits = t._sifted_bits()
+    outcomes = map(tuple, (1 - 2 * bits[:, sub]).tolist())
+    return estimate_mutual_info(list(zip(bits[:, 0].tolist(), outcomes)))
 
 
 def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
     """One JSON document per round."""
-    for i, rec in enumerate(t.records):
-        yield json.dumps(
-            {
-                "round": i,
-                "bases": rec.bases,
-                "outcomes": list(rec.outcomes),
-                "sifted": rec.sifted,
-            },
-            separators=(",", ":"),
-        )
+    rows, bases, outcomes = t._decode()
+    texts = {o: json.dumps(list(v), separators=(",", ":")) for o, v in outcomes.items()}
+    flags = ("false", "true")
+    for i, (c, o, s) in enumerate(rows):
+        yield f'{{"round":{i},"bases":"{bases[c]}","outcomes":{texts[o]},"sifted":{flags[s]}}}'
 
 
 def transcript_summary(

@@ -259,22 +259,35 @@ def project(
     return prob, PureState(state.n_qubits, flat / np.sqrt(prob))
 
 
+def outcome_probabilities(state: PureState, bases: str) -> np.ndarray:
+    """Born distribution of measuring each qubit in its Pauli basis.
+
+    ``bases`` has one letter per qubit over "IXYZ"; "I" qubits are summed
+    out.  Entry k is the probability that the measured qubits, most
+    significant bit first, give the outcome bits of k (bit 0 for +1).
+    """
+    n = state.n_qubits
+    if len(bases) != n:
+        raise InvalidDimension(f"need {n} bases, got {len(bases)}")
+    measured = PauliString(bases).support
+    arr = state.amplitudes.reshape((2,) * n)
+    for q in measured:
+        # express the state in the measurement eigenbasis of qubit q
+        arr = _apply_one(arr, q, EIGENBASIS[bases[q]].conj().T)
+    traced = tuple(q for q, ax in enumerate(bases) if ax == "I")
+    return (np.abs(arr) ** 2).sum(axis=traced).reshape(-1)
+
+
 def measure_sample(
     state: PureState,
     bases: Sequence[str],
     rng: np.random.Generator,
 ) -> tuple[Outcome, PureState]:
     """Sample one projective measurement of every qubit in the given Pauli bases."""
-    n = state.n_qubits
-    if len(bases) != n:
-        raise InvalidDimension(f"need {n} bases, got {len(bases)}")
     for ax in bases:
         _check_axis(ax)
-    arr = state.amplitudes.reshape((2,) * n)
-    for q, ax in enumerate(bases):
-        # express the state in the measurement eigenbasis of qubit q
-        arr = _apply_one(arr, q, EIGENBASIS[ax].conj().T)
-    probs = np.abs(arr.reshape(-1)) ** 2
+    n = state.n_qubits
+    probs = outcome_probabilities(state, "".join(bases))
     probs /= probs.sum()
     idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     idx = min(idx, 2**n - 1)

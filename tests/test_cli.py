@@ -1,5 +1,6 @@
 """Command-line interface: file outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -72,10 +73,18 @@ class TestSweepAttack:
 
     def test_bad_grid_rejected(self, tmp_path):
         out = tmp_path / "x.csv"
+        for grid in ("0:3.2:5", "0:1", "0:1:1", "abc"):
+            assert run_cli(
+                ["sweep-attack", "--m", "2", "--phi-grid", grid, "--out", str(out)]
+            ) == 2, grid
+            assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.csv"
         assert run_cli(
-            ["sweep-attack", "--m", "2", "--phi-grid", "0:3.2:5", "--out", str(out)]
+            ["sweep-attack", "--m", "2", "--phi-grid", "0,0.5", "--out", str(out)]
         ) == 2
-        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBellCommand:
@@ -183,6 +192,38 @@ class TestRunProtocolCommand:
         assert summary["error_rate"] == 0.0
         assert summary["rounds"] == 4000
         assert set(summary["coalition_info"]) == {"1", "2", "3", "1,2"}
+
+    # sha256 of the transcript and summary, taken from the per-round
+    # implementation that the columnar transcript replaced
+    @pytest.mark.parametrize(
+        "m, rounds, carrier, phi, seed, transcript_sha, summary_sha",
+        [
+            ("3", "20000", "G", "0.3", "1",
+             "0d756cd8bef37b8e5dad703137617c0603b2e025174e3f294ae42bd82a5364d0",
+             "8743485a2dc8aca7abf101ddebaa3e944754cdc886e3a31ab4a777ba2ff10c8c"),
+            ("3", "20000", "GHZ", "0.0", "2",
+             "a647da52f5d6fe492de10dfaf02398a58deac5db9f91108b33ab9187ed85a922",
+             "b24347148b07a73502b2a364f0dedbe8e38cc493ec7c590416ac57234ab7b602"),
+            ("2", "5000", "G", "0.7853981633974483", "3",
+             "17396bfe997f986404647a034009465eb5c19baa5667f7972bed3c226f8c172c",
+             "c9c4106bcb72571838b3a3456f22419f138ae6546f2a93bdbccac17fab34e57a"),
+            ("4", "5000", "GHZ", "0.3", "4",
+             "f42aa84536a53f5ff1e7d7402a7c5f98501bb7b6025fb747d5bf5419a1e89841",
+             "b04404b6c63ac3fb184f4c3ff813c00723fb8490345b908f04d5f57b96438398"),
+        ],
+    )
+    def test_golden_output_hashes(
+        self, tmp_path, m, rounds, carrier, phi, seed, transcript_sha, summary_sha
+    ):
+        out = tmp_path / "run"
+        assert run_cli(
+            ["run-protocol", "--m", m, "--rounds", rounds, "--carrier", carrier,
+             "--phi", phi, "--seed", seed, "--out", str(out)]
+        ) == 0
+        for suffix, expected in ((".transcript.jsonl", transcript_sha),
+                                 (".summary.json", summary_sha)):
+            data = (tmp_path / ("run" + suffix)).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == expected
 
     def test_degrees_flag(self, tmp_path):
         out = tmp_path / "deg"

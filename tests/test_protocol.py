@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from qss.attack import AttackScenario, binary_entropy
-from qss.errors import EmptySiftedSet, InvalidArgument
+from qss.errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from qss.protocol import (
+    TABLE_BUDGET_BYTES,
     ProtocolConfig,
     ProtocolTranscript,
     RoundRecord,
@@ -50,6 +51,15 @@ class TestConfigValidation:
     def test_zero_rounds(self):
         with pytest.raises(InvalidArgument):
             ProtocolConfig(2, 0, AttackScenario("G", 2, 0.0), 0)
+
+    def test_table_budget_admits_m7(self):
+        config = ProtocolConfig(7, 10, AttackScenario("G", 7, 0.0), 0)
+        assert 8 * 16**config.m <= TABLE_BUDGET_BYTES
+
+    @pytest.mark.parametrize("m", [8, 9, 10**9])
+    def test_table_budget_rejects_m8_and_up(self, m):
+        with pytest.raises(BudgetExceeded):
+            ProtocolConfig(m, 10, AttackScenario("GHZ", m, 0.0), 0)
 
 
 class TestDeterminism:
@@ -135,8 +145,11 @@ class TestKeyReconstruction:
 
     def test_empty_sifted_set(self):
         base = make_transcript(rounds=10)
-        mixed = RoundRecord("XXYXXY", (1,) * 6, False, "mixed")
-        empty = ProtocolTranscript(base.config, (mixed,), (), (), 0)
+        mixed = int("001001", 2)  # bases "XXYXXY"
+        empty = ProtocolTranscript(
+            base.config, np.array([mixed]), np.array([0]), np.array([False])
+        )
+        assert empty.records == (RoundRecord("XXYXXY", (1,) * 6, False, "mixed"),)
         with pytest.raises(EmptySiftedSet):
             reconstruct_key(empty)
 

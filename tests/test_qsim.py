@@ -21,6 +21,7 @@ from qss.qsim import (
     hermitian_eigenvalues,
     make_basis_state,
     measure_sample,
+    outcome_probabilities,
     partial_trace,
     project,
     reduce_state,
@@ -256,6 +257,37 @@ class TestProject:
                 prob = 0.0
             total += prob
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOutcomeProbabilities:
+    @settings(deadline=None, max_examples=40)
+    @given(pure_states(max_qubits=5), st.data())
+    def test_matches_sequential_projection(self, state, data):
+        n = state.n_qubits
+        bases = data.draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+        probs = outcome_probabilities(state, bases)
+        measured = [q for q, ax in enumerate(bases) if ax != "I"]
+        assert probs.shape == (2 ** len(measured),)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        for idx, p in enumerate(probs):
+            expected, branch = 1.0, state
+            for k, q in enumerate(measured):
+                bit = (idx >> (len(measured) - 1 - k)) & 1
+                try:
+                    prob, branch = project(branch, [q], bases[q], [1 - 2 * bit])
+                except ZeroProbabilityBranch:
+                    expected = 0.0
+                    break
+                expected *= prob
+            assert abs(p - expected) < 1e-12
+
+    def test_invalid_letter(self):
+        with pytest.raises(InvalidArgument):
+            outcome_probabilities(make_basis_state(2, "00"), "XA")
+
+    def test_wrong_length(self):
+        with pytest.raises(InvalidDimension):
+            outcome_probabilities(make_basis_state(2, "00"), "XYZ")
 
 
 class TestMeasureSample:
