@@ -29,8 +29,6 @@ from .states import CARRIERS, make_carrier_branches
 __all__ = [
     "AttackScenario",
     "TripartiteState",
-    "SecurityReport",
-    "evan_unitary_action",
     "attacked_state",
     "rho_ab",
     "rho_ae",
@@ -41,7 +39,6 @@ __all__ = [
     "mutual_info_ab",
     "mutual_info_ae",
     "exact_mutual_info_ab",
-    "security_report",
     "qber_x",
 ]
 
@@ -73,29 +70,6 @@ class TripartiteState:
 
     psi: PureState
     scenario: AttackScenario
-
-
-@dataclass(frozen=True)
-class SecurityReport:
-    phi: float
-    i_ab: float
-    i_ae: float
-    margin: float
-    secure: bool
-
-
-def evan_unitary_action(branch: str, phi: float) -> dict[tuple[str, int], float]:
-    """Image of |branch>|0> under the attack, as {(branch, probe_bit): amplitude}.
-
-    ``branch`` is "xi" or "xibar".
-    """
-    if branch not in ("xi", "xibar"):
-        raise InvalidArgument(f"branch must be 'xi' or 'xibar', got {branch!r}")
-    if not 0.0 <= phi <= math.pi / 2 + 1e-12:
-        raise InvalidArgument(f"phi must be in [0, pi/2], got {phi}")
-    if branch == "xi":
-        return {("xi", 0): 1.0}
-    return {("xibar", 0): math.cos(phi), ("xi", 1): math.sin(phi)}
 
 
 def attacked_state(scenario: AttackScenario) -> TripartiteState:
@@ -220,10 +194,3 @@ def exact_mutual_info_ab(scenario: AttackScenario) -> float:
     p_alice = _joint_product_distribution(t, "X").sum(axis=1)[0]
     return binary_entropy(p_alice) - h_cond
 
-
-def security_report(scenario: AttackScenario) -> SecurityReport:
-    """Closed-form security verdict: secure iff I(A:B) > I(A:E)."""
-    i_ab = mutual_info_ab(scenario.phi)
-    i_ae = mutual_info_ae(scenario.phi)
-    margin = i_ab - i_ae
-    return SecurityReport(scenario.phi, i_ab, i_ae, margin, margin > 0.0)

@@ -155,9 +155,12 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     tables = _outcome_distributions(config)
     combos = basis_bits @ (1 << np.arange(n_parties - 1, -1, -1))
     outcome_idx = np.empty(config.rounds, dtype=np.int64)
-    for combo in np.unique(combos):
-        sel = combos == combo
-        outcome_idx[sel] = np.searchsorted(tables[combo], uniforms[sel], side="right")
+    # rounds grouped by combination: order[bounds[c]:bounds[c + 1]] use combination c
+    order = np.argsort(combos, kind="stable")
+    bounds = np.searchsorted(combos[order], np.arange(2**n_parties + 1))
+    for combo in np.flatnonzero(np.diff(bounds)):
+        rows = order[bounds[combo] : bounds[combo + 1]]
+        outcome_idx[rows] = np.searchsorted(tables[combo], uniforms[rows], side="right")
     outcome_idx = np.minimum(outcome_idx, 2**n_parties - 1)
     sifted = (combos == 0) | (combos == 2**n_parties - 1)
     return ProtocolTranscript(config, combos, outcome_idx, sifted)

@@ -27,7 +27,6 @@ MAX_STATE_QUBITS = 20
 MAX_DENSITY_QUBITS = 12
 
 ATOL_EXACT = 1e-10
-ATOL_EIG = 1e-8
 PSD_FLOOR = -1e-9
 PROB_FLOOR = 1e-12
 
@@ -298,15 +297,3 @@ def measure_sample(
         post = np.kron(post, EIGENBASIS[ax][:, bits[q]])
     return outcome, PureState(n, post)
 
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDimension(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > ATOL_EIG:
-        raise InvalidState("matrix is not Hermitian within 1e-8")
-    vals = np.sort(np.linalg.eigvalsh(m))[::-1]
-    if abs(vals.sum() - np.trace(m).real) > ATOL_EIG * max(1.0, abs(np.trace(m))):
-        raise InvalidState("eigenvalue sum does not match the trace")
-    return vals

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistency, InvalidArgument
-from .qsim import DensityMatrix, State, make_basis_state, reduce_state
+from .errors import BudgetExceeded, InternalInconsistency, InvalidArgument
+from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, State, make_basis_state, reduce_state
 from .states import ghz_state, v_states
 
 __all__ = [
@@ -225,6 +225,9 @@ def g_uniqueness_check(n: int, traced_parties: tuple[int, ...] = (0,)) -> GramSo
     """
     if n < 3:
         raise InvalidArgument(f"uniqueness check needs n >= 3, got {n}")
+    if n > MAX_DENSITY_QUBITS:
+        # two rows per pair of (n-1)-qubit indices: 8.4M pairs, several GiB, at n = 13
+        raise BudgetExceeded(f"uniqueness check capped at n <= {MAX_DENSITY_QUBITS}")
     blocks = [_constraint_system(n, j) for j in traced_parties]
     a_mat = np.vstack([a for a, _ in blocks])
     b_vec = np.concatenate([b for _, b in blocks])

@@ -13,14 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidDimension
-from .qsim import DensityMatrix, PureState, make_basis_state
+from .qsim import MAX_STATE_QUBITS, DensityMatrix, PureState, make_basis_state
 
 #: Carrier families supported by the protocol.
 CARRIERS = ("G", "GHZ")
 
 
+def _check_qubits(n: int) -> None:
+    """Refuse a register that PureState would reject, before allocating 2^n amplitudes."""
+    if n > MAX_STATE_QUBITS:
+        raise InvalidArgument(f"n_qubits must be in [1, {MAX_STATE_QUBITS}], got {n}")
+
+
 def _single_one_amps(k: int) -> np.ndarray:
     """Unnormalized sum of all k basis states with exactly one 1."""
+    _check_qubits(k)
     amps = np.zeros(2**k, dtype=complex)
     for j in range(k):
         amps[1 << (k - 1 - j)] += 1.0
@@ -29,6 +36,7 @@ def _single_one_amps(k: int) -> np.ndarray:
 
 def _single_zero_amps(k: int) -> np.ndarray:
     """Unnormalized sum of all k basis states with exactly one 0."""
+    _check_qubits(k)
     amps = np.zeros(2**k, dtype=complex)
     full = 2**k - 1
     for j in range(k):
@@ -70,6 +78,7 @@ def ghz_state(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
     if n < 2:
         raise InvalidArgument(f"ghz_state needs n >= 2, got {n}")
+    _check_qubits(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return PureState(n, amps)

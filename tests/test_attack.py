@@ -11,7 +11,6 @@ from qss.attack import (
     attacked_state,
     binary_entropy,
     coalition_collapse,
-    evan_unitary_action,
     exact_mutual_info_ab,
     mutual_info_ab,
     mutual_info_ae,
@@ -19,7 +18,6 @@ from qss.attack import (
     rho_ab,
     rho_ae,
     rho_b,
-    security_report,
     shannon_entropy,
 )
 from qss.states import g_state, xi_states
@@ -31,23 +29,35 @@ def outer(v):
     return np.outer(v, v.conj())
 
 
+def branch_images(phi, m=2):
+    """Evan's images of |xi>|0> and |xibar>|0>, read off the attacked state:
+    Alice's |0> and |1> halves of psi, times sqrt(2), as (Bobs, probe) arrays."""
+    psi = attacked_state(AttackScenario("G", m, phi)).psi.amplitudes
+    halves = psi.reshape(2, -1, 2) * np.sqrt(2.0)
+    return halves[0], halves[1]
+
+
 class TestUnitaryAction:
     def test_xi_branch_untouched(self):
-        assert evan_unitary_action("xi", 0.9) == {("xi", 0): 1.0}
+        xi, _ = xi_states(2)
+        image, _ = branch_images(0.9)
+        assert np.abs(image - np.outer(xi.amplitudes, [1.0, 0.0])).max() < 1e-12
 
     def test_xibar_branch_rotates(self):
-        act = evan_unitary_action("xibar", math.pi / 2)
-        assert act[("xibar", 0)] == pytest.approx(0.0, abs=1e-12)
-        assert act[("xi", 1)] == pytest.approx(1.0, abs=1e-12)
+        xi, xibar = xi_states(2)
+        _, image = branch_images(math.pi / 2)
+        assert abs(np.vdot(np.outer(xibar.amplitudes, [1.0, 0.0]), image)) < 1e-12
+        assert abs(np.vdot(np.outer(xi.amplitudes, [0.0, 1.0]), image)) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     @pytest.mark.parametrize("phi", PHI_GRID)
     def test_isometry(self, phi):
-        act = evan_unitary_action("xibar", phi)
-        assert sum(a**2 for a in act.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_branch(self):
-        with pytest.raises(InvalidArgument):
-            evan_unitary_action("eta", 0.1)
+        # the images keep the norms and the overlap (zero) of |xi>|0>, |xibar>|0>
+        xi_image, xibar_image = branch_images(phi)
+        assert np.linalg.norm(xibar_image) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(xi_image) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(xi_image, xibar_image)) < 1e-12
 
 
 class TestAttackedState:
@@ -116,10 +126,8 @@ class TestReducedStates:
         assert np.abs(rho_ae(t).matrix - expected).max() < 1e-12
 
     def test_rho_ab_weights_at_crossover(self):
-        from qss.qsim import hermitian_eigenvalues
-
         t = attacked_state(AttackScenario("G", 2, math.pi / 4))
-        vals = hermitian_eigenvalues(rho_ab(t).matrix)
+        vals = np.sort(np.linalg.eigvalsh(rho_ab(t).matrix))[::-1]
         assert vals[0] == pytest.approx(0.75, abs=1e-10)
         assert vals[1] == pytest.approx(0.25, abs=1e-10)
         assert abs(vals[2:]).max() < 1e-10
@@ -226,23 +234,3 @@ class TestInformationCurves:
             exact = exact_mutual_info_ab(AttackScenario(carrier, m, float(phi)))
             assert exact == pytest.approx(mutual_info_ab(float(phi)), abs=1e-9)
 
-
-class TestSecurityReport:
-    def test_secure_below_crossover(self):
-        rep = security_report(AttackScenario("G", 3, math.pi / 8))
-        assert rep.secure
-        assert rep.margin > 0
-
-    def test_not_secure_at_and_above_crossover(self):
-        at = security_report(AttackScenario("G", 3, math.pi / 4))
-        above = security_report(AttackScenario("G", 3, 3 * math.pi / 8))
-        assert not at.secure
-        assert abs(at.margin) < 1e-12
-        assert not above.secure
-        assert above.margin < 0
-
-    def test_carrier_independent(self):
-        g = security_report(AttackScenario("G", 2, 0.6))
-        ghz = security_report(AttackScenario("GHZ", 2, 0.6))
-        assert g.i_ab == ghz.i_ab
-        assert g.i_ae == ghz.i_ae

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qss.attack import AttackScenario, attacked_state, coalition_collapse, rho_ae
 from qss.bell import (
@@ -27,7 +28,7 @@ from qss.bell import (
     rotate_tensor,
 )
 from qss.errors import BudgetExceeded, InvalidArgument
-from qss.qsim import DensityMatrix, make_basis_state
+from qss.qsim import DensityMatrix, PauliString, PureState, expectation, make_basis_state
 from qss.states import add_white_noise, g_state, ghz_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -174,6 +175,45 @@ class TestCorrelationTensorValues:
     def test_entries_frozen(self, g6_tensor):
         with pytest.raises(ValueError):
             g6_tensor.entries[(0,) * 6] = 0.0
+
+
+@st.composite
+def pure_states(draw):
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return PureState.from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+
+
+@st.composite
+def mixed_states(draw):
+    n = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 2**n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+    rho = a @ a.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+class TestPauliTransform:
+    """Every entry of the transform against a single ``expectation`` call."""
+
+    @staticmethod
+    def assert_matches_expectation(state):
+        entries = correlation_tensor(state).entries
+        assert entries.shape == (3,) * state.n_qubits
+        for idx in itertools.product(range(3), repeat=state.n_qubits):
+            axes = PauliString("".join("XYZ"[i] for i in idx))
+            assert abs(entries[idx] - expectation(state, axes)) < 1e-12, axes
+
+    @settings(deadline=None, max_examples=40)
+    @given(pure_states())
+    def test_complex_pure_states(self, state):
+        self.assert_matches_expectation(state)
+
+    @settings(deadline=None, max_examples=40)
+    @given(mixed_states())
+    def test_mixed_states(self, state):
+        self.assert_matches_expectation(state)
 
 
 class TestSquaredSums:

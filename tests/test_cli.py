@@ -129,6 +129,13 @@ class TestBellCommand:
         assert run_cli(["bell", "--state", "g", "--n", "9", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bell", "tensor"])
+    @pytest.mark.parametrize("state", ["g", "ghz"])
+    def test_unallocatable_state_exits_2(self, tmp_path, command, state):
+        out = tmp_path / "out.json"
+        assert run_cli([command, "--state", state, "--n", "64", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestThresholdsCommand:
     def test_flip_between_12_and_13(self, tmp_path):
@@ -143,6 +150,16 @@ class TestThresholdsCommand:
         assert float(by_n["6"]["q_crit_ghz"]) == pytest.approx(
             1.0 / math.sqrt(32.0), abs=1e-12
         )
+
+
+    def test_n_max_limit(self, tmp_path):
+        # 2^(n-1) stops fitting a double above n = 1024
+        out = tmp_path / "thresholds.csv"
+        args = ["thresholds", "--n-min", "4", "--out", str(out)]
+        assert run_cli(args + ["--n-max", "1025"]) == 2
+        assert not out.exists()
+        assert run_cli(args + ["--n-max", "1024"]) == 0
+        assert len(read_csv(out)[0]) == 1021
 
 
 class TestRdmCommand:
@@ -162,6 +179,11 @@ class TestRdmCommand:
         assert run_cli(["rdm", "--n", "4", "--out", str(out)]) == 0
         assert not json.loads(out.read_text())["forced_product"]
 
+    def test_oversized_exits_2(self, tmp_path):
+        out = tmp_path / "rdm.json"
+        assert run_cli(["rdm", "--n", "64", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestTensorCommand:
     def test_g6_export(self, tmp_path):
@@ -175,6 +197,7 @@ class TestTensorCommand:
         assert entries[-1] == pytest.approx(-1.0, abs=1e-10)  # zzzzzz
         values = {round(v, 9) for v in entries}
         assert values <= {-1.0, round(-1 / 3, 9), 0.0, round(1 / 3, 9), 1.0}
+        assert "-0.0" not in out.read_text()
 
 
 class TestRunProtocolCommand:

@@ -18,7 +18,6 @@ from qss.qsim import (
     PureState,
     apply_pauli_string,
     expectation,
-    hermitian_eigenvalues,
     make_basis_state,
     measure_sample,
     outcome_probabilities,
@@ -341,24 +340,3 @@ class TestMeasureSample:
             se = np.sqrt(p * (1 - p) / n_draws)
             assert abs(c / n_draws - p) < 5 * se + 1e-12
 
-
-class TestHermitianEigenvalues:
-    def test_half_identity(self):
-        vals = hermitian_eigenvalues(np.eye(2) / 2)
-        assert np.abs(vals - [0.5, 0.5]).max() < 1e-12
-
-    def test_projector(self):
-        vals = hermitian_eigenvalues(np.diag([1.0, 0.0]))
-        assert np.abs(vals - [1.0, 0.0]).max() < 1e-12
-
-    def test_nonhermitian_rejected(self):
-        with pytest.raises(InvalidState):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_descending_and_trace(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = a + a.conj().T
-        vals = hermitian_eigenvalues(h)
-        assert np.all(np.diff(vals) <= 1e-12)
-        assert vals.sum() == pytest.approx(np.trace(h).real, abs=1e-8)

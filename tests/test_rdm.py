@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qss.errors import InvalidArgument
-from qss.qsim import DensityMatrix, make_basis_state
+from qss import rdm
+from qss.errors import BudgetExceeded, InvalidArgument
+from qss.qsim import MAX_DENSITY_QUBITS, DensityMatrix, make_basis_state
 from qss.rdm import (
     GramSolution,
     g_uniqueness_check,
@@ -146,6 +147,14 @@ class TestGramUniqueness:
     def test_small_n_rejected(self):
         with pytest.raises(InvalidArgument):
             g_uniqueness_check(2)
+
+    def test_oversized_rejected_before_building(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("the linear system was built")
+
+        monkeypatch.setattr(rdm, "_constraint_system", build)
+        with pytest.raises(BudgetExceeded):
+            g_uniqueness_check(MAX_DENSITY_QUBITS + 1)
 
     def test_three_qubit_case_reported(self):
         # n = 3 is outside the regime the uniqueness argument targets but the

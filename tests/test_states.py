@@ -176,6 +176,15 @@ class TestBranchStates:
         ).max() < 1e-12
 
 
+class TestSizeLimit:
+    # 2^64 amplitudes: a constructor that allocated before checking n would
+    # fail inside numpy instead of raising InvalidArgument
+    @pytest.mark.parametrize("make", [w_state, wbar_state, g_state, ghz_state, v_states])
+    def test_rejected_before_allocating(self, make):
+        with pytest.raises(InvalidArgument):
+            make(64)
+
+
 class TestWhiteNoise:
     def test_full_visibility(self):
         s = g_state(2)
