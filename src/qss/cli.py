@@ -31,6 +31,7 @@ from .attack import (
 )
 from .bell import correlation_tensor, horodecki_m
 from .errors import (
+    BudgetExceeded,
     InternalInconsistency,
     InvalidState,
     QssError,
@@ -125,7 +126,7 @@ def _bisect_crossing(lo: float, hi: float, tol: float = 1e-9) -> float:
 def _cmd_run_protocol(args) -> int:
     phi = _angle(args.phi, args.deg)
     scenario = AttackScenario(args.carrier, args.m, phi)
-    config = ProtocolConfig(args.m, args.rounds, scenario, args.seed)
+    config = ProtocolConfig(args.rounds, scenario, args.seed)
     transcript = run_protocol(config)
     singles = [(q,) for q in range(1, 2 * args.m)]
     extras = [tuple(range(1, 2 * args.m - 1))]  # all Bobs but the last one
@@ -169,6 +170,9 @@ def _cmd_sweep_attack(args) -> int:
 
 
 def _cmd_bell(args) -> int:
+    if args.n > bell.MAX_TENSOR_QUBITS:
+        # before add_white_noise builds a 2^n x 2^n matrix the tensor would refuse
+        raise BudgetExceeded(f"correlation tensor capped at n <= {bell.MAX_TENSOR_QUBITS}")
     state = carrier_state("G" if args.state == "g" else "GHZ", args.n)
     if args.noise == 1.0:
         tensor = correlation_tensor(state)

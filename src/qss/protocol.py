@@ -43,25 +43,23 @@ TABLE_BUDGET_BYTES = 2**31
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    m: int
     rounds: int
     scenario: AttackScenario
     seed: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise InvalidArgument(f"protocol needs m >= 2, got {self.m}")
+        m = self.scenario.m
+        if m < 2:
+            raise InvalidArgument(f"protocol needs m >= 2, got {m}")
         if self.rounds < 1:
             raise InvalidArgument(f"rounds must be >= 1, got {self.rounds}")
-        if self.scenario.m != self.m:
-            raise InvalidArgument("scenario.m must match config.m")
         # compared in log2 so that a huge m never builds a huge integer
-        if 4 * self.m + 3 > math.log2(TABLE_BUDGET_BYTES):
-            raise BudgetExceeded(f"m = {self.m} needs 8 * 16^{self.m} bytes of outcome tables")
+        if 4 * m + 3 > math.log2(TABLE_BUDGET_BYTES):
+            raise BudgetExceeded(f"m = {m} needs 8 * 16^{m} bytes of outcome tables")
 
     @property
     def n_parties(self) -> int:
-        return 2 * self.m
+        return self.scenario.n_parties
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,8 @@ class ProtocolTranscript:
     def bob_product_key(self) -> tuple[int, ...]:
         # all-y rounds carry a carrier-dependent parity sign: the full-y
         # correlation is (-1)^(m+1) for the G carrier and (-1)^m for GHZ
-        y_flip = (self.config.m + (self.config.scenario.carrier == "G")) % 2
+        scenario = self.config.scenario
+        y_flip = (scenario.m + (scenario.carrier == "G")) % 2
         all_y = self.combo_idx[self.sifted] != 0
         # the product of +-1 outcomes is -1 iff an odd number of them are -1
         parity = self._sifted_bits()[:, 1:].sum(axis=1) + all_y * y_flip

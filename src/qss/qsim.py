@@ -5,8 +5,7 @@ Conventions used throughout the package:
 - Qubit 0 is the most significant bit of the amplitude index, so
   ``make_basis_state(2, "10")`` puts amplitude 1 at index 2.
 - Measurement outcomes are written as +-1 eigenvalues, never as bits.
-- All operations are pure functions of their inputs; randomness enters
-  only through an explicitly passed ``numpy.random.Generator``.
+- All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -275,25 +274,3 @@ def outcome_probabilities(state: PureState, bases: str) -> np.ndarray:
         arr = _apply_one(arr, q, EIGENBASIS[bases[q]].conj().T)
     traced = tuple(q for q, ax in enumerate(bases) if ax == "I")
     return (np.abs(arr) ** 2).sum(axis=traced).reshape(-1)
-
-
-def measure_sample(
-    state: PureState,
-    bases: Sequence[str],
-    rng: np.random.Generator,
-) -> tuple[Outcome, PureState]:
-    """Sample one projective measurement of every qubit in the given Pauli bases."""
-    for ax in bases:
-        _check_axis(ax)
-    n = state.n_qubits
-    probs = outcome_probabilities(state, "".join(bases))
-    probs /= probs.sum()
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    idx = min(idx, 2**n - 1)
-    bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-    outcome = tuple(1 - 2 * b for b in bits)
-    post = np.ones(1, dtype=complex)
-    for q, ax in enumerate(bases):
-        post = np.kron(post, EIGENBASIS[ax][:, bits[q]])
-    return outcome, PureState(n, post)
-

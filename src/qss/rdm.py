@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidArgument
-from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, State, make_basis_state, reduce_state
+from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, PureState, State, partial_trace
 from .states import ghz_state, v_states
 
 __all__ = [
@@ -31,6 +31,31 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-9
 _NULLSPACE_REL_TOL = 1e-8
+
+
+def _hermitian_basis() -> np.ndarray:
+    """Real basis of the 4x4 Hermitian matrices: E_aa, then E_ab + E_ba and
+    i(E_ab - E_ba) for each a < b.  A Gram is tensordot(theta, basis, 1)."""
+    unit = np.eye(16).reshape(4, 4, 4, 4)  # unit[a, b] = E_ab
+    a, b = np.triu_indices(4, 1)
+    off = np.stack([unit[a, b] + unit[b, a], 1j * (unit[a, b] - unit[b, a])], axis=1)
+    return np.concatenate([unit[range(4), range(4)], off.reshape(12, 4, 4)])
+
+
+#: (16, 4, 4); orthogonal, with squared norm 1 on the diagonal and 2 off it.
+_BASIS = _hermitian_basis()
+
+#: Environment orthonormality as sum_ab C[a, b] G[a, b] = rhs:
+#: <E0|E0> = g00 + g11 = 1, <E1|E1> = g22 + g33 = 1, <E0|E1> = g02 + g13 = 0.
+_ORTHO = np.zeros((3, 4, 4))
+_ORTHO[0, [0, 1], [0, 1]] = 1.0
+_ORTHO[1, [2, 3], [2, 3]] = 1.0
+_ORTHO[2, [0, 1], [2, 3]] = 1.0
+_ORTHO_RHS = np.array([1.0, 1.0, 0.0])
+
+#: Gram of the product solution: e00 = e11 unit, e01 = e10 = 0.
+_PRODUCT_GRAM = np.zeros((4, 4))
+_PRODUCT_GRAM[np.ix_([0, 3], [0, 3])] = 1.0
 
 
 @dataclass(frozen=True)
@@ -56,8 +81,9 @@ def marginal_set(state: State) -> MarginalSet:
     n = state.n_qubits
     if n < 3:
         raise InvalidArgument(f"marginal analysis needs n >= 3, got {n}")
+    rho = state.density() if isinstance(state, PureState) else state
     marginals = {
-        j: reduce_state(state, [q for q in range(n) if q != j]) for j in range(n)
+        j: partial_trace(rho, [q for q in range(n) if q != j]) for j in range(n)
     }
     return MarginalSet(n, marginals)
 
@@ -84,141 +110,62 @@ def ghz_counterexample_check(n: int) -> bool:
     (n-1)-party marginal of the GHZ state while the full states differ."""
     if n < 3:
         raise InvalidArgument(f"need n >= 3, got {n}")
-    ghz = ghz_state(n)
-    z0 = make_basis_state(n, "0" * n)
-    z1 = make_basis_state(n, "1" * n)
-    mixture = DensityMatrix(n, 0.5 * (z0.density().matrix + z1.density().matrix))
+    if n > MAX_DENSITY_QUBITS:
+        raise BudgetExceeded(f"GHZ counterexample check capped at n <= {MAX_DENSITY_QUBITS}")
+    ghz = ghz_state(n).density()
+    weights = np.zeros(2**n)
+    weights[[0, -1]] = 0.5
+    mixture = DensityMatrix(n, np.diag(weights))
     same_marginals = marginals_match(marginal_set(ghz), marginal_set(mixture))
-    return same_marginals and trace_distance(ghz.density(), mixture) > 0.4
+    return same_marginals and trace_distance(ghz, mixture) > 0.4
 
 
-def _insert_bit(y: int, n: int, pos: int, bit: int) -> int:
-    """Insert one bit at qubit ``pos`` (MSB-first) into an (n-1)-bit index."""
-    low_width = n - 1 - pos
-    high = y >> low_width
-    low = y & ((1 << low_width) - 1)
-    return (high << (low_width + 1)) | (bit << low_width) | low
-
-
-def _coefficient_vectors(n: int) -> np.ndarray:
+def _coefficient_vectors(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """W[z] in R^4: the (e00, e01, e10, e11) coefficients of the environment
-    block attached to computational basis state z of qubits 1..n."""
-    v0, v1 = v_states(n)
-    a0 = v0.amplitudes.real
-    a1 = v1.amplitudes.real
-    w = np.zeros((2**n, 4))
-    for z in range(2**n):
-        zp, b = z >> 1, z & 1
-        if b == 0:
-            w[z, 0] = a0[zp]
-            w[z, 2] = a1[zp]
-        else:
-            w[z, 1] = a0[zp]
-            w[z, 3] = a1[zp]
-    return w / np.sqrt(2.0)
+    block attached to computational basis state z of qubits 1..n, given the
+    amplitudes of v0 and v1."""
+    # row 2 z' + b, column 2 c + b holds amplitude z' of v_c
+    return np.kron(np.column_stack([a0, a1]), np.eye(2)) / np.sqrt(2.0)
 
 
-def _hermitian_from_params(theta: np.ndarray) -> np.ndarray:
-    """Map 16 real parameters to a 4x4 Hermitian matrix."""
-    g = np.zeros((4, 4), dtype=complex)
-    k = 0
-    for a in range(4):
-        g[a, a] = theta[k]
-        k += 1
-    for a in range(4):
-        for b in range(a + 1, 4):
-            g[a, b] += theta[k]
-            g[b, a] += theta[k]
-            k += 1
-            g[a, b] += 1j * theta[k]
-            g[b, a] += -1j * theta[k]
-            k += 1
-    return g
+def _rows(c: np.ndarray) -> np.ndarray:
+    """Real rows of the constraints sum_ab c[p, a, b] G[a, b]: real parts
+    first, then imaginary parts, each in the order of p."""
+    rows = np.einsum("pab,kab->pk", c, _BASIS)
+    return np.vstack([rows.real, rows.imag])
 
 
-def _constraint_system(n: int, traced_party: int) -> tuple[np.ndarray, np.ndarray]:
+def _constraint_system(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Real linear system A theta = b encoding the marginal equation obtained
-    by tracing out ``traced_party`` plus environment orthonormality."""
+    by tracing out party 0, plus environment orthonormality.
+
+    One equation per pair y <= y' of (n-1)-qubit indices; only pairs inside
+    the joint support of W, v0 and v1 can give anything but 0 = 0, and only
+    the rows that are not 0 = 0 are kept.
+    """
     v0, v1 = v_states(n)
     a0 = v0.amplitudes.real
     a1 = v1.amplitudes.real
-    w = _coefficient_vectors(n)
-    half = 2 ** (n - 1)
-
-    ins0 = np.array([_insert_bit(y, n, traced_party, 0) for y in range(half)])
-    ins1 = np.array([_insert_bit(y, n, traced_party, 1) for y in range(half)])
-    w0 = w[ins0]  # (half, 4)
-    w1 = w[ins1]
-
-    ys, yps = np.triu_indices(half)
-    # C[pair, a, b] = sum_bit w[(bit, y')][a] * w[(bit, y)][b]
-    c = np.einsum("pa,pb->pab", w0[yps], w0[ys]) + np.einsum(
-        "pa,pb->pab", w1[yps], w1[ys]
-    )
+    # party 0 is the top bit of z: w[0] and w[1] are its two halves
+    w = _coefficient_vectors(a0, a1).reshape(2, 2 ** (n - 1), 4)
+    support = np.flatnonzero(np.abs(w).sum(axis=(0, 2)) + np.abs(a0) + np.abs(a1))
+    i, j = np.triu_indices(support.size)
+    ys, yps = support[i], support[j]
+    # C[pair, a, b] = sum_bit w[bit, y'][a] * w[bit, y][b]
+    c = np.einsum("tpa,tpb->pab", w[:, yps], w[:, ys])
     target = 0.5 * (a0[ys] * a0[yps] + a1[ys] * a1[yps])
 
-    n_pairs = ys.size
-    rows_re = np.zeros((n_pairs, 16))
-    rows_im = np.zeros((n_pairs, 16))
-    k = 0
-    for a in range(4):
-        rows_re[:, k] = c[:, a, a]
-        k += 1
-    for a in range(4):
-        for b in range(a + 1, 4):
-            rows_re[:, k] = c[:, a, b] + c[:, b, a]
-            k += 1
-            rows_im[:, k] = c[:, a, b] - c[:, b, a]
-            k += 1
-
-    # orthonormality of E_0 and E_1 in the same parametrization
-    ortho = np.zeros((4, 16))
-    ortho_rhs = np.zeros(4)
-    diag_idx = {a: a for a in range(4)}
-    off_idx = {}
-    k = 4
-    for a in range(4):
-        for b in range(a + 1, 4):
-            off_idx[(a, b)] = (k, k + 1)  # (real part, imag part)
-            k += 2
-    ortho[0, diag_idx[0]] = 1.0
-    ortho[0, diag_idx[1]] = 1.0
-    ortho_rhs[0] = 1.0  # <E0|E0> = g00 + g11 = 1
-    ortho[1, diag_idx[2]] = 1.0
-    ortho[1, diag_idx[3]] = 1.0
-    ortho_rhs[1] = 1.0  # <E1|E1> = g22 + g33 = 1
-    re02, im02 = off_idx[(0, 2)]
-    re13, im13 = off_idx[(1, 3)]
-    ortho[2, re02] = 1.0
-    ortho[2, re13] = 1.0  # Re <E0|E1> = 0
-    ortho[3, im02] = 1.0
-    ortho[3, im13] = 1.0  # Im <E0|E1> = 0
-
-    a_mat = np.vstack([rows_re, rows_im, ortho])
-    b_vec = np.concatenate([target, np.zeros(n_pairs), ortho_rhs])
-    return a_mat, b_vec
+    a_mat = np.vstack([_rows(c), _rows(_ORTHO)])
+    b_vec = np.concatenate([target, np.zeros(ys.size), _ORTHO_RHS, np.zeros(3)])
+    nonzero = a_mat.any(axis=1) | (b_vec != 0)
+    return a_mat[nonzero], b_vec[nonzero]
 
 
-def _trivial_theta() -> np.ndarray:
-    """Parameters of the product-solution Gram: e00 = e11 unit, e01 = e10 = 0."""
-    theta = np.zeros(16)
-    theta[0] = 1.0  # <e00|e00>
-    theta[3] = 1.0  # <e11|e11>
-    # real part of the (0, 3) off-diagonal entry
-    k = 4
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if (a, b) == (0, 3):
-                theta[k] = 1.0
-            k += 2
-    return theta
-
-
-def g_uniqueness_check(n: int, traced_parties: tuple[int, ...] = (0,)) -> GramSolution:
+def g_uniqueness_check(n: int) -> GramSolution:
     """Does matching every (n-1)-party marginal force the pure carrier?
 
-    Builds the Gram-matrix linear system from the marginal equations for the
-    given traced-out parties (party n-1's marginal is already encoded in the
+    Builds the Gram-matrix linear system from the marginal equation with
+    party 0 traced out (party n-1's marginal is already encoded in the
     ansatz itself) and reports the nullspace dimension: zero nullspace means
     the only solution is the product of the carrier with an environment
     state.
@@ -226,13 +173,13 @@ def g_uniqueness_check(n: int, traced_parties: tuple[int, ...] = (0,)) -> GramSo
     if n < 3:
         raise InvalidArgument(f"uniqueness check needs n >= 3, got {n}")
     if n > MAX_DENSITY_QUBITS:
-        # two rows per pair of (n-1)-qubit indices: 8.4M pairs, several GiB, at n = 13
+        # the system itself is small; the cap matches the GHZ check run beside
+        # it, whose 2^n x 2^n densities no longer fit a DensityMatrix at n = 13
         raise BudgetExceeded(f"uniqueness check capped at n <= {MAX_DENSITY_QUBITS}")
-    blocks = [_constraint_system(n, j) for j in traced_parties]
-    a_mat = np.vstack([a for a, _ in blocks])
-    b_vec = np.concatenate([b for _, b in blocks])
-
-    theta_triv = _trivial_theta()
+    a_mat, b_vec = _constraint_system(n)
+    # projection of the product Gram onto the orthogonal basis
+    norms = np.einsum("kab,kab->k", _BASIS.conj(), _BASIS).real
+    theta_triv = np.einsum("kab,ab->k", _BASIS.conj(), _PRODUCT_GRAM).real / norms
     residual = float(np.abs(a_mat @ theta_triv - b_vec).max())
     if residual > 1e-6:
         raise InternalInconsistency(
@@ -243,7 +190,7 @@ def g_uniqueness_check(n: int, traced_parties: tuple[int, ...] = (0,)) -> GramSo
     nullspace_dim = int((svals < tol).sum())
     forced = nullspace_dim == 0 and residual < _RESIDUAL_TOL
     return GramSolution(
-        gram=_hermitian_from_params(theta_triv),
+        gram=np.tensordot(theta_triv, _BASIS, 1),
         residual=residual,
         forced_product=forced,
         nullspace_dim=nullspace_dim,

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidDimension
-from .qsim import MAX_STATE_QUBITS, DensityMatrix, PureState, make_basis_state
+from .qsim import MAX_DENSITY_QUBITS, MAX_STATE_QUBITS, DensityMatrix, PureState, make_basis_state
 
 #: Carrier families supported by the protocol.
 CARRIERS = ("G", "GHZ")
 
 
-def _check_qubits(n: int) -> None:
-    """Refuse a register that PureState would reject, before allocating 2^n amplitudes."""
-    if n > MAX_STATE_QUBITS:
-        raise InvalidArgument(f"n_qubits must be in [1, {MAX_STATE_QUBITS}], got {n}")
+def _check_qubits(n: int, cap: int = MAX_STATE_QUBITS) -> None:
+    """Refuse a register that PureState (or DensityMatrix, with cap =
+    MAX_DENSITY_QUBITS) would reject, before allocating it."""
+    if n > cap:
+        raise InvalidArgument(f"n_qubits must be in [1, {cap}], got {n}")
 
 
 def _single_one_amps(k: int) -> np.ndarray:
@@ -147,6 +148,7 @@ def add_white_noise(s: PureState, p: float) -> NoisyState:
     """p |s><s| + (1-p) I / 2^n."""
     if not 0.0 <= p <= 1.0:
         raise InvalidArgument(f"visibility must be in [0, 1], got {p}")
+    _check_qubits(s.n_qubits, MAX_DENSITY_QUBITS)
     dim = 2**s.n_qubits
     mat = p * np.outer(s.amplitudes, s.amplitudes.conj()) + (1.0 - p) * np.eye(dim) / dim
     return NoisyState(s, p, DensityMatrix(s.n_qubits, mat))

@@ -124,7 +124,7 @@ def test_criterion_4_unified_criterion_concurrence():
 def test_criterion_5_protocol_monte_carlo():
     start = time.perf_counter()
     m, rounds = 3, 100_000
-    t0 = run_protocol(ProtocolConfig(m, rounds, AttackScenario("G", m, 0.0), 20240))
+    t0 = run_protocol(ProtocolConfig(rounds, AttackScenario("G", m, 0.0), 20240))
 
     parity_ok = True
     y_sign = (-1) ** (m + 1)
@@ -143,7 +143,7 @@ def test_criterion_5_protocol_monte_carlo():
     coalition_ok = all(v <= 0.02 for v in coalition_vals.values())
 
     tq = run_protocol(
-        ProtocolConfig(m, rounds, AttackScenario("G", m, math.pi / 4), 20241)
+        ProtocolConfig(rounds, AttackScenario("G", m, math.pi / 4), 20241)
     )
     _, _, err = reconstruct_key(tq)
     p_err = 0.146447

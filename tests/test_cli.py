@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qss import cli
 from qss.cli import main
 
 
@@ -129,6 +130,16 @@ class TestBellCommand:
         assert run_cli(["bell", "--state", "g", "--n", "9", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_oversized_noisy_tensor_exits_2_before_noise(self, tmp_path, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("the noisy 2^n x 2^n matrix was built")
+
+        monkeypatch.setattr(cli, "add_white_noise", allocate)
+        out = tmp_path / "bell.json"
+        args = ["bell", "--state", "g", "--n", "11", "--noise", "0.5", "--out", str(out)]
+        assert run_cli(args) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["bell", "tensor"])
     @pytest.mark.parametrize("state", ["g", "ghz"])
     def test_unallocatable_state_exits_2(self, tmp_path, command, state):
@@ -178,6 +189,25 @@ class TestRdmCommand:
         out = tmp_path / "rdm.json"
         assert run_cli(["rdm", "--n", "4", "--out", str(out)]) == 0
         assert not json.loads(out.read_text())["forced_product"]
+
+    # sha256 of the rdm JSON, taken from the all-pairs system that the
+    # support-restricted one replaced
+    @pytest.mark.parametrize(
+        "n, sha",
+        [
+            ("3", "165cc540c6fc5cc79fe11f4219af5461b48f96ca173a42ba9ab4e70293f69808"),
+            ("4", "0faa9d3e8a1acebf165139193d99027ef35a3176fb34fabe0359d2d829f6209e"),
+            ("5", "0b83210bada1e57c58fb67fc65e284fa47d54c12cf23cdc2be04c2dc08caaa06"),
+            ("6", "3c35fcc5e581bbeb030bb74cf1cec609170ec08ae80ffb1c7a66a3f68e4b7700"),
+            ("7", "cad1f67e786f87f44aeee5b80c48557a57bd544dc27bf612cb9906be9edbb365"),
+            ("8", "9127238a723d779e3570b1c1ba2b656598207709477e320a7ce5dd72cdc204b3"),
+            ("9", "6276ef72b451e4e33d06b6fbf26b31c6ab37fd1ff81922e986eb86585d5f9658"),
+        ],
+    )
+    def test_golden_output_hashes(self, tmp_path, n, sha):
+        out = tmp_path / "rdm.json"
+        assert run_cli(["rdm", "--n", n, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
     def test_oversized_exits_2(self, tmp_path):
         out = tmp_path / "rdm.json"

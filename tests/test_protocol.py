@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qss.attack import AttackScenario, binary_entropy
+from qss.attack import AttackScenario, attacked_state, binary_entropy
 from qss.errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from qss.protocol import (
     TABLE_BUDGET_BYTES,
@@ -20,10 +20,11 @@ from qss.protocol import (
     transcript_summary,
     transcript_to_jsonl,
 )
+from qss.qsim import outcome_probabilities
 
 
 def make_transcript(carrier="G", m=3, rounds=1000, phi=0.0, seed=2024):
-    config = ProtocolConfig(m, rounds, AttackScenario(carrier, m, phi), seed)
+    config = ProtocolConfig(rounds, AttackScenario(carrier, m, phi), seed)
     return run_protocol(config)
 
 
@@ -42,24 +43,20 @@ def crossover_run():
 class TestConfigValidation:
     def test_m_too_small(self):
         with pytest.raises(InvalidArgument):
-            ProtocolConfig(1, 10, AttackScenario("G", 1, 0.0), 0)
-
-    def test_scenario_mismatch(self):
-        with pytest.raises(InvalidArgument):
-            ProtocolConfig(3, 10, AttackScenario("G", 2, 0.0), 0)
+            ProtocolConfig(10, AttackScenario("G", 1, 0.0), 0)
 
     def test_zero_rounds(self):
         with pytest.raises(InvalidArgument):
-            ProtocolConfig(2, 0, AttackScenario("G", 2, 0.0), 0)
+            ProtocolConfig(0, AttackScenario("G", 2, 0.0), 0)
 
     def test_table_budget_admits_m7(self):
-        config = ProtocolConfig(7, 10, AttackScenario("G", 7, 0.0), 0)
-        assert 8 * 16**config.m <= TABLE_BUDGET_BYTES
+        config = ProtocolConfig(10, AttackScenario("G", 7, 0.0), 0)
+        assert 8 * 16**config.scenario.m <= TABLE_BUDGET_BYTES
 
     @pytest.mark.parametrize("m", [8, 9, 10**9])
     def test_table_budget_rejects_m8_and_up(self, m):
         with pytest.raises(BudgetExceeded):
-            ProtocolConfig(m, 10, AttackScenario("GHZ", m, 0.0), 0)
+            ProtocolConfig(10, AttackScenario("GHZ", m, 0.0), 0)
 
 
 class TestDeterminism:
@@ -78,7 +75,7 @@ class TestDeterminism:
 
 class TestSiftingAndParity:
     def test_parity_holds_in_every_sifted_round(self, clean_run):
-        m = clean_run.config.m
+        m = clean_run.config.scenario.m
         y_sign = (-1) ** (m + 1)
         checked = 0
         for rec in clean_run.records:
@@ -104,7 +101,7 @@ class TestSiftingAndParity:
 
     def test_ghz_carrier_parity(self):
         t = make_transcript(carrier="GHZ", m=2, rounds=20_000)
-        y_sign = (-1) ** t.config.m
+        y_sign = (-1) ** t.config.scenario.m
         for rec in t.records:
             if rec.sifted:
                 expected = 1 if rec.basis_label == "X" else y_sign
@@ -115,6 +112,21 @@ class TestSiftingAndParity:
         t = make_transcript(m=2, rounds=20_000)
         _, _, err = reconstruct_key(t)
         assert err == 0.0
+
+
+class TestBornFrequencies:
+    def test_outcome_counts_match_born_probabilities(self):
+        # every basis combination of an attacked m = 2 run, Evan's probe summed out
+        scenario = AttackScenario("G", 2, 0.3)
+        t = run_protocol(ProtocolConfig(100_000, scenario, 99))
+        psi = attacked_state(scenario).psi
+        for combo in range(16):
+            bases = format(combo, "04b").replace("0", "X").replace("1", "Y")
+            p = outcome_probabilities(psi, bases + "I")
+            outcomes = t.outcome_idx[t.combo_idx == combo]
+            freq = np.bincount(outcomes, minlength=16) / outcomes.size
+            se = np.sqrt(p * (1 - p) / outcomes.size)
+            assert np.all(np.abs(freq - p) < 5 * se + 1e-12)
 
 
 class TestKeyReconstruction:

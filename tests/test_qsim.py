@@ -19,7 +19,6 @@ from qss.qsim import (
     apply_pauli_string,
     expectation,
     make_basis_state,
-    measure_sample,
     outcome_probabilities,
     partial_trace,
     project,
@@ -287,56 +286,3 @@ class TestOutcomeProbabilities:
     def test_wrong_length(self):
         with pytest.raises(InvalidDimension):
             outcome_probabilities(make_basis_state(2, "00"), "XYZ")
-
-
-class TestMeasureSample:
-    def test_deterministic_eigenstate(self):
-        rng = np.random.default_rng(7)
-        outcome, post = measure_sample(make_basis_state(1, "0"), ["Z"], rng)
-        assert outcome == (1,)
-        assert np.abs(post.amplitudes - [1.0, 0.0]).max() < 1e-12
-
-    def test_g6_all_x_parity(self):
-        rng = np.random.default_rng(11)
-        g6 = g_state(6)
-        for _ in range(200):
-            outcome, _ = measure_sample(g6, ["X"] * 6, rng)
-            assert np.prod(outcome) == 1
-
-    def test_g6_all_y_parity(self):
-        # exhaustive Born enumeration confirms the parity constraint; sampled
-        # outcomes must satisfy it on every draw (M=3, sign +1)
-        rng = np.random.default_rng(13)
-        g6 = g_state(6)
-        for _ in range(200):
-            outcome, _ = measure_sample(g6, ["Y"] * 6, rng)
-            assert np.prod(outcome) == 1
-
-    def test_same_seed_same_outcomes(self):
-        s = g_state(3)
-        draws1 = [measure_sample(s, "XYZ", np.random.default_rng(5))[0] for _ in range(1)]
-        draws2 = [measure_sample(s, "XYZ", np.random.default_rng(5))[0] for _ in range(1)]
-        assert draws1 == draws2
-
-    def test_frequencies_match_projection_probabilities(self):
-        state = g_state(2)
-        bases = ["X", "Z"]
-        n_draws = 100_000
-        rng = np.random.default_rng(99)
-        counts = {}
-        for _ in range(n_draws):
-            outcome, _ = measure_sample(state, bases, rng)
-            counts[outcome] = counts.get(outcome, 0) + 1
-        for outcome, c in counts.items():
-            try:
-                p, _ = project(state, [0, 1], bases[0], [outcome[0]])
-                # mixed bases: project sequentially per qubit
-            except Exception:
-                p = None
-            # compute via independent sequential projection
-            p0, mid = project(state, [0], bases[0], [outcome[0]])
-            p1, _ = project(mid, [1], bases[1], [outcome[1]])
-            p = p0 * p1
-            se = np.sqrt(p * (1 - p) / n_draws)
-            assert abs(c / n_draws - p) < 5 * se + 1e-12
-

@@ -17,6 +17,47 @@ from qss.rdm import (
 from qss.states import g_state, ghz_state, v_states, w_state, wbar_state
 
 
+def all_pairs_system(n):
+    """The uniqueness system as first written, the reference for the
+    support-restricted one: one real and one imaginary row for every pair
+    y <= y' of (n-1)-qubit indices, with the 16 Gram parameters ordered
+    g00..g33, then (Re, Im) of g01, g02, g03, g12, g13, g23."""
+    v0, v1 = v_states(n)
+    a0 = v0.amplitudes.real
+    a1 = v1.amplitudes.real
+    w = np.zeros((2**n, 4))
+    for z in range(2**n):
+        zp, b = z >> 1, z & 1
+        w[z, b] = a0[zp]
+        w[z, 2 + b] = a1[zp]
+    w /= np.sqrt(2.0)
+    half = 2 ** (n - 1)
+    w0, w1 = w[:half], w[half:]  # party 0 (the top bit) set to 0 and to 1
+    ys, yps = np.triu_indices(half)
+    c = np.einsum("pa,pb->pab", w0[yps], w0[ys]) + np.einsum("pa,pb->pab", w1[yps], w1[ys])
+    rows_re = np.zeros((ys.size, 16))
+    rows_im = np.zeros((ys.size, 16))
+    off = {}
+    for a in range(4):
+        rows_re[:, a] = c[:, a, a]
+    k = 4
+    for a in range(4):
+        for b in range(a + 1, 4):
+            rows_re[:, k] = c[:, a, b] + c[:, b, a]
+            rows_im[:, k + 1] = c[:, a, b] - c[:, b, a]
+            off[a, b] = k
+            k += 2
+    ortho = np.zeros((4, 16))
+    ortho[0, [0, 1]] = 1.0  # <E0|E0> = g00 + g11 = 1
+    ortho[1, [2, 3]] = 1.0  # <E1|E1> = g22 + g33 = 1
+    ortho[2, [off[0, 2], off[1, 3]]] = 1.0  # Re <E0|E1> = 0
+    ortho[3, [off[0, 2] + 1, off[1, 3] + 1]] = 1.0  # Im <E0|E1> = 0
+    a_mat = np.vstack([rows_re, rows_im, ortho])
+    target = 0.5 * (a0[ys] * a0[yps] + a1[ys] * a1[yps])
+    b_vec = np.concatenate([target, np.zeros(ys.size), [1.0, 1.0, 0.0, 0.0]])
+    return a_mat, b_vec
+
+
 class TestMarginalSet:
     def test_needs_three_parties(self):
         with pytest.raises(InvalidArgument):
@@ -96,6 +137,15 @@ class TestGHZCounterexample:
         mixture = DensityMatrix(n, 0.5 * (z0 + z1))
         assert trace_distance(ghz, mixture) == pytest.approx(0.5, abs=1e-10)
 
+    def test_oversized_rejected_before_allocating(self, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("a 2^n x 2^n density was allocated")
+
+        monkeypatch.setattr(rdm, "ghz_state", allocate)
+        monkeypatch.setattr(rdm, "DensityMatrix", allocate)
+        with pytest.raises(BudgetExceeded):
+            ghz_counterexample_check(MAX_DENSITY_QUBITS + 1)
+
     def test_g_carrier_has_no_dephasing_counterexample(self):
         # the analogous z-dephasing of the carrier (W/Wbar mixture) does NOT
         # reproduce its marginals, unlike the GHZ case
@@ -114,6 +164,19 @@ class TestGramUniqueness:
         assert sol.forced_product
         assert sol.nullspace_dim == 0
         assert sol.residual < 1e-9
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_nullspace_dimension(self, n):
+        # values of the all-pairs system; only n = 4 leaves the Gram free
+        assert g_uniqueness_check(n).nullspace_dim == (6 if n == 4 else 0)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_rows_are_the_nonzero_all_pairs_rows(self, n):
+        dense_a, dense_b = all_pairs_system(n)
+        nonzero = dense_a.any(axis=1) | (dense_b != 0)
+        a_mat, b_vec = rdm._constraint_system(n)
+        assert np.array_equal(a_mat, dense_a[nonzero])
+        assert np.array_equal(b_vec, dense_b[nonzero])
 
     def test_not_forced_for_four(self):
         sol = g_uniqueness_check(4)

@@ -199,6 +199,18 @@ class TestWhiteNoise:
         with pytest.raises(InvalidArgument):
             add_white_noise(g_state(2), 1.5)
 
+    def test_oversized_rejected_before_allocating(self, monkeypatch):
+        # 13 qubits fit a PureState but not a DensityMatrix
+        s = g_state(13)
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("the 2^n x 2^n matrix was allocated")
+
+        monkeypatch.setattr(np, "outer", allocate)
+        monkeypatch.setattr(np, "eye", allocate)
+        with pytest.raises(InvalidArgument):
+            add_white_noise(s, 0.5)
+
     def test_convex_combination(self):
         s = g_state(3)
         p = 0.37
