@@ -286,3 +286,23 @@ class TestOutcomeProbabilities:
     def test_wrong_length(self):
         with pytest.raises(InvalidDimension):
             outcome_probabilities(make_basis_state(2, "00"), "XYZ")
+
+
+def _sample_outcomes(state, bases, rng, n_draws):
+    """Inverse-CDF draws of every qubit's ±1 outcome, as ``run_protocol`` samples."""
+    probs = outcome_probabilities(state, bases)
+    idx = np.searchsorted(np.cumsum(probs / probs.sum()), rng.random(n_draws), side="right")
+    bits = (np.minimum(idx, probs.size - 1)[:, None] >> np.arange(state.n_qubits)[::-1]) & 1
+    return 1 - 2 * bits
+
+
+class TestMeasureSample:
+    def test_g6_all_x_parity(self):
+        outcomes = _sample_outcomes(g_state(6), "X" * 6, np.random.default_rng(11), 200)
+        assert (np.prod(outcomes, axis=1) == 1).all()
+
+    def test_g6_all_y_parity(self):
+        # exhaustive Born enumeration confirms the parity constraint; sampled
+        # outcomes must satisfy it on every draw (M=3, sign +1)
+        outcomes = _sample_outcomes(g_state(6), "Y" * 6, np.random.default_rng(13), 200)
+        assert (np.prod(outcomes, axis=1) == 1).all()
