@@ -40,6 +40,11 @@ __all__ = [
 #: by 2^(2m) outcomes of 8 bytes, 8 * 16^m in all, so the budget admits m <= 7.
 TABLE_BUDGET_BYTES = 2**31
 
+#: Bytes the per-round columns of one run may take.  ``run_protocol`` holds
+#: 8 bytes per party for the basis draws and about six more 8-byte columns
+#: (uniforms, combinations, grouping order, outcomes), 8 * (2m + 6) a round.
+ROUND_BUDGET_BYTES = 2**31
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -56,6 +61,11 @@ class ProtocolConfig:
         # compared in log2 so that a huge m never builds a huge integer
         if 4 * m + 3 > math.log2(TABLE_BUDGET_BYTES):
             raise BudgetExceeded(f"m = {m} needs 8 * 16^{m} bytes of outcome tables")
+        per_round = 8 * (2 * m + 6)
+        if per_round * self.rounds > ROUND_BUDGET_BYTES:
+            raise BudgetExceeded(
+                f"{self.rounds} rounds of {per_round} bytes exceed {ROUND_BUDGET_BYTES} bytes"
+            )
 
     @property
     def n_parties(self) -> int:

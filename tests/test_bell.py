@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qss import bell
 from qss.attack import AttackScenario, attacked_state, coalition_collapse, rho_ae
 from qss.bell import (
     CorrelationTensor,
@@ -178,15 +179,15 @@ class TestCorrelationTensorValues:
 
 
 @st.composite
-def pure_states(draw):
-    n = draw(st.integers(1, 4))
+def pure_states(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return PureState.from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
 
 
 @st.composite
-def mixed_states(draw):
-    n = draw(st.integers(1, 3))
+def mixed_states(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
     rank = draw(st.integers(1, 2**n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
@@ -294,6 +295,66 @@ class TestRotations:
             rotate_tensor(t, np.eye(3))
 
 
+def sequential_search(t, restarts, seed):
+    """Reference frame search: one restart at a time, one party contraction
+    at a time, with the same starting frames, sweep rule and winner rule."""
+
+    def contract(arr, axis, mat):
+        return np.moveaxis(np.tensordot(mat, arr, axes=([1], [axis])), 0, axis)
+
+    n = t.n
+    best_val = -np.inf
+    best_axes = LocalFrame.default(n).axes.copy()
+    for r in range(restarts):
+        rng = np.random.default_rng((seed, r))
+        if r == 0:
+            axes = LocalFrame.default(n).axes.copy()
+        else:
+            axes = np.empty((n, 2, 3))
+            for i in range(n):
+                q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+                axes[i] = q[:, :2].T
+        prev = -np.inf
+        for _ in range(200):
+            val = prev
+            for i in range(n):
+                arr = t.entries
+                for j in range(n):
+                    if j != i:
+                        arr = contract(arr, j, axes[j])
+                mat = np.moveaxis(arr, i, -1).reshape(-1, 3)
+                w, v = np.linalg.eigh(mat.T @ mat)
+                axes[i, 0] = v[:, -1]
+                axes[i, 1] = v[:, -2]
+                val = float(w[-1] + w[-2])
+            if val - prev < 1e-12:
+                prev = val
+                break
+            prev = val
+        if prev > best_val:
+            best_val = prev
+            best_axes = axes.copy()
+    return best_val, LocalFrame(best_axes)
+
+
+def assert_matches_sequential(t, restarts, seed):
+    val, frame = maximize_plane_sum(t, restarts=restarts, seed=seed)
+    ref, _ = sequential_search(t, restarts, seed)
+    assert abs(val - ref) < 1e-10
+    assert abs(plane_sum(t, frame) - val) < 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def named_tensor(name):
+    state = {
+        "g6_p05": lambda: add_white_noise(g_state(6), 0.5).realized,
+        "g6": lambda: g_state(6),
+        "ghz6": lambda: ghz_state(6),
+        "g4_p07": lambda: add_white_noise(g_state(4), 0.7).realized,
+    }[name]()
+    return correlation_tensor(state)
+
+
 class TestPlaneSearch:
     def test_ghz6_reaches_default_frame_value(self, ghz6_tensor):
         val, _ = maximize_plane_sum(ghz6_tensor, restarts=4)
@@ -315,6 +376,27 @@ class TestPlaneSearch:
         v1, _ = maximize_plane_sum(g6_tensor, restarts=3, seed=9)
         v2, _ = maximize_plane_sum(g6_tensor, restarts=3, seed=9)
         assert v1 == v2
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.one_of(pure_states(max_n=5), mixed_states(max_n=5)),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+    )
+    def test_matches_sequential_search(self, state, restarts, seed, block):
+        # small blocks make the winner lie in any block, not only the first
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bell, "_RESTART_BLOCK", block)
+            assert_matches_sequential(correlation_tensor(state), restarts, seed)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("name", ["g6_p05", "g6", "ghz6", "g4_p07"])
+    def test_carriers_match_sequential_search(self, name, seed):
+        assert_matches_sequential(named_tensor(name), 64, seed)
+
+    def test_restarts_past_one_block(self):
+        assert_matches_sequential(named_tensor("g4_p07"), bell._RESTART_BLOCK + 3, 2)
 
 
 def collapsed_pair_oracle(n, p):

@@ -80,6 +80,19 @@ class TestSweepAttack:
             ) == 2, grid
             assert not out.exists()
 
+    def test_oversized_grid_rejected_before_allocating(self, tmp_path, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", allocate)
+        out = tmp_path / "x.csv"
+        for count in (cli.MAX_GRID_POINTS + 1, 10**11):
+            grid = f"0:1:{count}"
+            assert run_cli(
+                ["sweep-attack", "--m", "2", "--phi-grid", grid, "--out", str(out)]
+            ) == 2, grid
+            assert not out.exists()
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "x.csv"
         assert run_cli(
@@ -124,6 +137,45 @@ class TestBellCommand:
         assert doc["search"]["best_plane_sum"] >= doc["plane_sum"] - 1e-9
         assert doc["search"]["two_setting_criterion_exceeded"]
         assert len(doc["search"]["frame"]) == 4
+
+    # sha256 of the default-frame bell JSON, taken before the plane sum was
+    # computed once per run
+    @pytest.mark.parametrize(
+        "state, n, noise, sha",
+        [
+            ("g", "6", "1.0", "c58e4ed0baf6b3fb95b4796c71fb2df5614add8a13975406496e8708813e455a"),
+            ("ghz", "7", "0.5", "e1e5679dca455c9372ce65fc3a5b7775167fedb8ce4ce5bea8d419891b72ca57"),
+            ("g", "4", "0.7", "3236067639bf793db91fb44d916b8af158bd2abbfad24a406b7c4a782eb522b5"),
+            ("ghz", "6", "0.18", "0b0d0e531f2d0c9c8b4f0cb27169dbf95e5798f70791a6d5632ac42cfe1d7908"),
+        ],
+    )
+    def test_golden_default_frame_hashes(self, tmp_path, state, n, noise, sha):
+        out = tmp_path / "bell.json"
+        args = ["bell", "--state", state, "--n", n, "--noise", noise, "--out", str(out)]
+        assert run_cli(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+    def test_plane_sum_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        plane_sum = cli.bell.plane_sum
+
+        def counted(*args):
+            calls.append(args)
+            return plane_sum(*args)
+
+        monkeypatch.setattr(cli.bell, "plane_sum", counted)
+        out = tmp_path / "bell.json"
+        assert run_cli(["bell", "--state", "g", "--n", "4", "--out", str(out)]) == 0
+        assert len(calls) == 1
+
+    def test_search_rerun_byte_identical(self, tmp_path):
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert run_cli(
+                ["bell", "--state", "g", "--n", "4", "--noise", "0.7", "--frame", "search",
+                 "--seed", "3", "--out", str(out)]
+            ) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_oversized_tensor_exits_2(self, tmp_path):
         out = tmp_path / "bell.json"
@@ -284,6 +336,17 @@ class TestRunProtocolCommand:
             ["run-protocol", "--m", "2", "--rounds", "2000", "--phi", "0",
              "--deg", "--seed", "3", "--out", str(out)]
         ) == 0
+
+    def test_unaffordable_rounds_exit_2_before_running(self, tmp_path, monkeypatch):
+        def run(*args):
+            raise AssertionError("the rounds were simulated")
+
+        monkeypatch.setattr(cli, "run_protocol", run)
+        out = tmp_path / "big"
+        assert run_cli(
+            ["run-protocol", "--m", "3", "--rounds", str(10**14), "--out", str(out)]
+        ) == 2
+        assert not list(tmp_path.iterdir())
 
     def test_m_too_small_exits_2(self, tmp_path):
         out = tmp_path / "bad"

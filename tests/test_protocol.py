@@ -9,6 +9,7 @@ import pytest
 from qss.attack import AttackScenario, attacked_state, binary_entropy
 from qss.errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from qss.protocol import (
+    ROUND_BUDGET_BYTES,
     TABLE_BUDGET_BYTES,
     ProtocolConfig,
     ProtocolTranscript,
@@ -57,6 +58,16 @@ class TestConfigValidation:
     def test_table_budget_rejects_m8_and_up(self, m):
         with pytest.raises(BudgetExceeded):
             ProtocolConfig(10, AttackScenario("GHZ", m, 0.0), 0)
+
+    # built, never run: a run at these sizes would allocate its round columns
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_round_budget_admits_its_limit(self, m):
+        ProtocolConfig(ROUND_BUDGET_BYTES // (8 * (2 * m + 6)), AttackScenario("G", m, 0.0), 0)
+
+    @pytest.mark.parametrize("rounds", [ROUND_BUDGET_BYTES // 96 + 1, 10**14, 10**100])
+    def test_round_budget_rejects_more(self, rounds):
+        with pytest.raises(BudgetExceeded):
+            ProtocolConfig(rounds, AttackScenario("G", 3, 0.0), 0)
 
 
 class TestDeterminism:
