@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,12 +29,9 @@ __all__ = [
     "AttackScenario",
     "TripartiteState",
     "attacked_state",
-    "rho_ab",
     "rho_ae",
-    "rho_b",
     "coalition_collapse",
     "binary_entropy",
-    "shannon_entropy",
     "mutual_info_ab",
     "mutual_info_ae",
     "exact_mutual_info_ab",
@@ -86,16 +82,6 @@ def attacked_state(scenario: AttackScenario) -> TripartiteState:
     return TripartiteState(PureState(2 * scenario.m + 1, amps), scenario)
 
 
-def rho_ab(t: TripartiteState) -> DensityMatrix:
-    """Alice + all Bobs, Evan traced out."""
-    return reduce_state(t.psi, range(2 * t.scenario.m))
-
-
-def rho_b(t: TripartiteState) -> DensityMatrix:
-    """The Bobs alone."""
-    return reduce_state(t.psi, range(1, 2 * t.scenario.m))
-
-
 def rho_ae(t: TripartiteState) -> DensityMatrix:
     """Alice + Evan's probe (two qubits)."""
     return reduce_state(t.psi, (0, 2 * t.scenario.m))
@@ -130,15 +116,6 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def shannon_entropy(dist: Sequence[float]) -> float:
-    """Shannon entropy in bits of a probability vector."""
-    d = np.asarray(dist, dtype=float)
-    if d.size == 0 or d.min() < -1e-9 or abs(d.sum() - 1.0) > 1e-9:
-        raise InvalidArgument("input is not a probability distribution")
-    d = d[d > 0.0]
-    return float(-(d * np.log2(d)).sum())
 
 
 def mutual_info_ab(phi: float) -> float:

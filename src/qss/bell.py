@@ -24,7 +24,6 @@ __all__ = [
     "correlation_tensor",
     "plane_sum",
     "full_sum",
-    "rotate_tensor",
     "maximize_plane_sum",
     "collapse_visibility",
     "crit_noise_g",
@@ -52,7 +51,7 @@ class CorrelationTensor:
         ent = np.array(self.entries, dtype=float)
         if ent.shape != (3,) * self.n:
             raise InvalidDimension(f"expected shape {(3,) * self.n}, got {ent.shape}")
-        if np.abs(ent).max() > 1.0 + 1e-9:
+        if not (np.abs(ent) <= 1.0 + 1e-9).all():  # NaN fails the comparison
             raise InvalidArgument("tensor entries must lie in [-1, 1]")
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
@@ -141,11 +140,6 @@ def correlation_tensor(state: State) -> CorrelationTensor:
     return CorrelationTensor(n, np.clip(arr.real, -1.0, 1.0) + 0.0)
 
 
-def _contract_party(arr: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
 def _contract_frames(
     entries: np.ndarray, frames: np.ndarray, skip: int | None = None
 ) -> np.ndarray:
@@ -181,21 +175,6 @@ def plane_sum(t: CorrelationTensor, frame: LocalFrame | None = None) -> float:
 def full_sum(t: CorrelationTensor) -> float:
     """Sum of all 3^n squared entries; invariant under local rotations."""
     return float((t.entries**2).sum())
-
-
-def rotate_tensor(t: CorrelationTensor, rotations: np.ndarray) -> CorrelationTensor:
-    """Re-express the tensor in rotated local coordinate systems.
-
-    ``rotations`` has shape (n, 3, 3); row k of rotations[i] is party i's new
-    k-th direction in the old coordinates.
-    """
-    rot = np.asarray(rotations, dtype=float)
-    if rot.shape != (t.n, 3, 3):
-        raise InvalidDimension(f"expected shape {(t.n, 3, 3)}, got {rot.shape}")
-    arr = t.entries
-    for i in range(t.n):
-        arr = _contract_party(arr, i, rot[i])
-    return CorrelationTensor(t.n, arr)
 
 
 def _random_frame(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -260,6 +239,8 @@ def maximize_plane_sum(
     """
     if restarts < 1:
         raise InvalidArgument(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     best_val = -np.inf
     best_axes = LocalFrame.default(t.n).axes
     for start in range(0, restarts, _RESTART_BLOCK):

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -47,12 +48,14 @@ from .states import add_white_noise, carrier_state
 SCHEMA_VERSION = "qss-1"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to ``path`` as they come, through a temp file
+    renamed into place, so a failure partway leaves no file behind."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qss-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -145,8 +148,11 @@ def _cmd_run_protocol(args) -> int:
             "seed": args.seed,
         }
     )
-    _atomic_write(args.out + ".transcript.jsonl", "\n".join(transcript_to_jsonl(transcript)) + "\n")
-    _atomic_write(args.out + ".summary.json", _json_text(summary))
+    _atomic_write(
+        args.out + ".transcript.jsonl",
+        (line + "\n" for line in transcript_to_jsonl(transcript)),
+    )
+    _atomic_write(args.out + ".summary.json", (_json_text(summary),))
     return 0
 
 
@@ -170,7 +176,7 @@ def _cmd_sweep_attack(args) -> int:
         rows,
         comments=[f"crossing_phi: {_fmt(crossing)}"],
     )
-    _atomic_write(args.out, text)
+    _atomic_write(args.out, (text,))
     return 0
 
 
@@ -204,7 +210,7 @@ def _cmd_bell(args) -> int:
             "frame": [[list(map(float, v)) for v in party] for party in frame.axes],
             "two_setting_criterion_exceeded": value > 1.0,
         }
-    _atomic_write(args.out, _json_text(result))
+    _atomic_write(args.out, (_json_text(result),))
     return 0
 
 
@@ -212,7 +218,7 @@ def _cmd_thresholds(args) -> int:
     reports = bell.crossover_scan(args.n_min, args.n_max)
     rows = [[r.n, r.p_crit_g, r.q_crit_ghz, r.g_more_robust] for r in reports]
     text = _csv_text(["n", "p_crit_g", "q_crit_ghz", "g_more_robust"], rows)
-    _atomic_write(args.out, text)
+    _atomic_write(args.out, (text,))
     return 0
 
 
@@ -227,7 +233,7 @@ def _cmd_rdm(args) -> int:
         "gram": [[[v.real, v.imag] for v in row] for row in solution.gram],
         "ghz_counterexample": rdm.ghz_counterexample_check(args.n),
     }
-    _atomic_write(args.out, _json_text(result))
+    _atomic_write(args.out, (_json_text(result),))
     return 0
 
 
@@ -241,7 +247,7 @@ def _cmd_tensor(args) -> int:
         "ordering": "xyz-row-major",
         "entries": [float(v) for v in tensor.entries.reshape(-1)],
     }
-    _atomic_write(args.out, _json_text(result))
+    _atomic_write(args.out, (_json_text(result),))
     return 0
 
 

@@ -58,6 +58,8 @@ class ProtocolConfig:
             raise InvalidArgument(f"protocol needs m >= 2, got {m}")
         if self.rounds < 1:
             raise InvalidArgument(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
         # compared in log2 so that a huge m never builds a huge integer
         if 4 * m + 3 > math.log2(TABLE_BUDGET_BYTES):
             raise BudgetExceeded(f"m = {m} needs 8 * 16^{m} bytes of outcome tables")

@@ -77,18 +77,6 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def from_amplitudes(cls, amps: np.ndarray) -> "PureState":
-        """Build a state from an unnormalized amplitude vector."""
-        amps = np.asarray(amps, dtype=complex)
-        n = int(round(np.log2(amps.size)))
-        if 2**n != amps.size:
-            raise InvalidDimension(f"amplitude count {amps.size} is not a power of 2")
-        norm = np.linalg.norm(amps)
-        if norm < PROB_FLOOR:
-            raise InvalidState("cannot normalize a (near-)zero vector")
-        return cls(n, amps / norm)
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(
             self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj())
@@ -202,8 +190,9 @@ def expectation(state: State, p: PauliString) -> float:
     return float(min(1.0, max(-1.0, val.real)))
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+def reduce_state(state: State, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the sorted qubit subset ``keep``."""
+    rho = state.density() if isinstance(state, PureState) else state
     keep_set = sorted(set(keep))
     n = rho.n_qubits
     if not keep_set:
@@ -216,12 +205,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         arr = np.trace(arr, axis1=q, axis2=n_cur + q)
         n_cur -= 1
     return DensityMatrix(n_cur, arr.reshape(2**n_cur, 2**n_cur))
-
-
-def reduce_state(state: State, keep: Iterable[int]) -> DensityMatrix:
-    """Partial trace that also accepts pure-state input."""
-    rho = state.density() if isinstance(state, PureState) else state
-    return partial_trace(rho, keep)
 
 
 def project(

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidArgument
-from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, PureState, State, partial_trace
+from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, PureState, State, reduce_state
 from .states import ghz_state, v_states
 
 __all__ = [
-    "MarginalSet",
     "GramSolution",
     "marginal_set",
     "marginals_match",
@@ -59,14 +58,6 @@ _PRODUCT_GRAM[np.ix_([0, 3], [0, 3])] = 1.0
 
 
 @dataclass(frozen=True)
-class MarginalSet:
-    """All n single-party-deleted reduced states, keyed by the left-out qubit."""
-
-    n: int
-    marginals: dict[int, DensityMatrix]
-
-
-@dataclass(frozen=True)
 class GramSolution:
     """Result of the marginal-determination check for one qubit count."""
 
@@ -76,25 +67,22 @@ class GramSolution:
     nullspace_dim: int
 
 
-def marginal_set(state: State) -> MarginalSet:
-    """The n reduced states obtained by tracing out each single party."""
+def marginal_set(state: State) -> list[DensityMatrix]:
+    """The n reduced states obtained by tracing out each single party,
+    indexed by the left-out qubit."""
     n = state.n_qubits
     if n < 3:
         raise InvalidArgument(f"marginal analysis needs n >= 3, got {n}")
     rho = state.density() if isinstance(state, PureState) else state
-    marginals = {
-        j: partial_trace(rho, [q for q in range(n) if q != j]) for j in range(n)
-    }
-    return MarginalSet(n, marginals)
+    return [reduce_state(rho, [q for q in range(n) if q != j]) for j in range(n)]
 
 
-def marginals_match(a: MarginalSet, b: MarginalSet, tol: float = 1e-10) -> bool:
-    if a.n != b.n:
+def marginals_match(
+    a: list[DensityMatrix], b: list[DensityMatrix], tol: float = 1e-10
+) -> bool:
+    if len(a) != len(b):
         return False
-    return all(
-        np.abs(a.marginals[j].matrix - b.marginals[j].matrix).max() <= tol
-        for j in range(a.n)
-    )
+    return all(np.abs(x.matrix - y.matrix).max() <= tol for x, y in zip(a, b))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

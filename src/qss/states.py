@@ -7,12 +7,11 @@ phase-unambiguous.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidDimension
+from .errors import InvalidArgument
 from .qsim import MAX_DENSITY_QUBITS, MAX_STATE_QUBITS, DensityMatrix, PureState, make_basis_state
 
 #: Carrier families supported by the protocol.
@@ -36,13 +35,9 @@ def _single_one_amps(k: int) -> np.ndarray:
 
 
 def _single_zero_amps(k: int) -> np.ndarray:
-    """Unnormalized sum of all k basis states with exactly one 0."""
-    _check_qubits(k)
-    amps = np.zeros(2**k, dtype=complex)
-    full = 2**k - 1
-    for j in range(k):
-        amps[full ^ (1 << (k - 1 - j))] += 1.0
-    return amps
+    """Unnormalized sum of all k basis states with exactly one 0: the bit
+    flip of ``_single_one_amps``, which reverses the index order."""
+    return _single_one_amps(k)[::-1].copy()
 
 
 def w_state(n: int) -> PureState:
@@ -153,20 +148,3 @@ def add_white_noise(s: PureState, p: float) -> NoisyState:
     mat = p * np.outer(s.amplitudes, s.amplitudes.conj()) + (1.0 - p) * np.eye(dim) / dim
     return NoisyState(s, p, DensityMatrix(s.n_qubits, mat))
 
-
-def state_to_json(s: PureState) -> str:
-    """Serialize to {n_qubits, amplitudes: [[re, im], ...]}; round-trips bit-exactly."""
-    return json.dumps(
-        {
-            "n_qubits": s.n_qubits,
-            "amplitudes": [[a.real, a.imag] for a in s.amplitudes],
-        }
-    )
-
-
-def state_from_json(doc: str) -> PureState:
-    data = json.loads(doc)
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    if amps.size != 2 ** data["n_qubits"]:
-        raise InvalidDimension("amplitude count does not match n_qubits")
-    return PureState(data["n_qubits"], amps)

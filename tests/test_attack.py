@@ -15,11 +15,9 @@ from qss.attack import (
     mutual_info_ab,
     mutual_info_ae,
     qber_x,
-    rho_ab,
     rho_ae,
-    rho_b,
-    shannon_entropy,
 )
+from qss.qsim import reduce_state
 from qss.states import g_state, xi_states
 
 PHI_GRID = np.linspace(0.0, math.pi / 2, 21)
@@ -105,7 +103,7 @@ class TestReducedStates:
         )
         one_xi = np.kron(e1, xi.amplitudes)
         expected = ((1 + c * c) / 2) * outer(alpha) + (s * s / 2) * outer(one_xi)
-        assert np.abs(rho_ab(t).matrix - expected).max() < 1e-10
+        assert np.abs(reduce_state(t.psi, range(2 * m)).matrix - expected).max() < 1e-10
 
     @pytest.mark.parametrize("phi", [0.0, 0.4, math.pi / 4, 1.2])
     def test_rho_ae_closed_form(self, phi):
@@ -127,14 +125,14 @@ class TestReducedStates:
 
     def test_rho_ab_weights_at_crossover(self):
         t = attacked_state(AttackScenario("G", 2, math.pi / 4))
-        vals = np.sort(np.linalg.eigvalsh(rho_ab(t).matrix))[::-1]
+        vals = np.sort(np.linalg.eigvalsh(reduce_state(t.psi, range(4)).matrix))[::-1]
         assert vals[0] == pytest.approx(0.75, abs=1e-10)
         assert vals[1] == pytest.approx(0.25, abs=1e-10)
         assert abs(vals[2:]).max() < 1e-10
 
     def test_rho_b_trace_and_size(self):
         t = attacked_state(AttackScenario("G", 3, 0.7))
-        rb = rho_b(t)
+        rb = reduce_state(t.psi, range(1, 6))
         assert rb.n_qubits == 5
         assert np.trace(rb.matrix).real == pytest.approx(1.0, abs=1e-10)
 
@@ -188,13 +186,6 @@ class TestEntropies:
     def test_binary_entropy_quarter(self):
         expected = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
         assert binary_entropy(0.25) == pytest.approx(expected, abs=1e-12)
-
-    def test_shannon_uniform(self):
-        assert shannon_entropy([0.25] * 4) == pytest.approx(2.0, abs=1e-12)
-
-    def test_shannon_rejects_non_distribution(self):
-        with pytest.raises(InvalidArgument):
-            shannon_entropy([0.5, 0.6])
 
 
 class TestInformationCurves:

@@ -26,7 +26,6 @@ from qss.bell import (
     lr_sufficiency_thresholds,
     maximize_plane_sum,
     plane_sum,
-    rotate_tensor,
 )
 from qss.errors import BudgetExceeded, InvalidArgument
 from qss.qsim import DensityMatrix, PauliString, PureState, expectation, make_basis_state
@@ -177,12 +176,18 @@ class TestCorrelationTensorValues:
         with pytest.raises(ValueError):
             g6_tensor.entries[(0,) * 6] = 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.1])
+    def test_non_finite_or_out_of_range_entry_rejected(self, bad):
+        with pytest.raises(InvalidArgument):
+            CorrelationTensor(1, [bad, 0.0, 0.0])
+
 
 @st.composite
 def pure_states(draw, max_n=4):
     n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return PureState.from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return PureState(n, v / np.linalg.norm(v))
 
 
 @st.composite
@@ -261,38 +266,32 @@ class TestSquaredSums:
 
 class TestRotations:
     def test_full_sum_invariant_under_random_rotations(self, g6_tensor):
+        # local unitaries rotate each party's Bloch axes, which keeps the full sum
         rng = np.random.default_rng(17)
         base = full_sum(g6_tensor)
+        amps = g_state(6).amplitudes
         for _ in range(50):
-            rots = np.empty((6, 3, 3))
-            for i in range(6):
-                q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-                q *= np.sign(np.diag(r))
-                rots[i] = q.T
-            assert full_sum(rotate_tensor(g6_tensor, rots)) == pytest.approx(
-                base, abs=1e-8
-            )
+            unitaries = [
+                np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                for _ in range(6)
+            ]
+            rotated = PureState(6, functools.reduce(np.kron, unitaries) @ amps)
+            assert full_sum(correlation_tensor(rotated)) == pytest.approx(base, abs=1e-8)
 
     def test_rotation_matches_rotated_observables(self):
-        # spot-check the contraction against a direct n.sigma expectation
+        # spot-check the frame contraction against a direct n.sigma expectation
         state = g_state(2)
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        rots = np.stack([q.T, np.eye(3)])
-        rotated = rotate_tensor(correlation_tensor(state), rots)
-        n_vec = q[:, 0]  # new x direction of party 0
+        frame = LocalFrame(np.stack([q[:, :2].T, LocalFrame.default(1).axes[0]]))
+        t = correlation_tensor(state)
+        contracted = bell._contract_frames(t.entries, frame.axes[None]).reshape(2, 2)
+        n_vec = q[:, 0]  # party 0's first direction
         op = np.kron(
             n_vec[0] * SX + n_vec[1] * SY + n_vec[2] * SZ, SY
         )
         direct = np.vdot(state.amplitudes, op @ state.amplitudes).real
-        assert rotated.entries[0, 1] == pytest.approx(direct, abs=1e-10)
-
-    def test_bad_rotation_shape(self):
-        from qss.errors import InvalidDimension
-
-        t = correlation_tensor(g_state(2))
-        with pytest.raises(InvalidDimension):
-            rotate_tensor(t, np.eye(3))
+        assert contracted[0, 1] == pytest.approx(direct, abs=1e-10)
 
 
 def sequential_search(t, restarts, seed):
@@ -376,6 +375,10 @@ class TestPlaneSearch:
         v1, _ = maximize_plane_sum(g6_tensor, restarts=3, seed=9)
         v2, _ = maximize_plane_sum(g6_tensor, restarts=3, seed=9)
         assert v1 == v2
+
+    def test_negative_seed_rejected(self, g6_tensor):
+        with pytest.raises(InvalidArgument):
+            maximize_plane_sum(g6_tensor, restarts=3, seed=-1)
 
     @settings(deadline=None, max_examples=40)
     @given(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,12 @@ class TestBellCommand:
             ) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_negative_search_seed_exits_2(self, tmp_path):
+        out = tmp_path / "bell.json"
+        args = ["bell", "--state", "g", "--n", "4", "--frame", "search", "--seed", "-1"]
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert not list(tmp_path.iterdir())
+
     def test_oversized_tensor_exits_2(self, tmp_path):
         out = tmp_path / "bell.json"
         assert run_cli(["bell", "--state", "g", "--n", "9", "--out", str(out)]) == 2
@@ -346,6 +353,39 @@ class TestRunProtocolCommand:
         assert run_cli(
             ["run-protocol", "--m", "3", "--rounds", str(10**14), "--out", str(out)]
         ) == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(
+            ["run-protocol", "--m", "2", "--rounds", "10", "--seed", "-1", "--out", str(out)]
+        ) == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_transcript_streamed_within_round_budget(self, tmp_path):
+        # the whole command stays within 1.5 times the round columns that
+        # ROUND_BUDGET_BYTES bounds; a transcript joined into one string does not
+        m, rounds = 3, 200_000
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            code = run_cli(
+                ["run-protocol", "--m", str(m), "--rounds", str(rounds), "--out", str(out)]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * 8 * (2 * m + 6) * rounds
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "partial line\n"
+            raise RuntimeError("the writer failed partway")
+
+        target = tmp_path / "out.jsonl"
+        with pytest.raises(RuntimeError):
+            cli._atomic_write(str(target), chunks())
         assert not list(tmp_path.iterdir())
 
     def test_m_too_small_exits_2(self, tmp_path):

@@ -50,6 +50,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgument):
             ProtocolConfig(0, AttackScenario("G", 2, 0.0), 0)
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidArgument):
+            ProtocolConfig(10, AttackScenario("G", 2, 0.0), -1)
+
     def test_table_budget_admits_m7(self):
         config = ProtocolConfig(10, AttackScenario("G", 7, 0.0), 0)
         assert 8 * 16**config.scenario.m <= TABLE_BUDGET_BYTES

@@ -20,7 +20,6 @@ from qss.qsim import (
     expectation,
     make_basis_state,
     outcome_probabilities,
-    partial_trace,
     project,
     reduce_state,
 )
@@ -44,7 +43,7 @@ def pure_states(draw, min_qubits=1, max_qubits=4):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return PureState.from_amplitudes(amps)
+    return PureState(n, amps / np.linalg.norm(amps))
 
 
 def pauli_for(n, draw_source):
@@ -174,7 +173,7 @@ class TestExpectation:
 class TestPartialTrace:
     def test_product_state(self):
         rho = make_basis_state(2, "00").density()
-        reduced = partial_trace(rho, [0])
+        reduced = reduce_state(rho, [0])
         assert np.abs(reduced.matrix - np.diag([1.0, 0.0])).max() < 1e-10
 
     def test_g2_reduces_to_maximally_mixed(self):
@@ -187,13 +186,13 @@ class TestPartialTrace:
                 [full[2, 0] + full[3, 1], full[2, 2] + full[3, 3]],
             ]
         )
-        reduced = partial_trace(rho, [0])
+        reduced = reduce_state(rho, [0])
         assert np.abs(reduced.matrix - oracle).max() < 1e-12
         assert np.abs(reduced.matrix - np.eye(2) / 2).max() < 1e-10
 
     def test_empty_keep_rejected(self):
         with pytest.raises(InvalidArgument):
-            partial_trace(g_state(2).density(), [])
+            reduce_state(g_state(2).density(), [])
 
     @settings(deadline=None, max_examples=25)
     @given(pure_states(min_qubits=3, max_qubits=4), st.data())
@@ -210,7 +209,7 @@ class TestPartialTrace:
         first_drop = discard[0]
         mid = reduce_state(state, [q for q in range(n) if q != first_drop])
         remap = {q: i for i, q in enumerate(q for q in range(n) if q != first_drop)}
-        two = partial_trace(mid, [remap[q] for q in keep])
+        two = reduce_state(mid, [remap[q] for q in keep])
         assert np.abs(one.matrix - two.matrix).max() < 1e-10
 
     def test_trace_preserved(self):

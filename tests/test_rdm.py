@@ -68,23 +68,24 @@ class TestMarginalSet:
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         for j in range(3):
-            assert np.abs(ms.marginals[j].matrix - expected).max() < 1e-12
+            assert np.abs(ms[j].matrix - expected).max() < 1e-12
 
     def test_ghz_marginal_is_classical_mixture(self):
         ms = marginal_set(ghz_state(4))
         expected = np.zeros((8, 8))
         expected[0, 0] = expected[7, 7] = 0.5
         for j in range(4):
-            assert np.abs(ms.marginals[j].matrix - expected).max() < 1e-12
+            assert np.abs(ms[j].matrix - expected).max() < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_g_marginals_permutation_invariant(self, n):
         # the carrier is permutation symmetric, so every single-party-deleted
         # marginal is the same matrix
         ms = marginal_set(g_state(n))
-        first = ms.marginals[0].matrix
+        assert len(ms) == n
+        first = ms[0].matrix
         for j in range(1, n):
-            assert np.abs(ms.marginals[j].matrix - first).max() < 1e-12
+            assert np.abs(ms[j].matrix - first).max() < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_g_marginal_closed_form(self, n):
@@ -95,7 +96,7 @@ class TestMarginalSet:
             + np.outer(v1.amplitudes, v1.amplitudes.conj())
         )
         ms = marginal_set(g_state(n))
-        assert np.abs(ms.marginals[0].matrix - expected).max() < 1e-10
+        assert np.abs(ms[0].matrix - expected).max() < 1e-10
 
     def test_marginals_match_tolerance(self):
         a = marginal_set(g_state(4))

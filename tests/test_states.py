@@ -1,4 +1,4 @@
-"""Carrier-state constructors, collapse branches, noise, serialization."""
+"""Carrier-state constructors, collapse branches, noise."""
 
 import functools
 import itertools
@@ -14,8 +14,6 @@ from qss.states import (
     g_state,
     ghz_state,
     make_carrier_branches,
-    state_from_json,
-    state_to_json,
     v_states,
     w_state,
     wbar_state,
@@ -218,19 +216,3 @@ class TestWhiteNoise:
         expected = p * s.density().matrix + (1 - p) * np.eye(8) / 8
         assert np.abs(noisy.realized.matrix - expected).max() < 1e-12
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_round_trip_bit_exact(self, n):
-        s = g_state(n)
-        back = state_from_json(state_to_json(s))
-        assert back.n_qubits == n
-        assert np.array_equal(back.amplitudes, s.amplitudes)
-
-    def test_complex_amplitudes_survive(self):
-        from qss.qsim import PureState
-
-        amps = np.array([0.6, 0.8j])
-        s = PureState.from_amplitudes(amps)
-        back = state_from_json(state_to_json(s))
-        assert np.array_equal(back.amplitudes, s.amplitudes)
