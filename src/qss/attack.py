@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .qsim import (
+    MAX_STATE_QUBITS,
     DensityMatrix,
     PureState,
     outcome_probabilities,
@@ -70,6 +71,11 @@ class TripartiteState:
 
 def attacked_state(scenario: AttackScenario) -> TripartiteState:
     """|psi>_ABE on 2m+1 qubits after Evan's attack on the carrier."""
+    if 2 * scenario.m + 1 > MAX_STATE_QUBITS:
+        # before the branches and their Kronecker products are allocated
+        raise InvalidArgument(
+            f"attacked state needs 2m + 1 <= {MAX_STATE_QUBITS} qubits, got m = {scenario.m}"
+        )
     xi, xibar = make_carrier_branches(scenario.carrier, scenario.m)
     c, s = math.cos(scenario.phi), math.sin(scenario.phi)
     e0 = np.array([1.0, 0.0], dtype=complex)

@@ -77,11 +77,6 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(
-            self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj())
-        )
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -191,20 +186,25 @@ def expectation(state: State, p: PauliString) -> float:
 
 
 def reduce_state(state: State, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on the sorted qubit subset ``keep``."""
-    rho = state.density() if isinstance(state, PureState) else state
+    """Reduced state on the sorted qubit subset ``keep``: one einsum in which
+    a traced qubit's column label equals its row label.  A pure state is
+    reduced from its amplitudes (psi and psi*), never from |psi><psi|."""
     keep_set = sorted(set(keep))
-    n = rho.n_qubits
+    n = state.n_qubits
     if not keep_set:
         raise InvalidArgument("keep set must be nonempty")
     if keep_set[0] < 0 or keep_set[-1] >= n:
         raise InvalidArgument(f"keep indices must be in [0, {n}), got {keep_set}")
-    arr = rho.matrix.reshape((2,) * (2 * n))
-    n_cur = n
-    for q in sorted(set(range(n)) - set(keep_set), reverse=True):
-        arr = np.trace(arr, axis1=q, axis2=n_cur + q)
-        n_cur -= 1
-    return DensityMatrix(n_cur, arr.reshape(2**n_cur, 2**n_cur))
+    rows = list(range(n))
+    cols = [n + q if q in keep_set else q for q in rows]
+    out = keep_set + [n + q for q in keep_set]
+    if isinstance(state, PureState):
+        psi = state.amplitudes.reshape((2,) * n)
+        red = np.einsum(psi, rows, psi.conj(), cols, out)
+    else:
+        red = np.einsum(state.matrix.reshape((2,) * (2 * n)), rows + cols, out)
+    k = len(keep_set)
+    return DensityMatrix(k, red.reshape(2**k, 2**k))
 
 
 def project(

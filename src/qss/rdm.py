@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidArgument
-from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, PureState, State, reduce_state
+from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, State, reduce_state
 from .states import ghz_state, v_states
 
 __all__ = [
@@ -73,8 +73,7 @@ def marginal_set(state: State) -> list[DensityMatrix]:
     n = state.n_qubits
     if n < 3:
         raise InvalidArgument(f"marginal analysis needs n >= 3, got {n}")
-    rho = state.density() if isinstance(state, PureState) else state
-    return [reduce_state(rho, [q for q in range(n) if q != j]) for j in range(n)]
+    return [reduce_state(state, [q for q in range(n) if q != j]) for j in range(n)]
 
 
 def marginals_match(
@@ -100,12 +99,12 @@ def ghz_counterexample_check(n: int) -> bool:
         raise InvalidArgument(f"need n >= 3, got {n}")
     if n > MAX_DENSITY_QUBITS:
         raise BudgetExceeded(f"GHZ counterexample check capped at n <= {MAX_DENSITY_QUBITS}")
-    ghz = ghz_state(n).density()
+    ghz = ghz_state(n)
     weights = np.zeros(2**n)
     weights[[0, -1]] = 0.5
     mixture = DensityMatrix(n, np.diag(weights))
     same_marginals = marginals_match(marginal_set(ghz), marginal_set(mixture))
-    return same_marginals and trace_distance(ghz, mixture) > 0.4
+    return same_marginals and trace_distance(reduce_state(ghz, range(n)), mixture) > 0.4
 
 
 def _coefficient_vectors(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qss import attack
 from qss.errors import InvalidArgument
 from qss.attack import (
     AttackScenario,
@@ -86,6 +87,18 @@ class TestAttackedState:
     def test_phi_out_of_range(self):
         with pytest.raises(InvalidArgument):
             AttackScenario("G", 2, -0.1)
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    def test_register_size_checked_before_branches(self, carrier, monkeypatch):
+        def build(*args):
+            raise AssertionError("the carrier branches were built")
+
+        monkeypatch.setattr(attack, "make_carrier_branches", build)
+        # m = 9 gives the 19 + 1 = 20 qubits PureState admits, m = 10 one more
+        with pytest.raises(AssertionError):
+            attacked_state(AttackScenario(carrier, 9, 0.0))
+        with pytest.raises(InvalidArgument):
+            attacked_state(AttackScenario(carrier, 10, 0.0))
 
 
 class TestReducedStates:

@@ -28,7 +28,14 @@ from qss.bell import (
     plane_sum,
 )
 from qss.errors import BudgetExceeded, InvalidArgument
-from qss.qsim import DensityMatrix, PauliString, PureState, expectation, make_basis_state
+from qss.qsim import (
+    DensityMatrix,
+    PauliString,
+    PureState,
+    expectation,
+    make_basis_state,
+    reduce_state,
+)
 from qss.states import add_white_noise, g_state, ghz_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,26 +86,26 @@ def ghz6_tensor():
 class TestCorrelationMatrix2q:
     def test_bell_pair(self):
         # (|01> + |10>)/sqrt 2 has T = diag(1, 1, -1)
-        t = correlation_matrix_2q(g_state(2).density())
+        t = correlation_matrix_2q(reduce_state(g_state(2), range(2)))
         assert np.abs(t - np.diag([1.0, 1.0, -1.0])).max() < 1e-10
 
     def test_product_state(self):
-        t = correlation_matrix_2q(make_basis_state(2, "00").density())
+        t = correlation_matrix_2q(reduce_state(make_basis_state(2, "00"), range(2)))
         assert np.abs(t - np.diag([0.0, 0.0, 1.0])).max() < 1e-10
 
     def test_wrong_size(self):
         from qss.errors import InvalidDimension
 
         with pytest.raises(InvalidDimension):
-            correlation_matrix_2q(g_state(3).density())
+            correlation_matrix_2q(reduce_state(g_state(3), range(3)))
 
 
 class TestHorodecki:
     def test_bell_pair_maximal(self):
-        assert horodecki_m(g_state(2).density()) == pytest.approx(2.0, abs=1e-10)
+        assert horodecki_m(reduce_state(g_state(2), range(2))) == pytest.approx(2.0, abs=1e-10)
 
     def test_product_state_no_violation(self):
-        assert horodecki_m(make_basis_state(2, "01").density()) == pytest.approx(
+        assert horodecki_m(reduce_state(make_basis_state(2, "01"), range(2))) == pytest.approx(
             1.0, abs=1e-10
         )
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qss import cli
+from qss import attack, cli
 from qss.cli import main
 
 
@@ -93,6 +93,41 @@ class TestSweepAttack:
                 ["sweep-attack", "--m", "2", "--phi-grid", grid, "--out", str(out)]
             ) == 2, grid
             assert not out.exists()
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_horodecki_columns_exact(self, tmp_path, m, carrier):
+        # M of the collapsed Alice-Bob pair is 2cos^2(phi), of Alice-Evan 2sin^2(phi)
+        out = tmp_path / "sweep.csv"
+        args = ["sweep-attack", "--m", str(m), "--carrier", carrier,
+                "--phi-grid", "0:1.5707963267948966:5", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = run_cli(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        if m == 8:
+            # within 16 copies of the 2^(2m+1) amplitudes of the attacked state
+            assert peak < 16 * 16 * 2 ** (2 * m + 1)
+        rows, _ = read_csv(out)
+        assert len(rows) == 5
+        for row in rows:
+            phi = float(row["phi"])
+            assert abs(float(row["horodecki_ab"]) - 2 * math.cos(phi) ** 2) < 1e-12
+            assert abs(float(row["horodecki_ae"]) - 2 * math.sin(phi) ** 2) < 1e-12
+
+    def test_oversized_register_exits_2_before_branches(self, tmp_path, monkeypatch):
+        def build(*args):
+            raise AssertionError("the carrier branches were built")
+
+        monkeypatch.setattr(attack, "make_carrier_branches", build)
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            ["sweep-attack", "--m", "10", "--phi-grid", "0,0.5", "--out", str(out)]
+        ) == 2
+        assert not out.exists()
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "x.csv"

@@ -241,6 +241,63 @@ class TestCoalitionInfo:
             assert abs(mean) < 5.0 / math.sqrt(n)
 
 
+def coalition_law(scenario, subset):
+    """Exact joint law of (Alice's bit, the subset's bits) in a sifted round:
+    all-x and all-y rounds are sifted equally often, so it is their 50/50
+    mixture.  Shape (2, 2^|subset|), bits in qubit order."""
+    psi = attacked_state(scenario).psi
+    laws = []
+    for basis in "XY":
+        bases = "".join(basis if q == 0 or q in subset else "I" for q in range(psi.n_qubits))
+        laws.append(outcome_probabilities(psi, bases))
+    return (0.5 * (laws[0] + laws[1])).reshape(2, -1)
+
+
+def support(p):
+    return int(np.count_nonzero(p > 1e-15))
+
+
+def exact_coalition_info(law):
+    """I(A:S) in bits and the variance of its pointwise terms, sum p log2^2 - I^2."""
+    outer = law.sum(axis=1, keepdims=True) * law.sum(axis=0, keepdims=True)
+    p = law[law > 0]
+    terms = np.log2(p / outer[law > 0])
+    info = float((p * terms).sum())
+    return info, float((p * terms**2).sum()) - info**2
+
+
+class TestCoalitionInfoExactReference:
+    """Plug-in coalition information against the exact I(A:S) of the sifted law."""
+
+    @pytest.mark.parametrize("carrier, phi", [("G", 0.0), ("G", 0.3), ("GHZ", 0.0)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("subset", [(1,), (1, 2), (1, 2, 3, 4)])
+    def test_within_sampling_error(self, carrier, phi, seed, subset):
+        t = make_transcript(carrier=carrier, m=3, rounds=100_000, phi=phi, seed=seed)
+        estimate = coalition_info(t, subset)
+        law = coalition_law(AttackScenario(carrier, 3, phi), subset)
+        info, var = exact_coalition_info(law)
+        n = t.sift_count
+        if info > 1e-12:
+            # Miller-Madow bias of the plug-in estimate, then a 5-sigma band
+            cells = support(law) - support(law.sum(axis=1)) - support(law.sum(axis=0)) + 1
+            bias = cells / (2 * n * math.log(2))
+            assert abs(estimate - info - bias) <= 5 * math.sqrt(var / n)
+        else:
+            # 2 N ln2 times the estimate is chi-squared with d degrees of freedom
+            d = 2 ** len(subset) - 1
+            assert estimate <= (d + 5 * math.sqrt(2 * d)) / (2 * n * math.log(2))
+
+    def test_exact_g_values(self):
+        # 1 - H(2/3) for one Bob, and more for larger coalitions
+        values = [
+            exact_coalition_info(coalition_law(AttackScenario("G", 3, 0.0), s))[0]
+            for s in [(1,), (1, 2), (1, 2, 3, 4)]
+        ]
+        assert values[0] == pytest.approx(1.0 - binary_entropy(2.0 / 3.0), abs=1e-12)
+        assert values == pytest.approx([0.0817, 0.1258, 0.2213], abs=5e-5)
+
+
 class TestTranscriptExport:
     def test_jsonl_round_shape(self):
         t = make_transcript(rounds=20)

@@ -1,6 +1,7 @@
 """Core simulator primitives: states, Pauli action, traces, measurement."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ class TestExpectation:
         )
         p = PauliString(axes)
         assert expectation(state, p) == pytest.approx(
-            expectation(state.density(), p), abs=1e-10
+            expectation(reduce_state(state, range(state.n_qubits)), p), abs=1e-10
         )
 
     @settings(deadline=None, max_examples=30)
@@ -172,13 +173,13 @@ class TestExpectation:
 
 class TestPartialTrace:
     def test_product_state(self):
-        rho = make_basis_state(2, "00").density()
+        rho = reduce_state(make_basis_state(2, "00"), range(2))
         reduced = reduce_state(rho, [0])
         assert np.abs(reduced.matrix - np.diag([1.0, 0.0])).max() < 1e-10
 
     def test_g2_reduces_to_maximally_mixed(self):
         # direct 4x4 oracle: entries of the reduced matrix by index arithmetic
-        rho = g_state(2).density()
+        rho = reduce_state(g_state(2), range(2))
         full = rho.matrix
         oracle = np.array(
             [
@@ -192,7 +193,7 @@ class TestPartialTrace:
 
     def test_empty_keep_rejected(self):
         with pytest.raises(InvalidArgument):
-            reduce_state(g_state(2).density(), [])
+            reduce_state(g_state(2), [])
 
     @settings(deadline=None, max_examples=25)
     @given(pure_states(min_qubits=3, max_qubits=4), st.data())
@@ -215,6 +216,71 @@ class TestPartialTrace:
     def test_trace_preserved(self):
         reduced = reduce_state(g_state(4), [1, 2])
         assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-10)
+
+
+def sequential_trace(rho, keep):
+    """Reference partial trace: one np.trace per traced qubit, the highest
+    first, on the full 2^n x 2^n matrix; kept qubits in ascending order."""
+    keep_set = sorted(set(keep))
+    n = rho.n_qubits
+    arr = rho.matrix.reshape((2,) * (2 * n))
+    n_cur = n
+    for q in sorted(set(range(n)) - set(keep_set), reverse=True):
+        arr = np.trace(arr, axis1=q, axis2=n_cur + q)
+        n_cur -= 1
+    return arr.reshape(2**n_cur, 2**n_cur)
+
+
+@st.composite
+def mixed_states(draw, max_qubits=4):
+    n = draw(st.integers(1, max_qubits))
+    rank = draw(st.integers(1, 2**n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+    rho = g @ g.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+def keep_lists(n):
+    """Keep lists in any order, with repeats, or holding every qubit."""
+    some = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+    return st.one_of(some, st.permutations(range(n)))
+
+
+class TestReduceStateAgainstSequentialTrace:
+    @settings(deadline=None, max_examples=60)
+    @given(pure_states(max_qubits=6), st.data())
+    def test_pure_states(self, state, data):
+        keep = data.draw(keep_lists(state.n_qubits))
+        a = state.amplitudes
+        expected = sequential_trace(DensityMatrix(state.n_qubits, np.outer(a, a.conj())), keep)
+        assert np.abs(reduce_state(state, keep).matrix - expected).max() < 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(mixed_states(), st.data())
+    def test_mixed_states(self, rho, data):
+        keep = data.draw(keep_lists(rho.n_qubits))
+        expected = sequential_trace(rho, keep)
+        assert np.abs(reduce_state(rho, keep).matrix - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("keep", [(0, 19), (3, 7, 11)])
+    def test_twenty_qubits_within_four_state_sizes(self, keep):
+        n = 20
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = PureState(n, amps / np.linalg.norm(amps))
+        tracemalloc.start()
+        try:
+            reduced = reduce_state(state, keep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * state.amplitudes.nbytes
+        # rows of psi indexed by the kept qubits: rho = psi_K psi_K^dagger
+        rest = [q for q in range(n) if q not in keep]
+        psi_k = state.amplitudes.reshape((2,) * n).transpose(list(keep) + rest)
+        psi_k = psi_k.reshape(2 ** len(keep), -1)
+        assert np.abs(reduced.matrix - psi_k @ psi_k.conj().T).max() < 1e-12
 
 
 class TestProject:

@@ -5,7 +5,7 @@ import pytest
 
 from qss import rdm
 from qss.errors import BudgetExceeded, InvalidArgument
-from qss.qsim import MAX_DENSITY_QUBITS, DensityMatrix, make_basis_state
+from qss.qsim import MAX_DENSITY_QUBITS, DensityMatrix, make_basis_state, reduce_state
 from qss.rdm import (
     GramSolution,
     g_uniqueness_check,
@@ -107,22 +107,24 @@ class TestMarginalSet:
 
 class TestTraceDistance:
     def test_identical_states(self):
-        rho = g_state(3).density()
+        rho = reduce_state(g_state(3), range(3))
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
-        a = make_basis_state(2, "00").density()
-        b = make_basis_state(2, "11").density()
+        a = reduce_state(make_basis_state(2, "00"), range(2))
+        b = reduce_state(make_basis_state(2, "11"), range(2))
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric(self):
-        a = g_state(3).density()
-        b = ghz_state(3).density()
+        a = reduce_state(g_state(3), range(3))
+        b = reduce_state(ghz_state(3), range(3))
         assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-12)
 
     def test_size_mismatch(self):
         with pytest.raises(InvalidArgument):
-            trace_distance(g_state(2).density(), g_state(3).density())
+            trace_distance(
+                reduce_state(g_state(2), range(2)), reduce_state(g_state(3), range(3))
+            )
 
 
 class TestGHZCounterexample:
@@ -132,9 +134,9 @@ class TestGHZCounterexample:
 
     def test_mixture_really_differs_globally(self):
         n = 5
-        ghz = ghz_state(n).density()
-        z0 = make_basis_state(n, "0" * n).density().matrix
-        z1 = make_basis_state(n, "1" * n).density().matrix
+        ghz = reduce_state(ghz_state(n), range(n))
+        z0 = reduce_state(make_basis_state(n, "0" * n), range(n)).matrix
+        z1 = reduce_state(make_basis_state(n, "1" * n), range(n)).matrix
         mixture = DensityMatrix(n, 0.5 * (z0 + z1))
         assert trace_distance(ghz, mixture) == pytest.approx(0.5, abs=1e-10)
 
@@ -151,8 +153,8 @@ class TestGHZCounterexample:
         # the analogous z-dephasing of the carrier (W/Wbar mixture) does NOT
         # reproduce its marginals, unlike the GHZ case
         n = 6
-        w = w_state(n).density().matrix
-        wbar = wbar_state(n).density().matrix
+        w = reduce_state(w_state(n), range(n)).matrix
+        wbar = reduce_state(wbar_state(n), range(n)).matrix
         mixture = DensityMatrix(n, 0.5 * (w + wbar))
         assert not marginals_match(marginal_set(g_state(n)), marginal_set(mixture))
 
@@ -199,7 +201,7 @@ class TestGramUniqueness:
             4, 0.5 * (np.outer(px, px) + np.outer(mx, mx)).astype(complex)
         )
         assert marginals_match(marginal_set(g_state(4)), marginal_set(mixture))
-        assert trace_distance(mixture, g_state(4).density()) > 0.1
+        assert trace_distance(mixture, reduce_state(g_state(4), range(4))) > 0.1
 
     def test_trivial_gram_structure(self):
         sol = g_uniqueness_check(6)
