@@ -64,13 +64,18 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or +-inf, which JSON cannot hold
+        raise InternalInconsistency(f"non-finite value in the output: {exc}") from exc
 
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InternalInconsistency(f"non-finite value {x!r} in the output")
         return repr(x)
     return str(x)
 
@@ -148,11 +153,13 @@ def _cmd_run_protocol(args) -> int:
             "seed": args.seed,
         }
     )
+    # formatted first, so that a summary that cannot be written leaves no transcript
+    summary_text = _json_text(summary)
     _atomic_write(
         args.out + ".transcript.jsonl",
         (line + "\n" for line in transcript_to_jsonl(transcript)),
     )
-    _atomic_write(args.out + ".summary.json", (_json_text(summary),))
+    _atomic_write(args.out + ".summary.json", (summary_text,))
     return 0
 
 

@@ -78,6 +78,16 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending.  An index whose row and
+    column are all zero is an eigenvector with eigenvalue exactly 0, so only
+    the block of live indices goes to ``eigvalsh``."""
+    nonzero = m != 0
+    live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    vals = np.linalg.eigvalsh(m[np.ix_(live, live)])
+    return np.sort(np.concatenate([vals, np.zeros(m.shape[0] - live.size)]))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator on ``n_qubits`` qubits."""
@@ -98,7 +108,7 @@ class DensityMatrix:
             raise InvalidState("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > ATOL_EXACT:
             raise InvalidState(f"trace {np.trace(m)} is not 1")
-        if np.linalg.eigvalsh(m).min() < PSD_FLOOR:
+        if hermitian_spectrum(m).min() < PSD_FLOOR:
             raise InvalidState("density matrix has a negative eigenvalue")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidArgument
-from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, State, reduce_state
+from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, State, hermitian_spectrum, reduce_state
 from .states import ghz_state, v_states
 
 __all__ = [
@@ -88,7 +88,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """(1/2) ||a - b||_1."""
     if a.n_qubits != b.n_qubits:
         raise InvalidArgument("states must share a qubit count")
-    vals = np.linalg.eigvalsh(a.matrix - b.matrix)
+    vals = hermitian_spectrum(a.matrix - b.matrix)
     return 0.5 * float(np.abs(vals).sum())
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qss import attack, cli
 from qss.cli import main
@@ -296,6 +297,9 @@ class TestRdmCommand:
             ("7", "cad1f67e786f87f44aeee5b80c48557a57bd544dc27bf612cb9906be9edbb365"),
             ("8", "9127238a723d779e3570b1c1ba2b656598207709477e320a7ce5dd72cdc204b3"),
             ("9", "6276ef72b451e4e33d06b6fbf26b31c6ab37fd1ff81922e986eb86585d5f9658"),
+            # taken from the full-matrix eigen-solves that the live-block ones replaced
+            ("10", "4f68364fc3e3d86eb76e712ded95f01f39f0a61ddd763b891a14d5dd4ebaea50"),
+            ("11", "e43cbb2e7d6cde1090d8d8099eb6933869a5bb837e2089987e46b5105cdaded4"),
         ],
     )
     def test_golden_output_hashes(self, tmp_path, n, sha):
@@ -431,3 +435,147 @@ class TestRunProtocolCommand:
 
     def test_unknown_command_exits_2(self):
         assert run_cli(["frobnicate"]) == 2
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_value_exits_3(self, tmp_path, monkeypatch, value):
+        monkeypatch.setattr(cli.bell, "full_sum", lambda t: value)
+        out = tmp_path / "bell.json"
+        assert run_cli(["bell", "--state", "g", "--n", "4", "--out", str(out)]) == 3
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_csv_value_exits_3(self, tmp_path, monkeypatch, value):
+        monkeypatch.setattr(cli, "mutual_info_ab", lambda phi: value)
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            ["sweep-attack", "--m", "2", "--phi-grid", "0,0.5", "--out", str(out)]
+        ) == 3
+        assert not list(tmp_path.iterdir())
+
+    def test_summary_value_leaves_no_transcript(self, tmp_path, monkeypatch):
+        summary = cli.transcript_summary
+
+        def with_nan(*args):
+            return {**summary(*args), "error_rate": math.nan}
+
+        monkeypatch.setattr(cli, "transcript_summary", with_nan)
+        out = tmp_path / "run"
+        assert run_cli(
+            ["run-protocol", "--m", "2", "--rounds", "200", "--out", str(out)]
+        ) == 3
+        assert not list(tmp_path.iterdir())
+
+
+def _option(flag, valid, malformed, required=True):
+    """(valid, malformed) strategies of argv tokens for one option.  A
+    required option left out is malformed; an optional one is valid."""
+
+    def tokens(values):
+        if not isinstance(values, st.SearchStrategy):
+            values = st.sampled_from(values)
+        return values.map(lambda v: [flag, v])
+
+    if required:
+        return tokens(valid), st.one_of(tokens(malformed), st.just([]))
+    return st.one_of(tokens(valid), st.just([])), tokens(malformed)
+
+
+def _argv(command, *options):
+    """Argument lists whose options are all valid, or all but one, which is
+    malformed, out of range, oversized or left out."""
+
+    @st.composite
+    def draw(draw):
+        broken = draw(st.one_of(st.none(), st.integers(0, len(options) - 1)))
+        parts = [draw(malformed if i == broken else valid)
+                 for i, (valid, malformed) in enumerate(options)]
+        return [command] + [token for part in parts for token in part]
+
+    return draw()
+
+
+# Admitted sizes stay small (n <= 6, m <= 3, rounds <= 2000, at most 5 grid
+# points); the larger values are ones the commands refuse before allocating.
+_BAD_N = ["-3", "0", "13", "64", str(10**9), "nan", "inf", "1.5", ""]
+_STATE = (["g", "ghz"], ["w", "G"])
+_CARRIER = (["G", "GHZ"], ["W", "g"])
+_SEED = (["0", "7"], ["-1", "nan", "1.5"])
+_ANGLE = (["0", "0.3", "1.5707963267948966"], ["nan", "inf", "-inf", "-0.1", "1.6"])
+_GRID = (
+    st.one_of(
+        st.lists(st.sampled_from(_ANGLE[0]), min_size=1, max_size=5).map(",".join),
+        # start:stop:count, reversed when start > stop
+        st.tuples(*[st.sampled_from(v) for v in (_ANGLE[0], _ANGLE[0], ["2", "5"])]).map(
+            ":".join
+        ),
+    ),
+    st.one_of(
+        st.sampled_from(["", ",", "abc", "0:1", "0:1:2:3"]),
+        st.lists(st.sampled_from(_ANGLE[1]), min_size=1, max_size=5).map(",".join),
+        st.sampled_from(
+            ["-3", "0", "1", "nan", str(cli.MAX_GRID_POINTS + 1), str(10**11)]
+        ).map(lambda count: f"0:1:{count}"),
+    ),
+)
+_DEG = (st.sampled_from([[], ["--deg"]]),) * 2
+_BAD_M = ["-1", "0", "1", str(10**9), "nan"]
+_SCAN_N = ["-4", "3", "1025", str(10**9), "nan"]
+
+FUZZ_COMMANDS = {
+    "rdm": _argv("rdm", _option("--n", ["3", "4", "5", "6"], _BAD_N + ["2"])),
+    "tensor": _argv(
+        "tensor",
+        _option("--state", *_STATE),
+        _option("--n", ["2", "3", "6"], _BAD_N + ["1"]),
+    ),
+    "bell": _argv(
+        "bell",
+        _option("--state", *_STATE),
+        _option("--n", ["2", "3", "6"], _BAD_N + ["1"]),
+        _option("--noise", ["0", "-0.0", "0.3", "1"], ["nan", "inf", "-inf", "-0.5", "1.5"],
+                required=False),
+        _option("--frame", ["default", "search"], ["best"], required=False),
+        _option("--restarts", ["1", "2"], ["-1", "0", "nan"], required=False),
+        _option("--seed", *_SEED, required=False),
+    ),
+    "thresholds": _argv(
+        "thresholds",
+        _option("--n-min", ["4", "5", "13"], _SCAN_N),
+        # "4" is reversed when --n-min is 5 or 13
+        _option("--n-max", ["4", "13", "1024"], _SCAN_N),
+    ),
+    "sweep-attack": _argv(
+        "sweep-attack",
+        _option("--m", ["2", "3"], _BAD_M + ["10"]),
+        _option("--carrier", *_CARRIER, required=False),
+        _option("--phi-grid", *_GRID),
+        _DEG,
+    ),
+    "run-protocol": _argv(
+        "run-protocol",
+        _option("--m", ["2", "3"], _BAD_M + ["8"]),
+        _option("--rounds", ["1", "300", "2000"], ["-5", "0", str(10**14), "nan"]),
+        _option("--phi", *_ANGLE, required=False),
+        _option("--carrier", *_CARRIER, required=False),
+        _option("--seed", *_SEED, required=False),
+        _DEG,
+    ),
+}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_exit_code_and_leftovers(self, tmp_path_factory, command, data):
+        argv = data.draw(FUZZ_COMMANDS[command])
+        directory = tmp_path_factory.mktemp("fuzz")
+        code = run_cli(argv + ["--out", str(directory / "out")])
+        left = sorted(p.name for p in directory.iterdir())
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            assert left and not any(name.startswith(".qss-tmp-") for name in left), argv
+        else:
+            assert left == [], argv

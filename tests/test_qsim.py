@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qss import qsim
 from qss.errors import (
     InvalidArgument,
     InvalidDimension,
@@ -19,6 +20,7 @@ from qss.qsim import (
     PureState,
     apply_pauli_string,
     expectation,
+    hermitian_spectrum,
     make_basis_state,
     outcome_probabilities,
     project,
@@ -86,6 +88,64 @@ class TestPureStateValidation:
         s = make_basis_state(1, "0")
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.5
+
+
+@st.composite
+def hermitian_with_dead_rows(draw, max_dim=32):
+    """Random complex Hermitian matrix whose rows and columns in a random
+    set of indices (possibly none or all) are zero.  Some other diagonal
+    entries are zero too, so a zero diagonal does not mark a dead row."""
+    d = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * 10.0 ** rng.uniform(-3, 3)
+    m = a + a.conj().T
+    zero_diagonal = sorted(draw(st.sets(st.integers(0, d - 1))))
+    m[zero_diagonal, zero_diagonal] = 0.0
+    dead = sorted(draw(st.sets(st.integers(0, d - 1))))
+    m[dead, :] = 0.0
+    m[:, dead] = 0.0
+    return m
+
+
+class TestHermitianSpectrum:
+    @settings(deadline=None, max_examples=100)
+    @given(hermitian_with_dead_rows())
+    def test_matches_eigvalsh(self, m):
+        got = hermitian_spectrum(m)
+        expected = np.linalg.eigvalsh(m)
+        assert got.shape == expected.shape
+        assert np.abs(np.sort(got) - expected).max() <= 1e-12 * np.abs(m).max()
+
+
+class TestDensityMatrixValidation:
+    def test_negative_diagonal_rejected(self):
+        with pytest.raises(InvalidState):
+            DensityMatrix(2, np.diag([0.6, -0.1, 0.0, 0.5]))
+
+    def test_negative_eigenvalue_inside_zero_rows_rejected(self):
+        # the live block [[0.5, 0.6], [0.6, 0.5]] on indices 0 and 7 has
+        # eigenvalues 1.1 and -0.1; every other row and column is zero
+        m = np.zeros((8, 8))
+        m[np.ix_([0, 7], [0, 7])] = [[0.5, 0.6], [0.6, 0.5]]
+        with pytest.raises(InvalidState):
+            DensityMatrix(3, m)
+
+    def test_ghz_mixture_solves_only_its_live_block(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(m):
+            shapes.append(m.shape)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(qsim.np.linalg, "eigvalsh", recorded)
+        # n = 10 rather than the 12-qubit limit: the dense Hermitian check
+        # of a 4096 x 4096 matrix alone peaks near 1 GB
+        n = 10
+        weights = np.zeros(2**n)
+        weights[[0, -1]] = 0.5
+        DensityMatrix(n, np.diag(weights))
+        assert shapes == [(2, 2)]
 
 
 class TestApplyPauli:
