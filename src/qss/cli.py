@@ -155,10 +155,7 @@ def _cmd_run_protocol(args) -> int:
     )
     # formatted first, so that a summary that cannot be written leaves no transcript
     summary_text = _json_text(summary)
-    _atomic_write(
-        args.out + ".transcript.jsonl",
-        (line + "\n" for line in transcript_to_jsonl(transcript)),
-    )
+    _atomic_write(args.out + ".transcript.jsonl", transcript_to_jsonl(transcript))
     _atomic_write(args.out + ".summary.json", (summary_text,))
     return 0
 

@@ -11,9 +11,7 @@ of (config, seed).
 
 from __future__ import annotations
 
-import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,33 +105,35 @@ class ProtocolTranscript:
         shifts = np.arange(self.config.n_parties - 1, -1, -1)
         return (self.outcome_idx[self.sifted, None] >> shifts) & 1
 
-    @property
-    def alice_key(self) -> tuple[int, ...]:
-        return tuple(self._sifted_bits()[:, 0].tolist())
-
-    @property
-    def bob_product_key(self) -> tuple[int, ...]:
+    def _key_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's sifted bits and the Bobs' product bits, as arrays."""
+        bits = self._sifted_bits()
         # all-y rounds carry a carrier-dependent parity sign: the full-y
         # correlation is (-1)^(m+1) for the G carrier and (-1)^m for GHZ
         scenario = self.config.scenario
         y_flip = (scenario.m + (scenario.carrier == "G")) % 2
         all_y = self.combo_idx[self.sifted] != 0
         # the product of +-1 outcomes is -1 iff an odd number of them are -1
-        parity = self._sifted_bits()[:, 1:].sum(axis=1) + all_y * y_flip
-        return tuple((parity % 2).tolist())
+        parity = bits[:, 1:].sum(axis=1) + all_y * y_flip
+        return bits[:, 0], parity % 2
 
-    def _decode(self) -> tuple[Iterable, dict[int, str], dict[int, Outcome]]:
-        """The (combo, outcome index, sifted) rows, the bases of each combination
-        present and the +-1 outcomes of each outcome index present."""
-        n = self.config.n_parties
-        rows = zip(self.combo_idx.tolist(), self.outcome_idx.tolist(), self.sifted.tolist())
-        bases = {c: _bases(c, n) for c in np.unique(self.combo_idx).tolist()}
-        bits = {o: format(o, f"0{n}b") for o in np.unique(self.outcome_idx).tolist()}
-        return rows, bases, {o: tuple(1 - 2 * int(b) for b in s) for o, s in bits.items()}
+    @property
+    def alice_key(self) -> tuple[int, ...]:
+        return tuple(self._key_bits()[0].tolist())
+
+    @property
+    def bob_product_key(self) -> tuple[int, ...]:
+        return tuple(self._key_bits()[1].tolist())
 
     @property
     def records(self) -> tuple[RoundRecord, ...]:
-        rows, bases, outcomes = self._decode()
+        n = self.config.n_parties
+        bases = {c: _bases(c, n) for c in np.unique(self.combo_idx).tolist()}
+        outcomes = {
+            o: tuple(1 - 2 * int(b) for b in format(o, f"0{n}b"))
+            for o in np.unique(self.outcome_idx).tolist()
+        }
+        rows = zip(self.combo_idx.tolist(), self.outcome_idx.tolist(), self.sifted.tolist())
         return tuple(
             RoundRecord(bases[c], outcomes[o], s, bases[c][0] if s else "mixed")
             for c, o, s in rows
@@ -146,11 +146,12 @@ def _outcome_distributions(config: ProtocolConfig) -> np.ndarray:
     n_parties = config.n_parties
     psi = attacked_state(config.scenario).psi
     base = psi.amplitudes.reshape((2,) * psi.n_qubits)
+    rotations = {ax: EIGENBASIS[ax].conj().T for ax in "XY"}
     tables = np.empty((2**n_parties, 2**n_parties))
     for combo in range(2**n_parties):
         arr = base
         for q, ax in enumerate(_bases(combo, n_parties)):
-            arr = _apply_one(arr, q, EIGENBASIS[ax].conj().T)
+            arr = _apply_one(arr, q, rotations[ax])
         probs = (np.abs(arr) ** 2).reshape(2**n_parties, 2).sum(axis=1)
         tables[combo] = np.cumsum(probs / probs.sum())
     return tables
@@ -183,23 +184,34 @@ def reconstruct_key(
     """Alice's bits, the Bobs' cooperative reconstruction, and their error rate."""
     if t.sift_count == 0:
         raise EmptySiftedSet("transcript has no sifted rounds")
-    errors = sum(a != b for a, b in zip(t.alice_key, t.bob_product_key))
-    return t.alice_key, t.bob_product_key, errors / t.sift_count
+    alice, bob = t._key_bits()
+    errors = int(np.count_nonzero(alice != bob))
+    return tuple(alice.tolist()), tuple(bob.tolist()), errors / t.sift_count
+
+
+def _entropy(codes: np.ndarray) -> float:
+    """Plug-in entropy (bits) of integer codes, its terms summed in the order
+    in which the codes first appear."""
+    n = codes.size
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return -sum((c / n) * math.log2(c / n) for c in counts[np.argsort(first)].tolist())
+
+
+def _plugin_mutual_info(x: np.ndarray, y: np.ndarray) -> float:
+    """Plug-in mutual information (bits) between paired nonnegative integer codes."""
+    if x.size < 2:
+        raise InvalidArgument("need at least 2 samples")
+    joint = x * (int(y.max()) + 1) + y
+    return _entropy(x) + _entropy(y) - _entropy(joint)
 
 
 def estimate_mutual_info(samples: Sequence[tuple[object, object]]) -> float:
     """Plug-in mutual information (bits) between paired labels and symbols."""
-    if len(samples) < 2:
-        raise InvalidArgument("need at least 2 samples")
-    n = len(samples)
-    joint = Counter(samples)
-    left = Counter(x for x, _ in samples)
-    right = Counter(y for _, y in samples)
-
-    def _h(counts: Counter) -> float:
-        return -sum((c / n) * math.log2(c / n) for c in counts.values())
-
-    return _h(left) + _h(right) - _h(joint)
+    left: dict = {}
+    right: dict = {}
+    x = [left.setdefault(a, len(left)) for a, _ in samples]
+    y = [right.setdefault(b, len(right)) for _, b in samples]
+    return _plugin_mutual_info(np.array(x), np.array(y))
 
 
 def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
@@ -217,17 +229,43 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
     if t.sift_count == 0:
         raise EmptySiftedSet("transcript has no sifted rounds")
     bits = t._sifted_bits()
-    outcomes = map(tuple, (1 - 2 * bits[:, sub]).tolist())
-    return estimate_mutual_info(list(zip(bits[:, 0].tolist(), outcomes)))
+    # the coalition's bits, MSB first, as one integer per round
+    packed = bits[:, sub] @ (1 << np.arange(len(sub) - 1, -1, -1))
+    return _plugin_mutual_info(bits[:, 0], packed)
+
+
+#: Rounds whose lines ``transcript_to_jsonl`` joins into one text block.
+_JSONL_BLOCK_ROUNDS = 8192
+_SIGN_TEXT = str.maketrans({"0": "1,", "1": "-1,"})
 
 
 def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
-    """One JSON document per round."""
-    rows, bases, outcomes = t._decode()
-    texts = {o: json.dumps(list(v), separators=(",", ":")) for o, v in outcomes.items()}
-    flags = ("false", "true")
-    for i, (c, o, s) in enumerate(rows):
-        yield f'{{"round":{i},"bases":"{bases[c]}","outcomes":{texts[o]},"sifted":{flags[s]}}}'
+    """One JSON document per round, one line each, yielded as text blocks
+    that each hold the whole newline-terminated lines of up to
+    ``_JSONL_BLOCK_ROUNDS`` consecutive rounds."""
+    n = t.config.n_parties
+    combos, combo_of = np.unique(t.combo_idx, return_inverse=True)
+    outcomes, outcome_of = np.unique(t.outcome_idx, return_inverse=True)
+    # a line is 5 pieces: prefix, round number, bases, outcomes, sifted flag
+    bases = np.array(
+        [f',"bases":"{_bases(c, n)}","outcomes":' for c in combos.tolist()], dtype=object
+    )
+    # outcome bit 0 is +1 and bit 1 is -1: "011" -> "[1,-1,-1]"
+    signs = np.array(
+        [f"[{format(o, f'0{n}b').translate(_SIGN_TEXT)[:-1]}]" for o in outcomes.tolist()],
+        dtype=object,
+    )
+    flags = np.array([',"sifted":false}\n', ',"sifted":true}\n'], dtype=object)
+    sifted = t.sifted.astype(np.intp)
+    rounds = t.combo_idx.size
+    for a in range(0, rounds, _JSONL_BLOCK_ROUNDS):
+        b = min(a + _JSONL_BLOCK_ROUNDS, rounds)
+        parts = ['{"round":'] * (5 * (b - a))
+        parts[1::5] = map(str, range(a, b))
+        parts[2::5] = bases[combo_of[a:b]].tolist()
+        parts[3::5] = signs[outcome_of[a:b]].tolist()
+        parts[4::5] = flags[sifted[a:b]].tolist()
+        yield "".join(parts)
 
 
 def transcript_summary(

@@ -387,6 +387,18 @@ class TestPlaneSearch:
         with pytest.raises(InvalidArgument):
             maximize_plane_sum(g6_tensor, restarts=3, seed=-1)
 
+    def test_restarts_cap_admitted(self, monkeypatch):
+        blocks = []
+        default = LocalFrame.default(2).axes
+
+        def search(t, seed, block):
+            blocks.append(block)
+            return np.zeros(len(block)), np.broadcast_to(default, (len(block), 2, 2, 3))
+
+        monkeypatch.setattr(bell, "_search_block", search)
+        maximize_plane_sum(correlation_tensor(make_basis_state(2, "00")), bell.MAX_RESTARTS)
+        assert blocks[-1].stop == bell.MAX_RESTARTS
+
     @settings(deadline=None, max_examples=40)
     @given(
         st.one_of(pure_states(max_n=5), mixed_states(max_n=5)),

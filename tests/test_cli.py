@@ -220,6 +220,18 @@ class TestBellCommand:
         assert run_cli(args + ["--out", str(out)]) == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("restarts", [cli.bell.MAX_RESTARTS + 1, 10**13])
+    def test_oversized_restarts_exit_2_before_searching(self, tmp_path, monkeypatch, restarts):
+        def search(*args):
+            raise AssertionError("a restart block ran")
+
+        monkeypatch.setattr(cli.bell, "_search_block", search)
+        out = tmp_path / "bell.json"
+        args = ["bell", "--state", "g", "--n", "4", "--frame", "search",
+                "--restarts", str(restarts), "--out", str(out)]
+        assert run_cli(args) == 2
+        assert not list(tmp_path.iterdir())
+
     def test_oversized_tensor_exits_2(self, tmp_path):
         out = tmp_path / "bell.json"
         assert run_cli(["bell", "--state", "g", "--n", "9", "--out", str(out)]) == 2
@@ -537,7 +549,9 @@ FUZZ_COMMANDS = {
         _option("--noise", ["0", "-0.0", "0.3", "1"], ["nan", "inf", "-inf", "-0.5", "1.5"],
                 required=False),
         _option("--frame", ["default", "search"], ["best"], required=False),
-        _option("--restarts", ["1", "2"], ["-1", "0", "nan"], required=False),
+        _option("--restarts", ["1", "2"],
+                ["-1", "0", "nan", str(cli.bell.MAX_RESTARTS + 1), str(10**13)],
+                required=False),
         _option("--seed", *_SEED, required=False),
     ),
     "thresholds": _argv(

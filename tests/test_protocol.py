@@ -1,11 +1,15 @@
 """Monte Carlo protocol rounds, sifting, keys, and information estimates."""
 
+import functools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qss import protocol
 from qss.attack import AttackScenario, attacked_state, binary_entropy
 from qss.errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from qss.protocol import (
@@ -170,6 +174,12 @@ class TestKeyReconstruction:
             errs.append(reconstruct_key(t)[2])
         assert all(a < b for a, b in zip(errs, errs[1:]))
 
+    def test_keys_and_error_rate_match_the_properties(self, crossover_run):
+        alice, bob, err = reconstruct_key(crossover_run)
+        assert alice == crossover_run.alice_key
+        assert bob == crossover_run.bob_product_key
+        assert err == sum(a != b for a, b in zip(alice, bob)) / crossover_run.sift_count
+
     def test_empty_sifted_set(self):
         base = make_transcript(rounds=10)
         mixed = int("001001", 2)  # bases "XXYXXY"
@@ -298,10 +308,125 @@ class TestCoalitionInfoExactReference:
         assert values == pytest.approx([0.0817, 0.1258, 0.2213], abs=5e-5)
 
 
+def counter_mutual_info(samples):
+    """Plug-in mutual information summed over Counter tables, as a reference."""
+    n = len(samples)
+
+    def h(counts):
+        return -sum((c / n) * math.log2(c / n) for c in counts.values())
+
+    return h(Counter(x for x, _ in samples)) + h(Counter(y for _, y in samples)) - h(
+        Counter(samples)
+    )
+
+
+def counter_coalition_info(t, subset):
+    """(Alice's bit, the subset's +-1 outcomes) of each sifted record, through
+    ``counter_mutual_info``."""
+    samples = [
+        ((1 - rec.outcomes[0]) // 2, tuple(rec.outcomes[q] for q in sorted(subset)))
+        for rec in t.records
+        if rec.sifted
+    ]
+    return counter_mutual_info(samples)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_transcript(carrier, m, phi):
+    return make_transcript(carrier=carrier, m=m, rounds=10 * 4**m, phi=phi, seed=31 + m)
+
+
+class TestColumnarMutualInfo:
+    """The code-based estimates equal the Counter sums bit for bit."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.sampled_from(["G", "GHZ"]),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([0.0, 0.3]),
+        st.data(),
+    )
+    def test_coalition_info_equals_counter_sums(self, carrier, m, phi, data):
+        t = cached_transcript(carrier, m, phi)
+        bobs = list(range(1, 2 * m))
+        subset = data.draw(
+            st.lists(st.sampled_from(bobs), min_size=1, max_size=len(bobs) - 1, unique=True)
+        )
+        assert coalition_info(t, subset) == counter_coalition_info(t, subset)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0, 1, "a", (1, -1)]), st.sampled_from(["x", 2, (0,), None])),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    def test_estimate_equals_counter_sums(self, samples):
+        assert estimate_mutual_info(samples) == counter_mutual_info(samples)
+
+    def test_one_sifted_round_needs_more_samples(self):
+        base = make_transcript(m=2, rounds=10)
+        one = ProtocolTranscript(base.config, np.array([0, 5]), np.array([0, 3]),
+                                 np.array([True, False]))
+        with pytest.raises(InvalidArgument):
+            coalition_info(one, [1])
+
+
+def oracle_jsonl(t):
+    """One ``json.dumps`` line per round record."""
+    return "".join(
+        json.dumps(
+            {"round": i, "bases": rec.bases, "outcomes": list(rec.outcomes), "sifted": rec.sifted},
+            separators=(",", ":"),
+        )
+        + "\n"
+        for i, rec in enumerate(t.records)
+    )
+
+
+def first_rounds(t, k):
+    return ProtocolTranscript(t.config, t.combo_idx[:k], t.outcome_idx[:k], t.sifted[:k])
+
+
+def assert_blocks_match_oracle(t, block):
+    blocks = list(transcript_to_jsonl(t))
+    rounds = t.combo_idx.size
+    assert [b.count("\n") for b in blocks] == [
+        min(block, rounds - a) for a in range(0, rounds, block)
+    ]
+    assert all(b.endswith("\n") for b in blocks)
+    assert "".join(blocks) == oracle_jsonl(t)
+
+
+class TestColumnarJsonl:
+    """Blocks of whole lines, joined equal to one json.dumps line per round."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @settings(deadline=None, max_examples=10)
+    @given(
+        st.sampled_from(["G", "GHZ"]),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([0.0, 0.3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_round_oracle(self, block, carrier, m, phi, seed):
+        t = make_transcript(carrier=carrier, m=m, rounds=2 * block + 3, phi=phi, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "_JSONL_BLOCK_ROUNDS", block)
+            for k in sorted({1, max(block - 1, 1), block, block + 1, 2 * block + 3}):
+                assert_blocks_match_oracle(first_rounds(t, k), block)
+
+    def test_default_block_boundaries(self):
+        block = protocol._JSONL_BLOCK_ROUNDS
+        t = make_transcript(m=2, rounds=2 * block + 3, phi=0.3, seed=5)
+        assert_blocks_match_oracle(t, block)
+
+
 class TestTranscriptExport:
     def test_jsonl_round_shape(self):
         t = make_transcript(rounds=20)
-        lines = list(transcript_to_jsonl(t))
+        lines = "".join(transcript_to_jsonl(t)).splitlines()
         assert len(lines) == 20
         doc = json.loads(lines[3])
         assert doc["round"] == 3
