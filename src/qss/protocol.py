@@ -34,9 +34,10 @@ __all__ = [
 ]
 
 
-#: Bytes the outcome tables of one run may take.  They hold 2^(2m) combinations
-#: by 2^(2m) outcomes of 8 bytes, 8 * 16^m in all, so the budget admits m <= 7.
-TABLE_BUDGET_BYTES = 2**31
+#: Largest m a run admits.  The work, 2m rotations of the 2^(2m+1) amplitudes for
+#: each of the 2^(2m) basis combinations, grows about 18-fold per step in m: m = 6
+#: takes about 4 s on a 2-core VM, m = 7 over a minute.
+MAX_M = 7
 
 #: Bytes the per-round columns of one run may take.  ``run_protocol`` holds
 #: 8 bytes per party for the basis draws and about six more 8-byte columns
@@ -58,9 +59,8 @@ class ProtocolConfig:
             raise InvalidArgument(f"rounds must be >= 1, got {self.rounds}")
         if self.seed < 0:
             raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
-        # compared in log2 so that a huge m never builds a huge integer
-        if 4 * m + 3 > math.log2(TABLE_BUDGET_BYTES):
-            raise BudgetExceeded(f"m = {m} needs 8 * 16^{m} bytes of outcome tables")
+        if m > MAX_M:
+            raise BudgetExceeded(f"protocol runs are capped at m <= {MAX_M}, got {m}")
         per_round = 8 * (2 * m + 6)
         if per_round * self.rounds > ROUND_BUDGET_BYTES:
             raise BudgetExceeded(
@@ -140,39 +140,32 @@ class ProtocolTranscript:
         )
 
 
-def _outcome_distributions(config: ProtocolConfig) -> np.ndarray:
-    """Row c: cumulative probabilities over the 2^(2m) party-outcome indices in
-    basis combination ``_bases(c)``, marginalized over Evan's probe."""
-    n_parties = config.n_parties
-    psi = attacked_state(config.scenario).psi
-    base = psi.amplitudes.reshape((2,) * psi.n_qubits)
-    rotations = {ax: EIGENBASIS[ax].conj().T for ax in "XY"}
-    tables = np.empty((2**n_parties, 2**n_parties))
-    for combo in range(2**n_parties):
-        arr = base
-        for q, ax in enumerate(_bases(combo, n_parties)):
-            arr = _apply_one(arr, q, rotations[ax])
-        probs = (np.abs(arr) ** 2).reshape(2**n_parties, 2).sum(axis=1)
-        tables[combo] = np.cumsum(probs / probs.sum())
-    return tables
-
-
 def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
-    """Simulate all rounds and sift them."""
+    """Simulate all rounds and sift them.  Each basis combination's outcome
+    law is built, sampled by its rounds and dropped in turn."""
     n_parties = config.n_parties
     rng = np.random.default_rng(config.seed)
     basis_bits = rng.integers(0, 2, size=(config.rounds, n_parties))
     uniforms = rng.random(config.rounds)
 
-    tables = _outcome_distributions(config)
     combos = basis_bits @ (1 << np.arange(n_parties - 1, -1, -1))
     outcome_idx = np.empty(config.rounds, dtype=np.int64)
     # rounds grouped by combination: order[bounds[c]:bounds[c + 1]] use combination c
     order = np.argsort(combos, kind="stable")
     bounds = np.searchsorted(combos[order], np.arange(2**n_parties + 1))
-    for combo in np.flatnonzero(np.diff(bounds)):
+    psi = attacked_state(config.scenario).psi
+    base = psi.amplitudes.reshape((2,) * psi.n_qubits)
+    rotations = {ax: EIGENBASIS[ax].conj().T for ax in "XY"}
+    # every combination is built, used or not, so the work depends on m alone;
+    # its law is cumulative over the party outcomes, marginalized over Evan's probe
+    for combo in range(2**n_parties):
+        arr = base
+        for q, ax in enumerate(_bases(combo, n_parties)):
+            arr = _apply_one(arr, q, rotations[ax])
+        probs = (np.abs(arr) ** 2).reshape(2**n_parties, 2).sum(axis=1)
+        law = np.cumsum(probs / probs.sum())
         rows = order[bounds[combo] : bounds[combo + 1]]
-        outcome_idx[rows] = np.searchsorted(tables[combo], uniforms[rows], side="right")
+        outcome_idx[rows] = np.searchsorted(law, uniforms[rows], side="right")
     outcome_idx = np.minimum(outcome_idx, 2**n_parties - 1)
     sifted = (combos == 0) | (combos == 2**n_parties - 1)
     return ProtocolTranscript(config, combos, outcome_idx, sifted)
@@ -199,14 +192,14 @@ def _entropy(codes: np.ndarray) -> float:
 
 def _plugin_mutual_info(x: np.ndarray, y: np.ndarray) -> float:
     """Plug-in mutual information (bits) between paired nonnegative integer codes."""
-    if x.size < 2:
-        raise InvalidArgument("need at least 2 samples")
     joint = x * (int(y.max()) + 1) + y
     return _entropy(x) + _entropy(y) - _entropy(joint)
 
 
 def estimate_mutual_info(samples: Sequence[tuple[object, object]]) -> float:
     """Plug-in mutual information (bits) between paired labels and symbols."""
+    if len(samples) < 2:
+        raise InvalidArgument("need at least 2 samples")
     left: dict = {}
     right: dict = {}
     x = [left.setdefault(a, len(left)) for a, _ in samples]
@@ -219,6 +212,7 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
 
     ``subset`` holds Bob qubit indices (1 .. 2m-1) and must leave out at
     least one Bob; the all-Bobs case is key reconstruction, not a coalition.
+    A single sifted round gives exactly 0.
     """
     bobs = set(range(1, t.config.n_parties))
     sub = sorted(set(subset))

@@ -78,14 +78,20 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _live_block(m: np.ndarray) -> np.ndarray:
+    """The block of ``m`` on its live indices, those whose row or column
+    holds a nonzero entry.  Every entry outside it is zero in m and in m^H."""
+    nonzero = m != 0
+    live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    return m[np.ix_(live, live)]
+
+
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.  An index whose row and
     column are all zero is an eigenvector with eigenvalue exactly 0, so only
-    the block of live indices goes to ``eigvalsh``."""
-    nonzero = m != 0
-    live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    vals = np.linalg.eigvalsh(m[np.ix_(live, live)])
-    return np.sort(np.concatenate([vals, np.zeros(m.shape[0] - live.size)]))
+    the live block goes to ``eigvalsh``."""
+    vals = np.linalg.eigvalsh(_live_block(m))
+    return np.sort(np.concatenate([vals, np.zeros(m.shape[0] - vals.size)]))
 
 
 @dataclass(frozen=True)
@@ -104,11 +110,14 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise InvalidDimension(f"expected shape {(dim, dim)}, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > ATOL_EXACT:
-            raise InvalidState("density matrix is not Hermitian")
+        # m and m^H vanish off the live block (eigenvalues 0), which a unit trace
+        # makes nonempty
         if abs(np.trace(m).real - 1.0) > ATOL_EXACT:
             raise InvalidState(f"trace {np.trace(m)} is not 1")
-        if hermitian_spectrum(m).min() < PSD_FLOOR:
+        block = _live_block(m)
+        if np.abs(block - block.conj().T).max() > ATOL_EXACT:
+            raise InvalidState("density matrix is not Hermitian")
+        if np.linalg.eigvalsh(block).min() < PSD_FLOOR:
             raise InvalidState("density matrix has a negative eigenvalue")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -159,37 +168,33 @@ def make_basis_state(n: int, bits: str) -> PureState:
 
 def _apply_one(arr: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix to one tensor axis of a (2,)*k array."""
-    out = np.tensordot(mat, arr, axes=([1], [axis]))
+    moved = np.moveaxis(arr, axis, 0)
+    out = np.dot(mat, moved.reshape(2, -1)).reshape(moved.shape)
     return np.moveaxis(out, 0, axis)
 
 
-def apply_pauli_string(state: PureState, p: PauliString) -> PureState:
-    if p.n_qubits != state.n_qubits:
-        raise InvalidDimension(
-            f"Pauli string on {p.n_qubits} qubits applied to {state.n_qubits}-qubit state"
-        )
-    arr = state.amplitudes.reshape((2,) * state.n_qubits)
-    for q, ax in enumerate(p.axes):
-        if ax != "I":
-            arr = _apply_one(arr, q, PAULI[ax])
-    return PureState(state.n_qubits, arr.reshape(-1))
+#: Masks of a Pauli string: ``flip`` marks its X and Y qubits, ``zmask`` its Y and Z.
+_FLIP_BIT = str.maketrans("IXYZ", "0110")
+_SIGN_BIT = str.maketrans("IXYZ", "0011")
 
 
 def expectation(state: State, p: PauliString) -> float:
-    """Expectation value of a Pauli string, clamped to [-1, 1]."""
-    if p.n_qubits != state.n_qubits:
-        raise InvalidDimension(
-            f"Pauli string on {p.n_qubits} qubits, state on {state.n_qubits}"
-        )
+    """Expectation value of a Pauli string, clamped to [-1, 1].  As
+    P|x> = i^#Y (-1)^popcount(x & zmask) |x xor flip>, it is one signed gather."""
+    n = state.n_qubits
+    if p.n_qubits != n:
+        raise InvalidDimension(f"Pauli string on {p.n_qubits} qubits, state on {n}")
+    x = np.arange(2**n)
+    src = x ^ int(p.axes.translate(_FLIP_BIT), 2)
+    # popcount parity of src & zmask, folded into bit 0 (n <= 32)
+    parity = src & int(p.axes.translate(_SIGN_BIT), 2)
+    for shift in (16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    phase = (1, 1j, -1, -1j)[p.axes.count("Y") % 4] * (1 - 2 * (parity & 1))
     if isinstance(state, PureState):
-        val = np.vdot(state.amplitudes, apply_pauli_string(state, p).amplitudes)
+        val = np.vdot(state.amplitudes, phase * state.amplitudes[src])
     else:
-        n = state.n_qubits
-        arr = state.matrix.reshape((2,) * (2 * n))
-        for q, ax in enumerate(p.axes):
-            if ax != "I":
-                arr = _apply_one(arr, q, PAULI[ax])
-        val = np.trace(arr.reshape(2**n, 2**n))
+        val = (phase * state.matrix[src, x]).sum()
     if abs(val.imag) > ATOL_EXACT:
         raise InvalidState(f"expectation {val} has a nonzero imaginary part")
     return float(min(1.0, max(-1.0, val.real)))

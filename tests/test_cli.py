@@ -74,6 +74,23 @@ class TestSweepAttack:
         assert float(rows[0]["horodecki_ab"]) == pytest.approx(2.0, abs=1e-9)
         assert float(rows[-1]["i_ae"]) == pytest.approx(1.0, abs=1e-12)
 
+    # sha256 of the CSV, taken from the expectation values computed by
+    # rotating the density once per Pauli factor, before the signed gather
+    @pytest.mark.parametrize(
+        "m, sha",
+        [
+            ("2", "dc768665e9d96ffa1c7c33b059aceab9ddf22f4bf4bbf921b7593848fc09bc89"),
+            ("3", "79ab743be79dcb471e27d5421f1dd644910773b9acb0038e346a9b4fd3fcc26a"),
+        ],
+    )
+    def test_golden_output_hashes(self, tmp_path, m, sha):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            ["sweep-attack", "--m", m, "--phi-grid", "0:1.5707963267948966:41",
+             "--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
     def test_bad_grid_rejected(self, tmp_path):
         out = tmp_path / "x.csv"
         for grid in ("0:3.2:5", "0:1", "0:1:1", "abc"):
@@ -373,6 +390,11 @@ class TestRunProtocolCommand:
             ("4", "5000", "GHZ", "0.3", "4",
              "f42aa84536a53f5ff1e7d7402a7c5f98501bb7b6025fb747d5bf5419a1e89841",
              "b04404b6c63ac3fb184f4c3ff813c00723fb8490345b908f04d5f57b96438398"),
+            # taken from the 2^(2m) x 2^(2m) outcome table that the laws
+            # built one combination at a time replaced
+            ("5", "20000", "G", "0.3", "7",
+             "f1f0644a74cd544a853b2805394756f6af036c7f85076d4f2f031d0f342a82c6",
+             "29039357aeddd7ca196a81d158a72c26ec44a91a0135300271019540204f73b0"),
         ],
     )
     def test_golden_output_hashes(
@@ -387,6 +409,19 @@ class TestRunProtocolCommand:
                                  (".summary.json", summary_sha)):
             data = (tmp_path / ("run" + suffix)).read_bytes()
             assert hashlib.sha256(data).hexdigest() == expected
+
+    def test_one_sifted_round_writes_both_files(self, tmp_path):
+        out = tmp_path / "one"
+        assert run_cli(
+            ["run-protocol", "--m", "3", "--rounds", "20", "--phi", "0.3", "--seed", "1",
+             "--out", str(out)]
+        ) == 0
+        transcript = (tmp_path / "one.transcript.jsonl").read_text().splitlines()
+        assert sum(json.loads(line)["sifted"] for line in transcript) == 1
+        summary = json.loads((tmp_path / "one.summary.json").read_text())
+        assert summary["sift_count"] == 1
+        assert set(summary["coalition_info"].values()) == {0.0}
+        assert "-0.0" not in (tmp_path / "one.summary.json").read_text()
 
     def test_degrees_flag(self, tmp_path):
         out = tmp_path / "deg"

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,8 +14,8 @@ from qss import protocol
 from qss.attack import AttackScenario, attacked_state, binary_entropy
 from qss.errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from qss.protocol import (
+    MAX_M,
     ROUND_BUDGET_BYTES,
-    TABLE_BUDGET_BYTES,
     ProtocolConfig,
     ProtocolTranscript,
     RoundRecord,
@@ -60,12 +61,23 @@ class TestConfigValidation:
 
     def test_table_budget_admits_m7(self):
         config = ProtocolConfig(10, AttackScenario("G", 7, 0.0), 0)
-        assert 8 * 16**config.scenario.m <= TABLE_BUDGET_BYTES
+        assert config.scenario.m == MAX_M
 
     @pytest.mark.parametrize("m", [8, 9, 10**9])
     def test_table_budget_rejects_m8_and_up(self, m):
         with pytest.raises(BudgetExceeded):
             ProtocolConfig(10, AttackScenario("GHZ", m, 0.0), 0)
+
+    def test_one_law_held_at_a_time(self):
+        # a quarter of the 8 * 16^m bytes that a table of every law would take
+        config = ProtocolConfig(1000, AttackScenario("G", 5, 0.3), 0)
+        tracemalloc.start()
+        try:
+            run_protocol(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16**5 // 4
 
     # built, never run: a run at these sizes would allocate its round columns
     @pytest.mark.parametrize("m", [2, 3, 7])
@@ -365,12 +377,13 @@ class TestColumnarMutualInfo:
     def test_estimate_equals_counter_sums(self, samples):
         assert estimate_mutual_info(samples) == counter_mutual_info(samples)
 
-    def test_one_sifted_round_needs_more_samples(self):
+    def test_one_sifted_round_gives_zero(self):
         base = make_transcript(m=2, rounds=10)
         one = ProtocolTranscript(base.config, np.array([0, 5]), np.array([0, 3]),
                                  np.array([True, False]))
-        with pytest.raises(InvalidArgument):
-            coalition_info(one, [1])
+        for subset in ([1], [2], [1, 2]):
+            info = coalition_info(one, subset)
+            assert info == 0.0 and math.copysign(1.0, info) == 1.0
 
 
 def oracle_jsonl(t):

@@ -1,6 +1,7 @@
 """Core simulator primitives: states, Pauli action, traces, measurement."""
 
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from qss.qsim import (
     DensityMatrix,
     PauliString,
     PureState,
-    apply_pauli_string,
     expectation,
     hermitian_spectrum,
     make_basis_state,
@@ -148,44 +148,59 @@ class TestDensityMatrixValidation:
         assert shapes == [(2, 2)]
 
 
+@st.composite
+def mixed_states(draw, max_qubits=3):
+    n = draw(st.integers(1, max_qubits))
+    rank = draw(st.integers(1, 2**n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+    rho = a @ a.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
 class TestApplyPauli:
+    """The action P|x> = phase(x) |x xor flip> behind ``expectation``."""
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_flip_maps_w_to_wbar(self, n):
-        flipped = apply_pauli_string(w_state(n), PauliString.uniform("X", n))
-        assert np.abs(flipped.amplitudes - wbar_state(n).amplitudes).max() < 1e-10
+        # <X^n> = +1 on (W + Wbar)/sqrt2 and -1 on (W - Wbar)/sqrt2 iff X^n W = Wbar
+        w, wbar = w_state(n).amplitudes, wbar_state(n).amplitudes
+        flip = PauliString.uniform("X", n)
+        for sign in (1, -1):
+            state = PureState(n, (w + sign * wbar) / np.sqrt(2.0))
+            assert abs(expectation(state, flip) - sign) < 1e-10
 
     def test_sigma_z_fixes_zero(self):
-        s = make_basis_state(1, "0")
-        out = apply_pauli_string(s, PauliString("Z"))
-        assert np.abs(out.amplitudes - s.amplitudes).max() < 1e-10
+        assert abs(expectation(make_basis_state(1, "0"), PauliString("Z")) - 1.0) < 1e-10
 
     def test_sigma_y_cubed_orthogonal_to_g3(self):
-        g3 = g_state(3)
-        out = apply_pauli_string(g3, PauliString.uniform("Y", 3))
-        assert abs(np.vdot(g3.amplitudes, out.amplitudes)) < 1e-10
+        assert abs(expectation(g_state(3), PauliString.uniform("Y", 3))) < 1e-10
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidDimension):
-            apply_pauli_string(make_basis_state(2, "00"), PauliString("X"))
+        state = make_basis_state(2, "00")
+        for s in (state, reduce_state(state, range(2))):
+            with pytest.raises(InvalidDimension):
+                expectation(s, PauliString("X"))
 
-    @settings(deadline=None, max_examples=40)
-    @given(pure_states(), st.data())
-    def test_norm_preserved(self, state, data):
-        axes = data.draw(
-            st.text(alphabet="IXYZ", min_size=state.n_qubits, max_size=state.n_qubits)
+    @settings(deadline=None, max_examples=20)
+    @given(pure_states(max_qubits=3))
+    def test_norm_preserved(self, state):
+        # the Pauli strings over sqrt(2^n) are orthonormal: sum_P <P>^2 = 2^n tr(rho^2)
+        n = state.n_qubits
+        total = sum(
+            expectation(state, PauliString("".join(axes))) ** 2
+            for axes in itertools.product("IXYZ", repeat=n)
         )
-        out = apply_pauli_string(state, PauliString(axes))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+        assert abs(total - 2**n) < 1e-9
 
     @settings(deadline=None, max_examples=30)
-    @given(pure_states(max_qubits=3), st.data())
+    @given(mixed_states(), st.data())
     def test_matches_kron_oracle(self, state, data):
         axes = data.draw(
             st.text(alphabet="IXYZ", min_size=state.n_qubits, max_size=state.n_qubits)
         )
-        out = apply_pauli_string(state, PauliString(axes))
-        expected = kron_chain(axes) @ state.amplitudes
-        assert np.abs(out.amplitudes - expected).max() < 1e-10
+        expected = np.trace(kron_chain(axes) @ state.matrix).real
+        assert abs(expectation(state, PauliString(axes)) - expected) < 1e-10
 
 
 class TestExpectation:
