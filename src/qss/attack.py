@@ -165,15 +165,15 @@ def exact_mutual_info_ab(scenario: AttackScenario) -> float:
     matching the sifted-round average of the protocol.
     """
     t = attacked_state(scenario)
+    joints = [_joint_product_distribution(t, basis) for basis in ("X", "Y")]
     h_cond = 0.0
-    for basis in ("X", "Y"):
-        joint = _joint_product_distribution(t, basis)
+    for joint in joints:
         h = 0.0
         for j in range(2):
             pb = joint[:, j].sum()
             if pb > 0.0:
                 h += pb * binary_entropy(joint[0, j] / pb)
         h_cond += 0.5 * h
-    p_alice = _joint_product_distribution(t, "X").sum(axis=1)[0]
+    p_alice = joints[0].sum(axis=1)[0]
     return binary_entropy(p_alice) - h_cond
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgument, InvalidDimension, InvalidState
-from .qsim import ATOL_EXACT, PAULI, DensityMatrix, PauliString, PureState, State, expectation
+from .qsim import ATOL_EXACT, AXES, PAULI, DensityMatrix, PauliString, PureState, State, expectation
 
 __all__ = [
     "CorrelationTensor",
@@ -33,11 +33,10 @@ __all__ = [
 ]
 
 MAX_TENSOR_QUBITS = 8
-_AXIS_CHARS = "XYZ"
 
 # Entry [a, 2r + c] is sigma_a[c, r], so contracting a qubit's paired (row,
 # column) axis of rho with row a gives the partial trace against sigma_a.
-_PAULI_ROWS = np.stack([PAULI[a].T.reshape(4) for a in _AXIS_CHARS])
+_PAULI_ROWS = np.stack([PAULI[a].T.reshape(4) for a in AXES])
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,10 @@ class LocalFrame:
         if ax.ndim != 3 or ax.shape[1:] != (2, 3):
             raise InvalidDimension(f"expected shape (n, 2, 3), got {ax.shape}")
         norms = np.linalg.norm(ax, axis=2)
-        if np.abs(norms - 1.0).max() > 1e-10:
+        if not np.abs(norms - 1.0).max() <= 1e-10:  # NaN fails the comparison
             raise InvalidArgument("frame directions must be unit vectors")
         dots = np.einsum("ik,ik->i", ax[:, 0], ax[:, 1])
-        if np.abs(dots).max() > 1e-10:
+        if not np.abs(dots).max() <= 1e-10:
             raise InvalidArgument("frame direction pairs must be orthogonal")
         ax.flags.writeable = False
         object.__setattr__(self, "axes", ax)
@@ -98,8 +97,8 @@ def correlation_matrix_2q(rho: DensityMatrix) -> np.ndarray:
     if rho.n_qubits != 2:
         raise InvalidDimension(f"expected a 2-qubit state, got {rho.n_qubits} qubits")
     t = np.empty((3, 3))
-    for i, a in enumerate(_AXIS_CHARS):
-        for j, b in enumerate(_AXIS_CHARS):
+    for i, a in enumerate(AXES):
+        for j, b in enumerate(AXES):
             t[i, j] = expectation(rho, PauliString(a + b))
     return t
 

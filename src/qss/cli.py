@@ -107,37 +107,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _angle(value: float, deg: bool) -> float:
-    return math.radians(value) if deg else value
-
-
-def _bisect_crossing(lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Root of I(A:B) - I(A:E) on [lo, hi]."""
-
-    def f(phi: float) -> float:
-        return mutual_info_ab(phi) - mutual_info_ae(phi)
-
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise InternalInconsistency("security margin does not change sign on the grid")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def _cmd_run_protocol(args) -> int:
-    phi = _angle(args.phi, args.deg)
+    phi = math.radians(args.phi) if args.deg else args.phi
     scenario = AttackScenario(args.carrier, args.m, phi)
     config = ProtocolConfig(args.rounds, scenario, args.seed)
     transcript = run_protocol(config)
@@ -174,7 +145,8 @@ def _cmd_sweep_attack(args) -> int:
         m_ae = horodecki_m(rho_ae(t))
         i_ab, i_ae = mutual_info_ab(phi), mutual_info_ae(phi)
         rows.append([phi, i_ab, i_ae, i_ab - i_ae, qber_x(phi), m_ab, m_ae])
-    crossing = _bisect_crossing(0.0, math.pi / 2)
+    # I(A:E)(phi) is I(A:B)(pi/2 - phi), so the margin vanishes exactly at pi/4
+    crossing = math.pi / 4
     text = _csv_text(
         ["phi", "i_ab", "i_ae", "margin", "qber_x", "horodecki_ab", "horodecki_ae"],
         rows,

@@ -28,7 +28,6 @@ __all__ = [
     "run_protocol",
     "reconstruct_key",
     "coalition_info",
-    "estimate_mutual_info",
     "transcript_to_jsonl",
     "transcript_summary",
 ]
@@ -118,14 +117,6 @@ class ProtocolTranscript:
         return bits[:, 0], parity % 2
 
     @property
-    def alice_key(self) -> tuple[int, ...]:
-        return tuple(self._key_bits()[0].tolist())
-
-    @property
-    def bob_product_key(self) -> tuple[int, ...]:
-        return tuple(self._key_bits()[1].tolist())
-
-    @property
     def records(self) -> tuple[RoundRecord, ...]:
         n = self.config.n_parties
         bases = {c: _bases(c, n) for c in np.unique(self.combo_idx).tolist()}
@@ -194,17 +185,6 @@ def _plugin_mutual_info(x: np.ndarray, y: np.ndarray) -> float:
     """Plug-in mutual information (bits) between paired nonnegative integer codes."""
     joint = x * (int(y.max()) + 1) + y
     return _entropy(x) + _entropy(y) - _entropy(joint)
-
-
-def estimate_mutual_info(samples: Sequence[tuple[object, object]]) -> float:
-    """Plug-in mutual information (bits) between paired labels and symbols."""
-    if len(samples) < 2:
-        raise InvalidArgument("need at least 2 samples")
-    left: dict = {}
-    right: dict = {}
-    x = [left.setdefault(a, len(left)) for a, _ in samples]
-    y = [right.setdefault(b, len(right)) for _, b in samples]
-    return _plugin_mutual_info(np.array(x), np.array(y))
 
 
 def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:

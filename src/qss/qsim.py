@@ -72,7 +72,7 @@ class PureState:
             raise InvalidDimension(
                 f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
             )
-        if abs(np.linalg.norm(amps) - 1.0) > ATOL_EXACT:
+        if not abs(np.linalg.norm(amps) - 1.0) <= ATOL_EXACT:  # NaN fails the comparison
             raise InvalidState(f"state norm {np.linalg.norm(amps)} is not 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -111,13 +111,13 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise InvalidDimension(f"expected shape {(dim, dim)}, got {m.shape}")
         # m and m^H vanish off the live block (eigenvalues 0), which a unit trace
-        # makes nonempty
-        if abs(np.trace(m).real - 1.0) > ATOL_EXACT:
+        # makes nonempty; each check is "not <=" or "not >=", which a NaN fails
+        if not abs(np.trace(m).real - 1.0) <= ATOL_EXACT:
             raise InvalidState(f"trace {np.trace(m)} is not 1")
         block = _live_block(m)
-        if np.abs(block - block.conj().T).max() > ATOL_EXACT:
+        if not np.abs(block - block.conj().T).max() <= ATOL_EXACT:
             raise InvalidState("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(block).min() < PSD_FLOOR:
+        if not np.linalg.eigvalsh(block).min() >= PSD_FLOOR:
             raise InvalidState("density matrix has a negative eigenvalue")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

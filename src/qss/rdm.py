@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
+_MARGINAL_TOL = 1e-10
 _NULLSPACE_REL_TOL = 1e-8
 
 
@@ -76,12 +77,10 @@ def marginal_set(state: State) -> list[DensityMatrix]:
     return [reduce_state(state, [q for q in range(n) if q != j]) for j in range(n)]
 
 
-def marginals_match(
-    a: list[DensityMatrix], b: list[DensityMatrix], tol: float = 1e-10
-) -> bool:
+def marginals_match(a: list[DensityMatrix], b: list[DensityMatrix]) -> bool:
     if len(a) != len(b):
         return False
-    return all(np.abs(x.matrix - y.matrix).max() <= tol for x, y in zip(a, b))
+    return all(np.abs(x.matrix - y.matrix).max() <= _MARGINAL_TOL for x, y in zip(a, b))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

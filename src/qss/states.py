@@ -40,20 +40,6 @@ def _single_zero_amps(k: int) -> np.ndarray:
     return _single_one_amps(k)[::-1].copy()
 
 
-def w_state(n: int) -> PureState:
-    """Equal superposition of all single-excitation basis states."""
-    if n < 2:
-        raise InvalidArgument(f"w_state needs n >= 2, got {n}")
-    return PureState(n, _single_one_amps(n) / np.sqrt(n))
-
-
-def wbar_state(n: int) -> PureState:
-    """Equal superposition of all single-hole basis states."""
-    if n < 2:
-        raise InvalidArgument(f"wbar_state needs n >= 2, got {n}")
-    return PureState(n, _single_zero_amps(n) / np.sqrt(n))
-
-
 def g_state(n: int) -> PureState:
     """The secret-sharing carrier: (|W_n> + |Wbar_n>)/sqrt(2).
 
@@ -96,18 +82,6 @@ def v_states(n: int) -> tuple[PureState, PureState]:
     return PureState(k, a0 / np.sqrt(n)), PureState(k, a1 / np.sqrt(n))
 
 
-def xi_states(m: int) -> tuple[PureState, PureState]:
-    """Alice's collapse branches (|xi>, |xibar>) on 2m-1 qubits."""
-    if m < 1:
-        raise InvalidArgument(f"xi_states needs m >= 1, got {m}")
-    if m == 1:
-        # single-qubit reduction: the two terms coincide
-        return PureState(1, np.array([0.0, 1.0], dtype=complex)), PureState(
-            1, np.array([1.0, 0.0], dtype=complex)
-        )
-    return v_states(2 * m)
-
-
 def carrier_state(carrier: str, n: int) -> PureState:
     """The n-qubit carrier of the chosen family."""
     if carrier not in CARRIERS:
@@ -116,18 +90,22 @@ def carrier_state(carrier: str, n: int) -> PureState:
 
 
 def make_carrier_branches(carrier: str, m: int) -> tuple[PureState, PureState]:
-    """Alice's collapse branches on the 2m-1 Bob qubits for either carrier.
+    """Alice's collapse branches (|xi>, |xibar>) on the 2m-1 Bob qubits.
 
-    For the GHZ carrier the branches are the all-0 and all-1 product states.
+    For the G carrier they are ``v_states(2m)``; for the GHZ carrier, the
+    all-0 and all-1 product states.
     """
     if carrier not in CARRIERS:
         raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {carrier!r}")
     if m < 1:
         raise InvalidArgument(f"m must be >= 1, got {m}")
     k = 2 * m - 1
-    if carrier == "G":
-        return xi_states(m)
-    return make_basis_state(k, "0" * k), make_basis_state(k, "1" * k)
+    if carrier == "GHZ":
+        return make_basis_state(k, "0" * k), make_basis_state(k, "1" * k)
+    if m == 1:
+        # single-qubit reduction: the two terms coincide
+        return make_basis_state(1, "1"), make_basis_state(1, "0")
+    return v_states(2 * m)
 
 
 @dataclass(frozen=True)

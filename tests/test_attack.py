@@ -19,7 +19,7 @@ from qss.attack import (
     rho_ae,
 )
 from qss.qsim import reduce_state
-from qss.states import g_state, xi_states
+from qss.states import g_state, make_carrier_branches
 
 PHI_GRID = np.linspace(0.0, math.pi / 2, 21)
 
@@ -38,12 +38,12 @@ def branch_images(phi, m=2):
 
 class TestUnitaryAction:
     def test_xi_branch_untouched(self):
-        xi, _ = xi_states(2)
+        xi, _ = make_carrier_branches("G", 2)
         image, _ = branch_images(0.9)
         assert np.abs(image - np.outer(xi.amplitudes, [1.0, 0.0])).max() < 1e-12
 
     def test_xibar_branch_rotates(self):
-        xi, xibar = xi_states(2)
+        xi, xibar = make_carrier_branches("G", 2)
         _, image = branch_images(math.pi / 2)
         assert abs(np.vdot(np.outer(xibar.amplitudes, [1.0, 0.0]), image)) < 1e-12
         assert abs(np.vdot(np.outer(xi.amplitudes, [0.0, 1.0]), image)) == pytest.approx(
@@ -71,7 +71,7 @@ class TestAttackedState:
         # phi = pi/2: |psi> = (|0, xi, 0> + |1, xi, 1>)/sqrt(2)
         m = 2
         t = attacked_state(AttackScenario("G", m, math.pi / 2))
-        xi, _ = xi_states(m)
+        xi, _ = make_carrier_branches("G", m)
         e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         expected = (
             np.kron(np.kron(e0, xi.amplitudes), e0)
@@ -108,7 +108,7 @@ class TestReducedStates:
         # ((1+cos^2)/2)|alpha><alpha| + (sin^2/2)|1 xi><1 xi|
         m = 2
         t = attacked_state(AttackScenario("G", m, phi))
-        xi, xibar = xi_states(m)
+        xi, xibar = make_carrier_branches("G", m)
         c, s = math.cos(phi), math.sin(phi)
         e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         alpha = (np.kron(e0, xi.amplitudes) + c * np.kron(e1, xibar.amplitudes)) / math.sqrt(
@@ -216,9 +216,11 @@ class TestInformationCurves:
 
     @pytest.mark.parametrize("phi", PHI_GRID)
     def test_duality(self, phi):
-        assert mutual_info_ae(phi) == pytest.approx(
-            mutual_info_ab(math.pi / 2 - phi), abs=1e-12
-        )
+        # exact: the identity that puts the CLI's reported crossing at pi/4
+        assert mutual_info_ae(phi) == mutual_info_ab(math.pi / 2 - phi)
+
+    def test_margin_is_exactly_zero_at_quarter_pi(self):
+        assert mutual_info_ab(math.pi / 4) - mutual_info_ae(math.pi / 4) == 0.0
 
     def test_margin_changes_sign_once(self):
         margins = [mutual_info_ab(p) - mutual_info_ae(p) for p in PHI_GRID]

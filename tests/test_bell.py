@@ -271,6 +271,23 @@ class TestSquaredSums:
         assert np.abs(noisy - 0.6 * pure).max() < 1e-10
 
 
+class TestLocalFrameValidation:
+    def test_non_unit_direction_rejected(self):
+        with pytest.raises(InvalidArgument):
+            LocalFrame([[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+
+    def test_non_orthogonal_pair_rejected(self):
+        with pytest.raises(InvalidArgument):
+            LocalFrame([[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
+
+    @pytest.mark.parametrize("party", [0, 1])
+    def test_nan_direction_rejected(self, party):
+        axes = LocalFrame.default(2).axes.copy()
+        axes[party, 1, 2] = np.nan
+        with pytest.raises(InvalidArgument):
+            LocalFrame(axes)
+
+
 class TestRotations:
     def test_full_sum_invariant_under_random_rotations(self, g6_tensor):
         # local unitaries rotate each party's Bloch axes, which keeps the full sum

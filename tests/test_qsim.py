@@ -26,7 +26,7 @@ from qss.qsim import (
     project,
     reduce_state,
 )
-from qss.states import g_state, w_state, wbar_state
+from qss.states import g_state, make_carrier_branches
 
 # Independent oracle: explicit matrices, combined with np.kron only.
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,6 +89,11 @@ class TestPureStateValidation:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.5
 
+    @pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.nan, 1.0], [1.0, np.nan * 1j]])
+    def test_nan_rejected(self, amps):
+        with pytest.raises(InvalidState):
+            PureState(1, amps)
+
 
 @st.composite
 def hermitian_with_dead_rows(draw, max_dim=32):
@@ -118,6 +123,19 @@ class TestHermitianSpectrum:
 
 
 class TestDensityMatrixValidation:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[0.5, np.nan], [np.nan, 0.5]],
+            [[0.5, np.nan * 1j], [0.0, 0.5]],
+            [[0.5 + np.nan * 1j, 0.0], [0.0, 0.5]],
+        ],
+    )
+    def test_nan_rejected(self, matrix):
+        with pytest.raises(InvalidState):
+            DensityMatrix(1, matrix)
+
     def test_negative_diagonal_rejected(self):
         with pytest.raises(InvalidState):
             DensityMatrix(2, np.diag([0.6, -0.1, 0.0, 0.5]))
@@ -164,7 +182,9 @@ class TestApplyPauli:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_flip_maps_w_to_wbar(self, n):
         # <X^n> = +1 on (W + Wbar)/sqrt2 and -1 on (W - Wbar)/sqrt2 iff X^n W = Wbar
-        w, wbar = w_state(n).amplitudes, wbar_state(n).amplitudes
+        w = np.zeros(2**n)
+        w[[1 << q for q in range(n)]] = 1.0 / np.sqrt(n)
+        wbar = w[::-1]  # flipping every qubit reverses the index order
         flip = PauliString.uniform("X", n)
         for sign in (1, -1):
             state = PureState(n, (w + sign * wbar) / np.sqrt(2.0))
@@ -362,11 +382,9 @@ class TestProject:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_alice_x_measurement_collapses_bobs(self, m, sign):
-        from qss.states import xi_states
-
         prob, collapsed = project(g_state(2 * m), [0], "X", [sign])
         assert prob == pytest.approx(0.5, abs=1e-10)
-        xi, xibar = xi_states(m)
+        xi, xibar = make_carrier_branches("G", m)
         bob_part = (xi.amplitudes + sign * xibar.amplitudes) / np.sqrt(2.0)
         plus = np.array([1.0, sign]) / np.sqrt(2.0)
         expected = np.kron(plus, bob_part)

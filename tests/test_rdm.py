@@ -14,7 +14,7 @@ from qss.rdm import (
     marginals_match,
     trace_distance,
 )
-from qss.states import g_state, ghz_state, v_states, w_state, wbar_state
+from qss.states import g_state, ghz_state, v_states
 
 
 def all_pairs_system(n):
@@ -153,9 +153,10 @@ class TestGHZCounterexample:
         # the analogous z-dephasing of the carrier (W/Wbar mixture) does NOT
         # reproduce its marginals, unlike the GHZ case
         n = 6
-        w = reduce_state(w_state(n), range(n)).matrix
-        wbar = reduce_state(wbar_state(n), range(n)).matrix
-        mixture = DensityMatrix(n, 0.5 * (w + wbar))
+        w = np.zeros(2**n)
+        w[[1 << q for q in range(n)]] = 1.0 / np.sqrt(n)
+        wbar = w[::-1]  # flipping every qubit reverses the index order
+        mixture = DensityMatrix(n, 0.5 * (np.outer(w, w) + np.outer(wbar, wbar)))
         assert not marginals_match(marginal_set(g_state(n)), marginal_set(mixture))
 
 

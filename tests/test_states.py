@@ -15,41 +15,39 @@ from qss.states import (
     ghz_state,
     make_carrier_branches,
     v_states,
-    w_state,
-    wbar_state,
-    xi_states,
 )
 
 
-class TestWStates:
-    def test_w3_amplitudes(self):
-        amps = w_state(3).amplitudes
-        expected = np.zeros(8)
-        expected[[1, 2, 4]] = 1.0 / np.sqrt(3.0)
-        assert np.abs(amps - expected).max() < 1e-12
+def w_pair(n):
+    """|W_n> (one qubit at 1) and |Wbar_n> (one qubit at 0), built here: the
+    bit flip of every qubit reverses the index order."""
+    w = np.zeros(2**n)
+    w[[1 << q for q in range(n)]] = 1.0 / np.sqrt(n)
+    return w, w[::-1]
 
-    def test_wbar2_amplitudes(self):
-        amps = wbar_state(2).amplitudes
-        expected = np.zeros(4)
-        expected[[1, 2]] = 1.0 / np.sqrt(2.0)
-        assert np.abs(amps - expected).max() < 1e-12
+
+class TestWStates:
+    """The carrier against its W and Wbar components."""
 
     def test_w4_wbar4_orthogonal(self):
-        assert abs(np.vdot(w_state(4).amplitudes, wbar_state(4).amplitudes)) < 1e-12
+        # the carrier lies in the span of two orthogonal components
+        w, wbar = w_pair(4)
+        g = g_state(4).amplitudes
+        assert abs(np.vdot(w, wbar)) < 1e-12
+        assert abs(np.vdot(w, g)) ** 2 + abs(np.vdot(wbar, g)) ** 2 == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_g_overlaps_with_both_components(self, n):
         g = g_state(n).amplitudes
-        assert np.vdot(w_state(n).amplitudes, g).real == pytest.approx(
-            1.0 / np.sqrt(2.0), abs=1e-10
-        )
-        assert np.vdot(wbar_state(n).amplitudes, g).real == pytest.approx(
-            1.0 / np.sqrt(2.0), abs=1e-10
-        )
+        w, wbar = w_pair(n)
+        assert np.vdot(w, g).real == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
+        assert np.vdot(wbar, g).real == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
 
     def test_minimum_size(self):
         with pytest.raises(InvalidArgument):
-            w_state(1)
+            g_state(1)
 
 
 class TestGState:
@@ -120,25 +118,25 @@ class TestGHZState:
 
 class TestBranchStates:
     def test_m1_degenerate_pair(self):
-        xi, xibar = xi_states(1)
+        xi, xibar = make_carrier_branches("G", 1)
         assert np.abs(xi.amplitudes - [0.0, 1.0]).max() < 1e-12
         assert np.abs(xibar.amplitudes - [1.0, 0.0]).max() < 1e-12
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_branches_orthonormal(self, m):
-        xi, xibar = xi_states(m)
+        xi, xibar = make_carrier_branches("G", m)
         assert abs(np.vdot(xi.amplitudes, xibar.amplitudes)) < 1e-12
         assert np.linalg.norm(xi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_xi_m2_explicit(self):
         # (|100> + |010> + |001> + |111>)/2
-        xi, _ = xi_states(2)
+        xi, _ = make_carrier_branches("G", 2)
         expected = np.zeros(8)
         expected[[4, 2, 1, 7]] = 0.5
         assert np.abs(xi.amplitudes - expected).max() < 1e-12
 
     def test_xibar_is_bit_flip_of_xi(self):
-        xi, xibar = xi_states(3)
+        xi, xibar = make_carrier_branches("G", 3)
         k = xi.n_qubits
         flipped = xi.amplitudes.reshape((2,) * k)[(slice(None, None, -1),) * k]
         assert np.abs(flipped.reshape(-1) - xibar.amplitudes).max() < 1e-12
@@ -177,7 +175,7 @@ class TestBranchStates:
 class TestSizeLimit:
     # 2^64 amplitudes: a constructor that allocated before checking n would
     # fail inside numpy instead of raising InvalidArgument
-    @pytest.mark.parametrize("make", [w_state, wbar_state, g_state, ghz_state, v_states])
+    @pytest.mark.parametrize("make", [g_state, ghz_state, v_states])
     def test_rejected_before_allocating(self, make):
         with pytest.raises(InvalidArgument):
             make(64)
