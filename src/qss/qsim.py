@@ -155,8 +155,9 @@ State = Union[PureState, DensityMatrix]
 
 def make_basis_state(n: int, bits: str) -> PureState:
     """Computational basis state |bits>, qubit 0 being the most significant bit."""
-    if n < 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_STATE_QUBITS:
+        # before the 2^n amplitudes are allocated
+        raise InvalidArgument(f"n must be in [1, {MAX_STATE_QUBITS}], got {n}")
     if len(bits) != n:
         raise InvalidDimension(f"bit string length {len(bits)} != n = {n}")
     if any(b not in "01" for b in bits):
@@ -167,10 +168,13 @@ def make_basis_state(n: int, bits: str) -> PureState:
 
 
 def _apply_one(arr: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to one tensor axis of a (2,)*k array."""
-    moved = np.moveaxis(arr, axis, 0)
-    out = np.dot(mat, moved.reshape(2, -1)).reshape(moved.shape)
-    return np.moveaxis(out, 0, axis)
+    """Apply a 2x2 matrix to one tensor axis of a (2,)*k array: one product
+    with the C-order copy of the array whose axes 0 and ``axis`` are swapped.
+    A swap is its own inverse and, unlike ``np.moveaxis``, needs no axis
+    normalization; every entry is the same two-term sum either way."""
+    front = arr.swapaxes(0, axis)
+    out = np.dot(mat, front.reshape(2, -1)).reshape(front.shape)
+    return out.swapaxes(0, axis)
 
 
 #: Masks of a Pauli string: ``flip`` marks its X and Y qubits, ``zmask`` its Y and Z.

@@ -395,6 +395,11 @@ class TestRunProtocolCommand:
             ("5", "20000", "G", "0.3", "7",
              "f1f0644a74cd544a853b2805394756f6af036c7f85076d4f2f031d0f342a82c6",
              "29039357aeddd7ca196a81d158a72c26ec44a91a0135300271019540204f73b0"),
+            # the benchmark's protocol-wide job, taken from the moveaxis
+            # rotation kernel that the swapaxes one replaced
+            ("6", "20000", "G", "0.3", "901",
+             "1c6443e88595ea4826be2b8dcea773e13352073177ce88be71186c2dba80f181",
+             "f119781587d66f16c2ef0883fc615d98245cc5e495bf6dc3aad58f47b7429d4b"),
         ],
     )
     def test_golden_output_hashes(

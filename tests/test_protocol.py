@@ -89,6 +89,33 @@ class TestConfigValidation:
             ProtocolConfig(rounds, AttackScenario("G", 3, 0.0), 0)
 
 
+class TestBlockedBasisDraws:
+    """The basis bits drawn a block of rows at a time give the combinations
+    and uniforms of one draw of every round's bits."""
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    @pytest.mark.parametrize("length", ["under_a_block", "two_blocks", "two_blocks_and_1"])
+    def test_matches_one_shot_draw(self, m, length, monkeypatch):
+        block = protocol._BASIS_BLOCK_ROUNDS
+        rounds = {"under_a_block": 100, "two_blocks": 2 * block,
+                  "two_blocks_and_1": 2 * block + 1}[length]
+        n = 2 * m
+        rng = np.random.default_rng(31)
+        combos = rng.integers(0, 2, size=(rounds, n)) @ (1 << np.arange(n - 1, -1, -1))
+        uniforms = rng.random(rounds)
+        # with rotations left out every combination samples the attacked
+        # state's own law, which exposes the uniforms at no 2^(2m)-fold cost
+        scenario = AttackScenario("G", m, 0.3)
+        monkeypatch.setattr(protocol, "_apply_one", lambda arr, axis, mat: arr)
+        t = run_protocol(ProtocolConfig(rounds, scenario, 31))
+        sq = np.abs(attacked_state(scenario).psi.amplitudes) ** 2
+        probs = sq.reshape(2**n, 2).sum(axis=1)
+        law = np.cumsum(probs / probs.sum())
+        outcomes = np.minimum(np.searchsorted(law, uniforms, side="right"), 2**n - 1)
+        assert np.array_equal(t.combo_idx, combos)
+        assert np.array_equal(t.outcome_idx, outcomes)
+
+
 class TestDeterminism:
     def test_same_seed_same_transcript(self):
         t1 = make_transcript(rounds=500, seed=42)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qss import qsim
+from qss import protocol, qsim
+from qss.attack import AttackScenario, attacked_state
 from qss.errors import (
     InvalidArgument,
     InvalidDimension,
@@ -73,6 +74,17 @@ class TestBasisStates:
     def test_bad_characters(self):
         with pytest.raises(InvalidArgument):
             make_basis_state(2, "0x")
+
+    # 2^64 amplitudes overflow numpy's dimension limit, and 2^21 would be
+    # allocated only for PureState to reject the register
+    @pytest.mark.parametrize("n", [qsim.MAX_STATE_QUBITS + 1, 64])
+    def test_oversized_rejected_before_allocating(self, n, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("the 2^n amplitudes were allocated")
+
+        monkeypatch.setattr(np, "zeros", allocate)
+        with pytest.raises(InvalidArgument):
+            make_basis_state(n, "0" * n)
 
 
 class TestPureStateValidation:
@@ -174,6 +186,78 @@ def mixed_states(draw, max_qubits=3):
     a = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
     rho = a @ a.conj().T
     return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+def moveaxis_apply_one(arr, axis, mat):
+    """The rotation kernel as first written, with ``np.moveaxis``: the
+    bit-identity oracle for ``qsim._apply_one``."""
+    moved = np.moveaxis(arr, axis, 0)
+    out = np.dot(mat, moved.reshape(2, -1)).reshape(moved.shape)
+    return np.moveaxis(out, 0, axis)
+
+
+#: The matrices the package rotates with: ``run_protocol``'s and
+#: ``outcome_probabilities``' basis changes and ``project``'s projectors.
+KERNEL_MATRICES = [qsim.EIGENBASIS[ax].conj().T for ax in qsim.AXES] + [
+    np.outer(v, v.conj()) for ax in qsim.AXES for v in qsim.EIGENBASIS[ax].T
+]
+
+
+class TestApplyOneKernel:
+    """``_apply_one`` gives bit for bit what the moveaxis kernel gave."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_moveaxis_kernel(self, k, seed, data):
+        rng = np.random.default_rng(seed)
+        ours = theirs = rng.normal(size=(2,) * k) + 1j * rng.normal(size=(2,) * k)
+        # a chain of rotations, so later steps see the strided views that
+        # earlier ones return, as in a protocol or projection loop
+        for axis in data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2 * k)):
+            which = data.draw(st.integers(-1, len(KERNEL_MATRICES) - 1))
+            if which < 0:
+                mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            else:
+                mat = KERNEL_MATRICES[which]
+            ours = qsim._apply_one(ours, axis, mat)
+            theirs = moveaxis_apply_one(theirs, axis, mat)
+            assert ours.shape == theirs.shape == (2,) * k
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("phi", [0.0, 0.3, np.pi / 4])
+    def test_protocol_matches_moveaxis_kernel(self, carrier, m, phi, monkeypatch):
+        config = protocol.ProtocolConfig(3000, AttackScenario(carrier, m, phi), 17)
+        # each combination's cumulative law, as run_protocol hands it to searchsorted
+        laws = []
+        searchsorted = np.searchsorted
+
+        def recorded(a, v, side="left", sorter=None):
+            if side == "right":
+                laws.append(np.array(a))
+            return searchsorted(a, v, side=side, sorter=sorter)
+
+        monkeypatch.setattr(np, "searchsorted", recorded)
+        ours = protocol.run_protocol(config)
+        # the laws as the moveaxis kernel and a length-2 sum over Evan's probe built them
+        n = config.n_parties
+        psi = attacked_state(config.scenario).psi
+        base = psi.amplitudes.reshape((2,) * psi.n_qubits)
+        expected = []
+        for combo in range(2**n):
+            arr = base
+            for q in range(n):
+                ax = "XY"[(combo >> (n - 1 - q)) & 1]
+                arr = moveaxis_apply_one(arr, q, qsim.EIGENBASIS[ax].conj().T)
+            probs = (np.abs(arr) ** 2).reshape(2**n, 2).sum(axis=1)
+            expected.append(np.cumsum(probs / probs.sum()))
+        assert len(laws) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(laws, expected))
+        monkeypatch.setattr(protocol, "_apply_one", moveaxis_apply_one)
+        theirs = protocol.run_protocol(config)
+        assert np.array_equal(ours.combo_idx, theirs.combo_idx)
+        assert np.array_equal(ours.outcome_idx, theirs.outcome_idx)
 
 
 class TestApplyPauli:

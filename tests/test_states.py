@@ -180,6 +180,15 @@ class TestSizeLimit:
         with pytest.raises(InvalidArgument):
             make(64)
 
+    def test_ghz_branches_rejected_before_allocating(self, monkeypatch):
+        # 79 Bob qubits, each branch a basis state
+        def allocate(*args, **kwargs):
+            raise AssertionError("the 2^(2m-1) amplitudes were allocated")
+
+        monkeypatch.setattr(np, "zeros", allocate)
+        with pytest.raises(InvalidArgument):
+            make_carrier_branches("GHZ", 40)
+
 
 class TestWhiteNoise:
     def test_full_visibility(self):
