@@ -1,12 +1,11 @@
-"""Constructors for the named carrier states and the white-noise admixture.
-
-All constructors use real non-negative amplitudes on their lexicographically
-smallest contributing basis state, which makes state equality tests
-phase-unambiguous.
+"""Carrier and branch states, each a uniform superposition over Hamming-weight
+shells, and the white-noise admixture. All amplitudes are real and
+non-negative, which makes state equality tests phase-unambiguous.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,68 +17,45 @@ from .qsim import MAX_DENSITY_QUBITS, MAX_STATE_QUBITS, DensityMatrix, PureState
 CARRIERS = ("G", "GHZ")
 
 
-def _check_qubits(n: int, cap: int = MAX_STATE_QUBITS) -> None:
-    """Refuse a register that PureState (or DensityMatrix, with cap =
-    MAX_DENSITY_QUBITS) would reject, before allocating it."""
-    if n > cap:
-        raise InvalidArgument(f"n_qubits must be in [1, {cap}], got {n}")
-
-
-def _single_one_amps(k: int) -> np.ndarray:
-    """Unnormalized sum of all k basis states with exactly one 1."""
-    _check_qubits(k)
-    amps = np.zeros(2**k, dtype=complex)
-    for j in range(k):
-        amps[1 << (k - 1 - j)] += 1.0
-    return amps
-
-
-def _single_zero_amps(k: int) -> np.ndarray:
-    """Unnormalized sum of all k basis states with exactly one 0: the bit
-    flip of ``_single_one_amps``, which reverses the index order."""
-    return _single_one_amps(k)[::-1].copy()
+def _shell_state(k: int, weights: tuple[int, ...]) -> PureState:
+    """The uniform superposition of the k-qubit basis states whose Hamming
+    weight is in ``weights``."""
+    if k > MAX_STATE_QUBITS:
+        # before the 2^k amplitudes are allocated
+        raise InvalidArgument(f"n_qubits must be in [1, {MAX_STATE_QUBITS}], got {k}")
+    # popcount[x] is the Hamming weight of x; each doubling adds a top bit
+    popcount = np.zeros(1, dtype=np.intp)
+    for _ in range(k):
+        popcount = np.concatenate([popcount, popcount + 1])
+    shell = np.zeros(k + 1, dtype=complex)
+    shell[list(weights)] = 1.0
+    count = sum(math.comb(k, w) for w in set(weights))
+    return PureState(k, shell[popcount] / np.sqrt(float(count)))
 
 
 def g_state(n: int) -> PureState:
-    """The secret-sharing carrier: (|W_n> + |Wbar_n>)/sqrt(2).
-
-    For n = 2 the two-term construction degenerates (W_2 equals Wbar_2), so
-    the state is defined directly as the Bell state (|01> + |10>)/sqrt(2).
-    """
+    """The secret-sharing carrier (|W_n> + |Wbar_n>)/sqrt(2), on weights 1 and
+    n-1. For n = 2 both are weight 1: the Bell state (|01> + |10>)/sqrt(2)."""
     if n < 2:
         raise InvalidArgument(f"g_state needs n >= 2, got {n}")
-    if n == 2:
-        amps = np.zeros(4, dtype=complex)
-        amps[1] = amps[2] = 1.0 / np.sqrt(2.0)
-        return PureState(2, amps)
-    amps = (_single_one_amps(n) + _single_zero_amps(n)) / np.sqrt(2.0 * n)
-    return PureState(n, amps)
+    return _shell_state(n, (1, n - 1))
 
 
 def ghz_state(n: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2)."""
+    """(|0...0> + |1...1>)/sqrt(2), on weights 0 and n."""
     if n < 2:
         raise InvalidArgument(f"ghz_state needs n >= 2, got {n}")
-    _check_qubits(n)
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return PureState(n, amps)
+    return _shell_state(n, (0, n))
 
 
 def v_states(n: int) -> tuple[PureState, PureState]:
-    """The pair (|v_0>, |v_1>) on n-1 qubits used by the marginal analysis.
-
-    |v_0> collects all single-excitation states plus |1...1>, |v_1> is its
-    bit flip; both carry the 1/sqrt(n) prefactor (n terms each).
-    """
-    if n < 3:
-        raise InvalidArgument(f"v_states needs n >= 3, got {n}")
+    """The pair (|v_0>, |v_1>) on k = n-1 qubits used by the marginal analysis:
+    |v_0> on weights 1 and k (every single excitation plus |1...1>), |v_1> its
+    bit flip on weights k-1 and 0. For n = 2 they are |1> and |0>."""
+    if n < 2:
+        raise InvalidArgument(f"v_states needs n >= 2, got {n}")
     k = n - 1
-    a0 = _single_one_amps(k)
-    a0[2**k - 1] += 1.0
-    a1 = _single_zero_amps(k)
-    a1[0] += 1.0
-    return PureState(k, a0 / np.sqrt(n)), PureState(k, a1 / np.sqrt(n))
+    return _shell_state(k, (1, k)), _shell_state(k, (k - 1, 0))
 
 
 def carrier_state(carrier: str, n: int) -> PureState:
@@ -102,9 +78,6 @@ def make_carrier_branches(carrier: str, m: int) -> tuple[PureState, PureState]:
     k = 2 * m - 1
     if carrier == "GHZ":
         return make_basis_state(k, "0" * k), make_basis_state(k, "1" * k)
-    if m == 1:
-        # single-qubit reduction: the two terms coincide
-        return make_basis_state(1, "1"), make_basis_state(1, "0")
     return v_states(2 * m)
 
 
@@ -112,8 +85,6 @@ def make_carrier_branches(carrier: str, m: int) -> tuple[PureState, PureState]:
 class NoisyState:
     """Visibility-p mixture of a pure state with white noise."""
 
-    base: PureState
-    visibility: float
     realized: DensityMatrix
 
 
@@ -121,8 +92,9 @@ def add_white_noise(s: PureState, p: float) -> NoisyState:
     """p |s><s| + (1-p) I / 2^n."""
     if not 0.0 <= p <= 1.0:
         raise InvalidArgument(f"visibility must be in [0, 1], got {p}")
-    _check_qubits(s.n_qubits, MAX_DENSITY_QUBITS)
+    if s.n_qubits > MAX_DENSITY_QUBITS:
+        # before the 2^n x 2^n matrix is allocated
+        raise InvalidArgument(f"n_qubits must be in [1, {MAX_DENSITY_QUBITS}], got {s.n_qubits}")
     dim = 2**s.n_qubits
     mat = p * np.outer(s.amplitudes, s.amplitudes.conj()) + (1.0 - p) * np.eye(dim) / dim
-    return NoisyState(s, p, DensityMatrix(s.n_qubits, mat))
-
+    return NoisyState(DensityMatrix(s.n_qubits, mat))

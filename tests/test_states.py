@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qss.errors import InvalidArgument
-from qss.qsim import PauliString, expectation, reduce_state
+from qss.qsim import MAX_STATE_QUBITS, PauliString, expectation, reduce_state
 from qss.states import (
     add_white_noise,
     carrier_state,
@@ -24,6 +24,77 @@ def w_pair(n):
     w = np.zeros(2**n)
     w[[1 << q for q in range(n)]] = 1.0 / np.sqrt(n)
     return w, w[::-1]
+
+
+def hand_built_single_one_amps(k):
+    """The hand-built constructors the shell builder replaced, kept as its
+    oracle. This one: the unnormalized sum of the k basis states with exactly
+    one 1."""
+    amps = np.zeros(2**k, dtype=complex)
+    for j in range(k):
+        amps[1 << (k - 1 - j)] += 1.0
+    return amps
+
+
+def hand_built_g_amps(n):
+    if n == 2:
+        amps = np.zeros(4, dtype=complex)
+        amps[1] = amps[2] = 1.0 / np.sqrt(2.0)
+        return amps
+    return (hand_built_single_one_amps(n) + hand_built_single_one_amps(n)[::-1]) / np.sqrt(2.0 * n)
+
+
+def hand_built_ghz_amps(n):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
+    return amps
+
+
+def hand_built_v_amps(n):
+    k = n - 1
+    a0 = hand_built_single_one_amps(k)
+    a0[2**k - 1] += 1.0
+    a1 = hand_built_single_one_amps(k)[::-1].copy()
+    a1[0] += 1.0
+    return a0 / np.sqrt(n), a1 / np.sqrt(n)
+
+
+def hand_built_branch_amps(carrier, m):
+    k = 2 * m - 1
+    if carrier == "G" and m > 1:
+        return hand_built_v_amps(2 * m)
+    low, high = np.zeros(2**k, dtype=complex), np.zeros(2**k, dtype=complex)
+    # |0...0> and |1...1>: the GHZ branches, and the G branches at m = 1
+    low[0] = high[-1] = 1.0
+    return (high, low) if carrier == "G" else (low, high)
+
+
+def assert_bit_identical(actual, expected):
+    # array_equal treats -0.0 as 0.0, so the sign bits are compared apart
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual.real), np.signbit(expected.real))
+    assert np.array_equal(np.signbit(actual.imag), np.signbit(expected.imag))
+
+
+class TestBitIdentity:
+    """The shell builder against the hand-built constructors it replaced."""
+
+    @pytest.mark.parametrize("n", range(2, MAX_STATE_QUBITS + 1))
+    def test_carriers(self, n):
+        assert_bit_identical(g_state(n).amplitudes, hand_built_g_amps(n))
+        assert_bit_identical(ghz_state(n).amplitudes, hand_built_ghz_amps(n))
+
+    @pytest.mark.parametrize("n", range(3, MAX_STATE_QUBITS + 1))
+    def test_v_states(self, n):
+        for state, expected in zip(v_states(n), hand_built_v_amps(n)):
+            assert_bit_identical(state.amplitudes, expected)
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_branches(self, carrier, m):
+        branches = make_carrier_branches(carrier, m)
+        for state, expected in zip(branches, hand_built_branch_amps(carrier, m)):
+            assert_bit_identical(state.amplitudes, expected)
 
 
 class TestWStates:
@@ -172,22 +243,44 @@ class TestBranchStates:
         ).max() < 1e-12
 
 
+def refuse_allocation(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the 2^k amplitudes were allocated")
+
+    monkeypatch.setattr(np, "zeros", allocate)
+    monkeypatch.setattr(np, "concatenate", allocate)
+
+
 class TestSizeLimit:
-    # 2^64 amplitudes: a constructor that allocated before checking n would
-    # fail inside numpy instead of raising InvalidArgument
-    @pytest.mark.parametrize("make", [g_state, ghz_state, v_states])
-    def test_rejected_before_allocating(self, make):
-        with pytest.raises(InvalidArgument):
-            make(64)
+    # 2^64 amplitudes, and a register one qubit past the cap: a constructor
+    # that allocated before checking would fail inside numpy or build the
+    # state instead of raising InvalidArgument
+    @pytest.mark.parametrize(
+        "make, past_cap",
+        [
+            (g_state, MAX_STATE_QUBITS + 1),
+            (ghz_state, MAX_STATE_QUBITS + 1),
+            (v_states, MAX_STATE_QUBITS + 2),
+            # m = 11: 21 Bob qubits
+            (functools.partial(make_carrier_branches, "G"), 11),
+        ],
+        ids=["g_state", "ghz_state", "v_states", "g_branches"],
+    )
+    def test_rejected_before_allocating(self, make, past_cap, monkeypatch):
+        refuse_allocation(monkeypatch)
+        for n in (64, past_cap):
+            with pytest.raises(InvalidArgument):
+                make(n)
 
     def test_ghz_branches_rejected_before_allocating(self, monkeypatch):
         # 79 Bob qubits, each branch a basis state
-        def allocate(*args, **kwargs):
-            raise AssertionError("the 2^(2m-1) amplitudes were allocated")
-
-        monkeypatch.setattr(np, "zeros", allocate)
+        refuse_allocation(monkeypatch)
         with pytest.raises(InvalidArgument):
             make_carrier_branches("GHZ", 40)
+
+    def test_v_states_minimum_size(self):
+        with pytest.raises(InvalidArgument):
+            v_states(1)
 
 
 class TestWhiteNoise:
