@@ -19,8 +19,9 @@ from .errors import InvalidArgument
 from .qsim import (
     MAX_STATE_QUBITS,
     DensityMatrix,
+    PauliString,
     PureState,
-    outcome_probabilities,
+    expectation,
     project,
     reduce_state,
 )
@@ -93,25 +94,21 @@ def rho_ae(t: TripartiteState) -> DensityMatrix:
     return reduce_state(t.psi, (0, 2 * t.scenario.m))
 
 
-def coalition_collapse(
-    t: TripartiteState, kept_bob: int, outcome_sign: int = 1
-) -> DensityMatrix:
+def coalition_collapse(t: TripartiteState, kept_bob: int) -> DensityMatrix:
     """Two-qubit (Alice, B_k) state after the other Bobs post-select.
 
     For the G carrier the other 2M-2 Bobs project in the sigma_z basis onto
-    the all-|0> (outcome_sign=+1) or all-|1> (outcome_sign=-1) pattern; for
-    the GHZ carrier they project in sigma_x onto all-plus or all-minus.
+    the all-|0> pattern; for the GHZ carrier they project in sigma_x onto
+    all-plus.
     """
     m = t.scenario.m
     if m < 2:
         raise InvalidArgument("coalition collapse needs m >= 2 (at least two Bobs)")
     if not 1 <= kept_bob <= 2 * m - 1:
         raise InvalidArgument(f"kept_bob must be a Bob qubit in [1, {2 * m - 1}]")
-    if outcome_sign not in (1, -1):
-        raise InvalidArgument("outcome_sign must be +-1")
     others = [q for q in range(1, 2 * m) if q != kept_bob]
     basis = "Z" if t.scenario.carrier == "G" else "X"
-    _, collapsed = project(t.psi, others, basis, [outcome_sign] * len(others))
+    _, collapsed = project(t.psi, others, basis, [1] * len(others))
     return reduce_state(collapsed, (0, kept_bob))
 
 
@@ -143,29 +140,26 @@ def qber_x(phi: float) -> float:
     return (1.0 - math.cos(phi)) / 2.0
 
 
-def _joint_product_distribution(t: TripartiteState, basis: str) -> np.ndarray:
-    """Joint distribution of (Alice outcome, product of Bob outcomes).
-
-    Entry [i, j]: i = 0 for Alice +1, j = 0 for Bob-product +1.
-    """
-    n = t.scenario.n_parties
-    probs = outcome_probabilities(t.psi, basis * n + "I")
-    idx = np.arange(2**n)
-    # the product of +-1 outcomes is -1 iff an odd number of them are -1
-    prod_bit = ((idx[:, None] >> np.arange(n - 1)) & 1).sum(axis=1) % 2
-    joint = np.bincount(2 * (idx >> (n - 1)) + prod_bit, weights=probs, minlength=4)
-    # roundoff can leave entries a few ulp outside [0, 1]
-    return np.clip(joint.reshape(2, 2), 0.0, 1.0)
-
-
 def exact_mutual_info_ab(scenario: AttackScenario) -> float:
     """I(A:B) from the exact outcome distribution of the attacked state.
 
     Both all-x and all-y measurement rounds are exercised with equal weight,
-    matching the sifted-round average of the protocol.
+    matching the sifted-round average of the protocol.  Each round's joint law
+    of Alice's outcome and the Bobs' product comes from three expectations.
     """
     t = attacked_state(scenario)
-    joints = [_joint_product_distribution(t, basis) for basis in ("X", "Y")]
+    k = 2 * scenario.m - 1  # the Bobs; Evan's probe is the last qubit
+    joints = []
+    for basis in ("X", "Y"):
+        ea = expectation(t.psi, PauliString(basis + "I" * (k + 1)))
+        eb = expectation(t.psi, PauliString("I" + basis * k + "I"))
+        eab = expectation(t.psi, PauliString(basis * (k + 1) + "I"))
+        # P(a, b) = (1 + a<A> + b<B> + ab<AB>)/4 for Alice's outcome a and the
+        # Bobs' product b; row and column 0 are the outcome +1
+        joint = np.array([[1 + ea + eb + eab, 1 + ea - eb - eab],
+                          [1 - ea + eb - eab, 1 - ea - eb + eab]]) / 4.0
+        # roundoff can leave entries a few ulp outside [0, 1]
+        joints.append(np.clip(joint, 0.0, 1.0))
     h_cond = 0.0
     for joint in joints:
         h = 0.0

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgument, InvalidDimension, InvalidState
-from .qsim import ATOL_EXACT, AXES, PAULI, DensityMatrix, PauliString, PureState, State, expectation
+from .qsim import ATOL_EXACT, AXES, PAULI, DensityMatrix, PureState, State
 
 __all__ = [
     "CorrelationTensor",
     "LocalFrame",
     "ThresholdReport",
-    "correlation_matrix_2q",
     "horodecki_m",
     "correlation_tensor",
     "plane_sum",
@@ -92,24 +91,15 @@ class LocalFrame:
         return cls(ax)
 
 
-def correlation_matrix_2q(rho: DensityMatrix) -> np.ndarray:
-    """T_ij = tr(rho sigma_i x sigma_j) for a two-qubit state."""
-    if rho.n_qubits != 2:
-        raise InvalidDimension(f"expected a 2-qubit state, got {rho.n_qubits} qubits")
-    t = np.empty((3, 3))
-    for i, a in enumerate(AXES):
-        for j, b in enumerate(AXES):
-            t[i, j] = expectation(rho, PauliString(a + b))
-    return t
-
-
 def horodecki_m(rho: DensityMatrix) -> float:
     """M(rho): sum of the two largest eigenvalues of T^T T.
 
     The state violates some CHSH inequality iff M > 1; the maximal CHSH
     value is 2 sqrt(M).
     """
-    t = correlation_matrix_2q(rho)
+    if rho.n_qubits != 2:
+        raise InvalidDimension(f"expected a 2-qubit state, got {rho.n_qubits} qubits")
+    t = correlation_tensor(rho).entries
     vals = np.sort(np.linalg.eigvalsh(t.T @ t))
     return float(vals[-1] + vals[-2])
 
@@ -164,8 +154,7 @@ def plane_sum(t: CorrelationTensor, frame: LocalFrame | None = None) -> float:
     The default frame is the protocol's fixed sigma_x / sigma_y axes.
     """
     if frame is None:
-        restricted = t.entries[(slice(0, 2),) * t.n]
-        return float((restricted**2).sum())
+        frame = LocalFrame.default(t.n)
     if frame.n != t.n:
         raise InvalidDimension("frame party count does not match tensor")
     return float((_contract_frames(t.entries, frame.axes[None]) ** 2).sum())

@@ -140,10 +140,6 @@ class PauliString:
     def n_qubits(self) -> int:
         return len(self.axes)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.axes) if c != "I")
-
     @classmethod
     def uniform(cls, axis: str, n: int) -> "PauliString":
         _check_axis(axis)
@@ -258,21 +254,3 @@ def project(
         )
     return prob, PureState(state.n_qubits, flat / np.sqrt(prob))
 
-
-def outcome_probabilities(state: PureState, bases: str) -> np.ndarray:
-    """Born distribution of measuring each qubit in its Pauli basis.
-
-    ``bases`` has one letter per qubit over "IXYZ"; "I" qubits are summed
-    out.  Entry k is the probability that the measured qubits, most
-    significant bit first, give the outcome bits of k (bit 0 for +1).
-    """
-    n = state.n_qubits
-    if len(bases) != n:
-        raise InvalidDimension(f"need {n} bases, got {len(bases)}")
-    measured = PauliString(bases).support
-    arr = state.amplitudes.reshape((2,) * n)
-    for q in measured:
-        # express the state in the measurement eigenbasis of qubit q
-        arr = _apply_one(arr, q, EIGENBASIS[bases[q]].conj().T)
-    traced = tuple(q for q, ax in enumerate(bases) if ax == "I")
-    return (np.abs(arr) ** 2).sum(axis=traced).reshape(-1)

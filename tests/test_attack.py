@@ -18,8 +18,10 @@ from qss.attack import (
     qber_x,
     rho_ae,
 )
-from qss.qsim import reduce_state
+from qss.qsim import project, reduce_state
 from qss.states import g_state, make_carrier_branches
+
+from born import outcome_probabilities
 
 PHI_GRID = np.linspace(0.0, math.pi / 2, 21)
 
@@ -34,6 +36,17 @@ def branch_images(phi, m=2):
     psi = attacked_state(AttackScenario("G", m, phi)).psi.amplitudes
     halves = psi.reshape(2, -1, 2) * np.sqrt(2.0)
     return halves[0], halves[1]
+
+
+def born_joint(psi, basis):
+    """Joint law of (Alice's outcome, the Bobs' product) from the dense Born
+    table, Evan's probe summed out: entry [i, j], index 0 for +1."""
+    n = psi.n_qubits - 1
+    probs = outcome_probabilities(psi, basis * n + "I")
+    idx = np.arange(2**n)
+    # the product of +-1 outcomes is -1 iff an odd number of them are -1
+    prod_bit = ((idx[:, None] >> np.arange(n - 1)) & 1).sum(axis=1) % 2
+    return np.bincount(2 * (idx >> (n - 1)) + prod_bit, weights=probs, minlength=4).reshape(2, 2)
 
 
 class TestUnitaryAction:
@@ -169,8 +182,9 @@ class TestCoalitionCollapse:
         # excitation (or hole) sitting on the kept qubit, so the collapsed
         # pair state is identical
         t = attacked_state(AttackScenario("G", 3, 0.8))
-        plus = coalition_collapse(t, kept_bob=2, outcome_sign=1).matrix
-        minus = coalition_collapse(t, kept_bob=2, outcome_sign=-1).matrix
+        plus = coalition_collapse(t, kept_bob=2).matrix
+        _, collapsed = project(t.psi, [1, 3, 4, 5], "Z", [-1] * 4)
+        minus = reduce_state(collapsed, (0, 2)).matrix
         assert np.abs(minus - plus).max() < 1e-10
 
     def test_no_attack_gives_bell_pair(self):
@@ -240,3 +254,30 @@ class TestInformationCurves:
             exact = exact_mutual_info_ab(AttackScenario(carrier, m, float(phi)))
             assert exact == pytest.approx(mutual_info_ab(float(phi)), abs=1e-9)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    def test_joint_law_matches_born_oracle(self, m, carrier, monkeypatch):
+        # the joint law is read through binary_entropy: P(Alice +1 | product)
+        # for the product +1 and -1 in the X rounds, then in the Y rounds,
+        # then Alice's marginal
+        seen = []
+
+        def recorded(p):
+            seen.append(p)
+            return binary_entropy(p)
+
+        monkeypatch.setattr(attack, "binary_entropy", recorded)
+        for phi in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
+            scenario = AttackScenario(carrier, m, phi)
+            seen.clear()
+            info = exact_mutual_info_ab(scenario)
+            joints = [born_joint(attacked_state(scenario).psi, basis) for basis in "XY"]
+            cond = [joint[0] / joint.sum(axis=0) for joint in joints]
+            p_alice = joints[0].sum(axis=1)[0]
+            assert np.abs(np.array(seen) - [*cond[0], *cond[1], p_alice]).max() < 1e-13
+            h_cond = sum(
+                0.5 * joint[:, j].sum() * binary_entropy(c[j])
+                for joint, c in zip(joints, cond)
+                for j in range(2)
+            )
+            assert abs(info - (binary_entropy(p_alice) - h_cond)) < 1e-13

@@ -16,7 +16,6 @@ from qss.bell import (
     LocalFrame,
     ThresholdReport,
     collapse_visibility,
-    correlation_matrix_2q,
     correlation_tensor,
     crit_noise_g,
     crit_noise_ghz,
@@ -27,7 +26,7 @@ from qss.bell import (
     maximize_plane_sum,
     plane_sum,
 )
-from qss.errors import BudgetExceeded, InvalidArgument
+from qss.errors import BudgetExceeded, InvalidArgument, InvalidDimension
 from qss.qsim import (
     DensityMatrix,
     PauliString,
@@ -83,21 +82,44 @@ def ghz6_tensor():
     return correlation_tensor(ghz_state(6))
 
 
+def nine_expectation_m(rho):
+    """M as first written: T from nine ``expectation`` calls, the oracle for
+    ``horodecki_m``'s Pauli-transform T."""
+    t = np.empty((3, 3))
+    for i, a in enumerate("XYZ"):
+        for j, b in enumerate("XYZ"):
+            t[i, j] = expectation(rho, PauliString(a + b))
+    vals = np.sort(np.linalg.eigvalsh(t.T @ t))
+    return float(vals[-1] + vals[-2])
+
+
 class TestCorrelationMatrix2q:
+    """The two-qubit correlation matrix T that ``horodecki_m`` reads."""
+
     def test_bell_pair(self):
-        # (|01> + |10>)/sqrt 2 has T = diag(1, 1, -1)
-        t = correlation_matrix_2q(reduce_state(g_state(2), range(2)))
-        assert np.abs(t - np.diag([1.0, 1.0, -1.0])).max() < 1e-10
+        # (|01> + |10>)/sqrt 2 has T = diag(1, 1, -1), so M = 2
+        rho = reduce_state(g_state(2), range(2))
+        assert np.abs(correlation_tensor(rho).entries - np.diag([1.0, 1.0, -1.0])).max() < 1e-10
+        assert horodecki_m(rho) == pytest.approx(2.0, abs=1e-10)
 
     def test_product_state(self):
-        t = correlation_matrix_2q(reduce_state(make_basis_state(2, "00"), range(2)))
-        assert np.abs(t - np.diag([0.0, 0.0, 1.0])).max() < 1e-10
+        # |00> has T = diag(0, 0, 1), so M = 1
+        rho = reduce_state(make_basis_state(2, "00"), range(2))
+        assert np.abs(correlation_tensor(rho).entries - np.diag([0.0, 0.0, 1.0])).max() < 1e-10
+        assert horodecki_m(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_wrong_size(self):
-        from qss.errors import InvalidDimension
-
         with pytest.raises(InvalidDimension):
-            correlation_matrix_2q(reduce_state(g_state(3), range(3)))
+            horodecki_m(reduce_state(g_state(3), range(3)))
+
+    # the phi grid of the golden sweep-attack hashes
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_bit_identical_to_nine_expectations(self, carrier, m):
+        for phi in np.linspace(0.0, math.pi / 2, 41).tolist():
+            t = attacked_state(AttackScenario(carrier, m, phi))
+            for rho in (coalition_collapse(t, kept_bob=1), rho_ae(t)):
+                assert horodecki_m(rho) == nine_expectation_m(rho), phi
 
 
 class TestHorodecki:

@@ -1,6 +1,6 @@
 """Every name a module exports resolves, so no stale export outlives its code,
-and every module-level name, public or private, has a caller in the package
-itself."""
+and every module-level name, public or private, and every method and property
+has a caller in the package itself."""
 
 import ast
 import importlib
@@ -20,6 +20,9 @@ GATE_ONLY = {
     "G6_ANY_FRAME_BOUND",
 }
 
+#: Methods and properties whose only callers are in the acceptance gate.
+GATE_ONLY_METHODS = {"uniform", "records"}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_exports_resolve(name):
@@ -38,14 +41,31 @@ def _defined_names(stmt):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _used_names(stmt):
-    """Names a statement reads, as bare names or as attributes."""
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(stmt)
-        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
-        or isinstance(node, ast.Attribute)
-    }
+def _methods(stmt):
+    """The methods and properties a class statement defines, dunders aside."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [
+        item
+        for item in stmt.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+    ]
+
+
+def _reads(tree, skip):
+    """Names read in ``tree`` outside the subtree ``skip``: the bare names and
+    the attribute names, as two sets."""
+    bare, attrs, stack = set(), set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            bare.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return bare, attrs
 
 
 def test_public_names_have_a_production_caller():
@@ -56,10 +76,17 @@ def test_public_names_have_a_production_caller():
     ]
     unused = []
     for module, stmt in statements:
+        # a module-level name is read bare or as a module's attribute
         for name in _defined_names(stmt):
             # dunders (__all__, __version__) are read by the import machinery
             if name.startswith("__") or name in GATE_ONLY:
                 continue
-            if not any(name in _used_names(other) for _, other in statements if other is not stmt):
+            if not any(name in set.union(*_reads(other, stmt)) for _, other in statements):
                 unused.append(f"qss.{module}.{name}")
+        # a method or property is read as an attribute, outside its own def
+        for item in _methods(stmt):
+            if item.name in GATE_ONLY_METHODS:
+                continue
+            if not any(item.name in _reads(other, item)[1] for _, other in statements):
+                unused.append(f"qss.{module}.{stmt.name}.{item.name}")
     assert unused == [], f"names with no caller in src/qss: {unused}"

@@ -25,7 +25,8 @@ from qss.protocol import (
     transcript_summary,
     transcript_to_jsonl,
 )
-from qss.qsim import outcome_probabilities
+
+from born import outcome_probabilities
 
 
 def make_transcript(carrier="G", m=3, rounds=1000, phi=0.0, seed=2024):

@@ -23,11 +23,12 @@ from qss.qsim import (
     expectation,
     hermitian_spectrum,
     make_basis_state,
-    outcome_probabilities,
     project,
     reduce_state,
 )
 from qss.states import g_state, make_carrier_branches
+
+from born import outcome_probabilities
 
 # Independent oracle: explicit matrices, combined with np.kron only.
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -196,8 +197,8 @@ def moveaxis_apply_one(arr, axis, mat):
     return np.moveaxis(out, 0, axis)
 
 
-#: The matrices the package rotates with: ``run_protocol``'s and
-#: ``outcome_probabilities``' basis changes and ``project``'s projectors.
+#: The matrices the package rotates with: ``run_protocol``'s basis changes
+#: and ``project``'s projectors.
 KERNEL_MATRICES = [qsim.EIGENBASIS[ax].conj().T for ax in qsim.AXES] + [
     np.outer(v, v.conj()) for ax in qsim.AXES for v in qsim.EIGENBASIS[ax].T
 ]
