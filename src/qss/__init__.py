@@ -9,7 +9,6 @@ from .errors import (
     InvalidDimension,
     InvalidState,
     QssError,
-    ZeroProbabilityBranch,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "InvalidArgument",
     "InvalidDimension",
     "InvalidState",
-    "ZeroProbabilityBranch",
     "EmptySiftedSet",
     "BudgetExceeded",
     "InternalInconsistency",

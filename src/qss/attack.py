@@ -10,6 +10,7 @@ qubits 1..2M-1, Evan's probe is qubit 2M.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,10 +23,9 @@ from .qsim import (
     PauliString,
     PureState,
     expectation,
-    project,
     reduce_state,
 )
-from .states import CARRIERS, make_carrier_branches
+from .states import CARRIERS, branch_weights, make_carrier_branches
 
 __all__ = [
     "AttackScenario",
@@ -62,36 +62,47 @@ class AttackScenario:
         return 2 * self.m
 
 
+def _abe(phi: float, xi: np.ndarray, xibar: np.ndarray) -> np.ndarray:
+    """Amplitudes of (|0,xi,0> + cos phi |1,xibar,0> + sin phi |1,xi,1>)/sqrt(2)
+    for Alice, the Bob register in branch xi or xibar, and Evan's probe."""
+    c, s = math.cos(phi), math.sin(phi)
+    e0, e1 = np.eye(2, dtype=complex)
+    return (
+        np.kron(np.kron(e0, xi), e0)
+        + c * np.kron(np.kron(e1, xibar), e0)
+        + s * np.kron(np.kron(e1, xi), e1)
+    ) / np.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class TripartiteState:
-    """Pure state of Alice, the Bobs, and Evan's probe after the attack."""
+    """Alice, the Bobs, and Evan's probe after the attack.  The dense ``psi``
+    is built on first read; ``rho_ae`` and ``coalition_collapse`` never need
+    it, since the orthonormal branches let the Bobs be one qubit."""
 
-    psi: PureState
     scenario: AttackScenario
+
+    @functools.cached_property
+    def psi(self) -> PureState:
+        """|psi>_ABE on 2m+1 qubits."""
+        m = self.scenario.m
+        if 2 * m + 1 > MAX_STATE_QUBITS:
+            # before the branches and their Kronecker products are allocated
+            raise InvalidArgument(
+                f"attacked state needs 2m + 1 <= {MAX_STATE_QUBITS} qubits, got m = {m}"
+            )
+        xi, xibar = make_carrier_branches(self.scenario.carrier, m)
+        return PureState(2 * m + 1, _abe(self.scenario.phi, xi.amplitudes, xibar.amplitudes))
 
 
 def attacked_state(scenario: AttackScenario) -> TripartiteState:
-    """|psi>_ABE on 2m+1 qubits after Evan's attack on the carrier."""
-    if 2 * scenario.m + 1 > MAX_STATE_QUBITS:
-        # before the branches and their Kronecker products are allocated
-        raise InvalidArgument(
-            f"attacked state needs 2m + 1 <= {MAX_STATE_QUBITS} qubits, got m = {scenario.m}"
-        )
-    xi, xibar = make_carrier_branches(scenario.carrier, scenario.m)
-    c, s = math.cos(scenario.phi), math.sin(scenario.phi)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    amps = (
-        np.kron(np.kron(e0, xi.amplitudes), e0)
-        + c * np.kron(np.kron(e1, xibar.amplitudes), e0)
-        + s * np.kron(np.kron(e1, xi.amplitudes), e1)
-    ) / np.sqrt(2.0)
-    return TripartiteState(PureState(2 * scenario.m + 1, amps), scenario)
+    """The state after Evan's attack on the carrier, for any m."""
+    return TripartiteState(scenario)
 
 
 def rho_ae(t: TripartiteState) -> DensityMatrix:
-    """Alice + Evan's probe (two qubits)."""
-    return reduce_state(t.psi, (0, 2 * t.scenario.m))
+    """Alice + Evan's probe (two qubits), with |xi>, |xibar> as |0>, |1>."""
+    return reduce_state(PureState(3, _abe(t.scenario.phi, *np.eye(2))), (0, 2))
 
 
 def coalition_collapse(t: TripartiteState, kept_bob: int) -> DensityMatrix:
@@ -99,17 +110,25 @@ def coalition_collapse(t: TripartiteState, kept_bob: int) -> DensityMatrix:
 
     For the G carrier the other 2M-2 Bobs project in the sigma_z basis onto
     the all-|0> pattern; for the GHZ carrier they project in sigma_x onto
-    all-plus.
+    all-plus.  Both branches are permutation symmetric, so every kept Bob
+    gives the same state: B_k's amplitude b in the branch on the weights W is,
+    up to a factor both branches share, sum_w N(w) [w + b in W].
     """
-    m = t.scenario.m
+    m, carrier = t.scenario.m, t.scenario.carrier
     if m < 2:
         raise InvalidArgument("coalition collapse needs m >= 2 (at least two Bobs)")
     if not 1 <= kept_bob <= 2 * m - 1:
         raise InvalidArgument(f"kept_bob must be a Bob qubit in [1, {2 * m - 1}]")
-    others = [q for q in range(1, 2 * m) if q != kept_bob]
-    basis = "Z" if t.scenario.carrier == "G" else "X"
-    _, collapsed = project(t.psi, others, basis, [1] * len(others))
-    return reduce_state(collapsed, (0, kept_bob))
+    # N(w) = C(r, w) counts the others' weight-w basis states the pattern
+    # overlaps, all equally: only |0...0> (r = 0) for G, every one of them
+    # (r = 2M-2) for the all-plus pattern of GHZ
+    r = 2 * m - 2 if carrier == "GHZ" else 0
+    xi, xibar = (
+        [float(sum(math.comb(r, v - b) for v in set(weights) if v >= b)) for b in (0, 1)]
+        for weights in branch_weights(carrier, m)
+    )
+    amps = _abe(t.scenario.phi, xi, xibar)
+    return reduce_state(PureState(3, amps / np.linalg.norm(amps)), (0, 1))
 
 
 def binary_entropy(p: float) -> float:

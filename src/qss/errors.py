@@ -17,10 +17,6 @@ class InvalidState(QssError):
     """A state object fails a physicality check (norm, hermiticity, PSD, trace)."""
 
 
-class ZeroProbabilityBranch(QssError):
-    """Projection onto a branch whose probability is below the zero threshold."""
-
-
 class EmptySiftedSet(QssError):
     """A transcript contains no sifted rounds."""
 

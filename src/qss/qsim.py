@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-- Qubit 0 is the most significant bit of the amplitude index, so
-  ``make_basis_state(2, "10")`` puts amplitude 1 at index 2.
+- Qubit 0 is the most significant bit of the amplitude index, so the
+  basis state |10> is amplitude index 2.
 - Measurement outcomes are written as +-1 eigenvalues, never as bits.
 - All operations are pure functions of their inputs.
 """
@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import (
     InvalidArgument,
     InvalidDimension,
     InvalidState,
-    ZeroProbabilityBranch,
 )
 
 MAX_STATE_QUBITS = 20
@@ -27,7 +26,6 @@ MAX_DENSITY_QUBITS = 12
 
 ATOL_EXACT = 1e-10
 PSD_FLOOR = -1e-9
-PROB_FLOOR = 1e-12
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -149,20 +147,6 @@ class PauliString:
 State = Union[PureState, DensityMatrix]
 
 
-def make_basis_state(n: int, bits: str) -> PureState:
-    """Computational basis state |bits>, qubit 0 being the most significant bit."""
-    if not 1 <= n <= MAX_STATE_QUBITS:
-        # before the 2^n amplitudes are allocated
-        raise InvalidArgument(f"n must be in [1, {MAX_STATE_QUBITS}], got {n}")
-    if len(bits) != n:
-        raise InvalidDimension(f"bit string length {len(bits)} != n = {n}")
-    if any(b not in "01" for b in bits):
-        raise InvalidArgument(f"bits must be over 01, got {bits!r}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return PureState(n, amps)
-
-
 def _apply_one(arr: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix to one tensor axis of a (2,)*k array: one product
     with the C-order copy of the array whose axes 0 and ``axis`` are swapped.
@@ -220,37 +204,3 @@ def reduce_state(state: State, keep: Iterable[int]) -> DensityMatrix:
         red = np.einsum(state.matrix.reshape((2,) * (2 * n)), rows + cols, out)
     k = len(keep_set)
     return DensityMatrix(k, red.reshape(2**k, 2**k))
-
-
-def project(
-    state: PureState,
-    qubits: Sequence[int],
-    basis: str,
-    outcomes: Sequence[int],
-) -> tuple[float, PureState]:
-    """Project the listed qubits onto the given +-1 outcomes of one Pauli axis.
-
-    Returns the branch probability and the renormalized full-register state
-    (projected qubits collapse onto the chosen eigenvector).
-    """
-    _check_axis(basis)
-    if len(outcomes) != len(qubits):
-        raise InvalidArgument("one outcome is required per projected qubit")
-    if any(o not in (1, -1) for o in outcomes):
-        raise InvalidArgument(f"outcomes must be +-1, got {list(outcomes)}")
-    if len(set(qubits)) != len(qubits):
-        raise InvalidArgument("projected qubits must be distinct")
-    if any(q < 0 or q >= state.n_qubits for q in qubits):
-        raise InvalidArgument("projected qubit index out of range")
-    arr = state.amplitudes.reshape((2,) * state.n_qubits)
-    for q, oc in zip(qubits, outcomes):
-        v = EIGENBASIS[basis][:, 0 if oc == 1 else 1]
-        arr = _apply_one(arr, q, np.outer(v, v.conj()))
-    flat = arr.reshape(-1)
-    prob = float(np.vdot(flat, flat).real)
-    if prob <= PROB_FLOOR:
-        raise ZeroProbabilityBranch(
-            f"branch probability {prob} below threshold {PROB_FLOOR}"
-        )
-    return prob, PureState(state.n_qubits, flat / np.sqrt(prob))
-

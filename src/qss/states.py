@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .qsim import MAX_DENSITY_QUBITS, MAX_STATE_QUBITS, DensityMatrix, PureState, make_basis_state
+from .qsim import MAX_DENSITY_QUBITS, MAX_STATE_QUBITS, DensityMatrix, PureState
 
 #: Carrier families supported by the protocol.
 CARRIERS = ("G", "GHZ")
@@ -65,20 +65,27 @@ def carrier_state(carrier: str, n: int) -> PureState:
     return g_state(n) if carrier == "G" else ghz_state(n)
 
 
+def branch_weights(carrier: str, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The Hamming-weight shells of Alice's collapse branches |xi>, |xibar> on
+    the k = 2m-1 Bob qubits: (1, k) and (k-1, 0) for G, (0,) and (k,) for GHZ.
+    The two sets are disjoint and hold equally many basis states, so the
+    branches are orthonormal."""
+    if carrier not in CARRIERS:
+        raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {carrier!r}")
+    if m < 1:
+        raise InvalidArgument(f"m must be >= 1, got {m}")
+    k = 2 * m - 1
+    return ((1, k), (k - 1, 0)) if carrier == "G" else ((0,), (k,))
+
+
 def make_carrier_branches(carrier: str, m: int) -> tuple[PureState, PureState]:
     """Alice's collapse branches (|xi>, |xibar>) on the 2m-1 Bob qubits.
 
     For the G carrier they are ``v_states(2m)``; for the GHZ carrier, the
     all-0 and all-1 product states.
     """
-    if carrier not in CARRIERS:
-        raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {carrier!r}")
-    if m < 1:
-        raise InvalidArgument(f"m must be >= 1, got {m}")
-    k = 2 * m - 1
-    if carrier == "GHZ":
-        return make_basis_state(k, "0" * k), make_basis_state(k, "1" * k)
-    return v_states(2 * m)
+    xi, xibar = branch_weights(carrier, m)
+    return _shell_state(2 * m - 1, xi), _shell_state(2 * m - 1, xibar)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from qss.attack import (
     qber_x,
     rho_ae,
 )
-from qss.qsim import project, reduce_state
-from qss.states import g_state, make_carrier_branches
+from qss.bell import horodecki_m
+from qss.qsim import reduce_state
+from qss.states import branch_weights, g_state, make_carrier_branches
 
-from born import outcome_probabilities
+from born import outcome_probabilities, project
 
 PHI_GRID = np.linspace(0.0, math.pi / 2, 21)
 
@@ -107,11 +108,15 @@ class TestAttackedState:
             raise AssertionError("the carrier branches were built")
 
         monkeypatch.setattr(attack, "make_carrier_branches", build)
-        # m = 9 gives the 19 + 1 = 20 qubits PureState admits, m = 10 one more
-        with pytest.raises(AssertionError):
-            attacked_state(AttackScenario(carrier, 9, 0.0))
+        # any m makes a state; its dense psi is checked when first read.
+        # m = 9 gives 2m + 1 = 19 qubits, m = 10 gives 21, past the 20 of PureState
+        oversized = attacked_state(AttackScenario(carrier, 10, 0.0))
         with pytest.raises(InvalidArgument):
-            attacked_state(AttackScenario(carrier, 10, 0.0))
+            oversized.psi
+        with pytest.raises(AssertionError):
+            attacked_state(AttackScenario(carrier, 9, 0.0)).psi
+        monkeypatch.undo()
+        assert attacked_state(AttackScenario(carrier, 9, 0.0)).psi.n_qubits == 19
 
 
 class TestReducedStates:
@@ -164,18 +169,18 @@ class TestReducedStates:
 
 
 class TestCoalitionCollapse:
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 50])
     @pytest.mark.parametrize("phi", [0.0, 0.5, math.pi / 4, 1.3])
     def test_matches_closed_form(self, m, phi):
-        # ((1+cos^2)/2)|beta><beta| + (sin^2/2)|11><11|,
-        # |beta> = (|01> + cos phi |10>)/sqrt(1+cos^2)
-        t = attacked_state(AttackScenario("G", m, phi))
+        # ((1+cos^2)/2)|beta><beta| + (sin^2/2)|v><v|, with
+        # |beta> = (|01> + cos phi |10>)/sqrt(1+cos^2), |v> = |11> for G and
+        # |beta> = (|00> + cos phi |11>)/sqrt(1+cos^2), |v> = |10> for GHZ
         c, s = math.cos(phi), math.sin(phi)
-        beta = np.array([0.0, 1.0, c, 0.0]) / math.sqrt(1.0 + c * c)
-        eleven = np.zeros(4)
-        eleven[3] = 1.0
-        expected = ((1 + c * c) / 2) * outer(beta) + (s * s / 2) * outer(eleven)
-        assert np.abs(coalition_collapse(t, kept_bob=1).matrix - expected).max() < 1e-10
+        for carrier, beta, v in (("G", [0.0, 1.0, c, 0.0], 3), ("GHZ", [1.0, 0.0, 0.0, c], 2)):
+            t = attacked_state(AttackScenario(carrier, m, phi))
+            beta = np.array(beta) / math.sqrt(1.0 + c * c)
+            expected = ((1 + c * c) / 2) * outer(beta) + (s * s / 2) * outer(np.eye(4)[v])
+            assert np.abs(coalition_collapse(t, kept_bob=1).matrix - expected).max() < 1e-10
 
     def test_all_ones_pattern_gives_same_state(self):
         # in both uniform patterns the surviving branch terms are the single
@@ -202,6 +207,51 @@ class TestCoalitionCollapse:
         t = attacked_state(AttackScenario("G", 1, 0.0))
         with pytest.raises(InvalidArgument):
             coalition_collapse(t, kept_bob=1)
+
+
+class TestBranchSpan:
+    """The two-qubit states read off the branch span against the dense
+    attacked state, collapsed by the ``project`` oracle."""
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_matches_dense_oracle(self, m, carrier):
+        # the dense sigma_x collapse of GHZ renormalises a branch of
+        # probability 2^-(2m-2), which amplifies its roundoff to ~1e-12 at m = 9
+        kept = range(1, 2 * m) if m == 3 else [1]
+        for phi in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
+            t = attacked_state(AttackScenario(carrier, m, phi))
+            dense_ae = reduce_state(t.psi, (0, 2 * m)).matrix
+            assert np.abs(rho_ae(t).matrix - dense_ae).max() < 1e-11
+            for bob in kept:
+                others = [q for q in range(1, 2 * m) if q != bob]
+                basis = "Z" if carrier == "G" else "X"
+                _, collapsed = project(t.psi, others, basis, [1] * len(others))
+                dense_ab = reduce_state(collapsed, (0, bob)).matrix
+                assert np.abs(coalition_collapse(t, bob).matrix - dense_ab).max() < 1e-11
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    def test_branch_weights_orthonormal(self, carrier):
+        # disjoint shells of equal size: the reduction to one Bob qubit rests
+        # on <xi|xibar> = 0 and on both branches sharing one norm
+        for m in range(1, 501):
+            k = 2 * m - 1
+            xi, xibar = (set(w) for w in branch_weights(carrier, m))
+            assert not xi & xibar
+            assert sum(math.comb(k, w) for w in xi) == sum(math.comb(k, w) for w in xibar)
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", [3, 50, 500])
+    def test_unified_criterion_concurrence(self, m, carrier):
+        # the Horodecki values cross 1 where the information margin changes sign
+        for phi in PHI_GRID:
+            phi = float(phi)
+            if abs(phi - math.pi / 4) <= 1e-3:
+                continue
+            margin = np.sign(mutual_info_ab(phi) - mutual_info_ae(phi))
+            t = attacked_state(AttackScenario(carrier, m, phi))
+            assert np.sign(horodecki_m(coalition_collapse(t, kept_bob=1)) - 1.0) == margin
+            assert np.sign(horodecki_m(rho_ae(t)) - 1.0) == -margin
 
 
 class TestEntropies:

@@ -32,10 +32,11 @@ from qss.qsim import (
     PauliString,
     PureState,
     expectation,
-    make_basis_state,
     reduce_state,
 )
 from qss.states import add_white_noise, g_state, ghz_state
+
+from born import make_basis_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

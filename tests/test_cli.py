@@ -75,12 +75,14 @@ class TestSweepAttack:
         assert float(rows[-1]["i_ae"]) == pytest.approx(1.0, abs=1e-12)
 
     # sha256 of the CSV, taken from the expectation values computed by
-    # rotating the density once per Pauli factor, before the signed gather
+    # rotating the density once per Pauli factor, before the signed gather;
+    # m = 3 gives the file of m = 2, since both read the states off the
+    # branch span, where the Bob register is one qubit at every m
     @pytest.mark.parametrize(
         "m, sha",
         [
             ("2", "dc768665e9d96ffa1c7c33b059aceab9ddf22f4bf4bbf921b7593848fc09bc89"),
-            ("3", "79ab743be79dcb471e27d5421f1dd644910773b9acb0038e346a9b4fd3fcc26a"),
+            ("3", "dc768665e9d96ffa1c7c33b059aceab9ddf22f4bf4bbf921b7593848fc09bc89"),
         ],
     )
     def test_golden_output_hashes(self, tmp_path, m, sha):
@@ -113,7 +115,7 @@ class TestSweepAttack:
             assert not out.exists()
 
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
-    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("m", [2, 3, 8, 9, 10, 50, 500])
     def test_horodecki_columns_exact(self, tmp_path, m, carrier):
         # M of the collapsed Alice-Bob pair is 2cos^2(phi), of Alice-Evan 2sin^2(phi)
         out = tmp_path / "sweep.csv"
@@ -129,23 +131,30 @@ class TestSweepAttack:
         if m == 8:
             # within 16 copies of the 2^(2m+1) amplitudes of the attacked state
             assert peak < 16 * 16 * 2 ** (2 * m + 1)
+        if m >= 10:
+            # past the dense register the states are read off the branch span
+            assert peak < 2**20
         rows, _ = read_csv(out)
         assert len(rows) == 5
         for row in rows:
             phi = float(row["phi"])
-            assert abs(float(row["horodecki_ab"]) - 2 * math.cos(phi) ** 2) < 1e-12
-            assert abs(float(row["horodecki_ae"]) - 2 * math.sin(phi) ** 2) < 1e-12
+            assert abs(float(row["horodecki_ab"]) - 2 * math.cos(phi) ** 2) < 2e-15
+            assert abs(float(row["horodecki_ae"]) - 2 * math.sin(phi) ** 2) < 2e-15
 
-    def test_oversized_register_exits_2_before_branches(self, tmp_path, monkeypatch):
+    def test_large_register_never_builds_branches(self, tmp_path, monkeypatch):
         def build(*args):
             raise AssertionError("the carrier branches were built")
 
         monkeypatch.setattr(attack, "make_carrier_branches", build)
         out = tmp_path / "x.csv"
-        assert run_cli(
-            ["sweep-attack", "--m", "10", "--phi-grid", "0,0.5", "--out", str(out)]
-        ) == 2
-        assert not out.exists()
+        for carrier in ("G", "GHZ"):
+            for m in ("10", "500"):
+                assert run_cli(
+                    ["sweep-attack", "--m", m, "--carrier", carrier, "--phi-grid", "0,0.5",
+                     "--out", str(out)]
+                ) == 0
+                assert out.exists()
+                out.unlink()
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "x.csv"

@@ -10,25 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from qss import protocol, qsim
 from qss.attack import AttackScenario, attacked_state
-from qss.errors import (
-    InvalidArgument,
-    InvalidDimension,
-    InvalidState,
-    ZeroProbabilityBranch,
-)
+from qss.errors import InvalidArgument, InvalidDimension, InvalidState
 from qss.qsim import (
     DensityMatrix,
     PauliString,
     PureState,
     expectation,
     hermitian_spectrum,
-    make_basis_state,
-    project,
     reduce_state,
 )
 from qss.states import g_state, make_carrier_branches
 
-from born import outcome_probabilities
+from born import ZeroProbabilityBranch, make_basis_state, outcome_probabilities, project
 
 # Independent oracle: explicit matrices, combined with np.kron only.
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -198,7 +191,7 @@ def moveaxis_apply_one(arr, axis, mat):
 
 
 #: The matrices the package rotates with: ``run_protocol``'s basis changes
-#: and ``project``'s projectors.
+#: and the ``project`` oracle's projectors.
 KERNEL_MATRICES = [qsim.EIGENBASIS[ax].conj().T for ax in qsim.AXES] + [
     np.outer(v, v.conj()) for ax in qsim.AXES for v in qsim.EIGENBASIS[ax].T
 ]

@@ -5,7 +5,7 @@ import pytest
 
 from qss import rdm
 from qss.errors import BudgetExceeded, InvalidArgument
-from qss.qsim import MAX_DENSITY_QUBITS, DensityMatrix, make_basis_state, reduce_state
+from qss.qsim import MAX_DENSITY_QUBITS, DensityMatrix, reduce_state
 from qss.rdm import (
     GramSolution,
     g_uniqueness_check,
@@ -15,6 +15,8 @@ from qss.rdm import (
     trace_distance,
 )
 from qss.states import g_state, ghz_state, v_states
+
+from born import make_basis_state
 
 
 def all_pairs_system(n):
