@@ -76,22 +76,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def _live_block(m: np.ndarray) -> np.ndarray:
-    """The block of ``m`` on its live indices, those whose row or column
-    holds a nonzero entry.  Every entry outside it is zero in m and in m^H."""
-    nonzero = m != 0
-    live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    return m[np.ix_(live, live)]
-
-
-def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.  An index whose row and
-    column are all zero is an eigenvector with eigenvalue exactly 0, so only
-    the live block goes to ``eigvalsh``."""
-    vals = np.linalg.eigvalsh(_live_block(m))
-    return np.sort(np.concatenate([vals, np.zeros(m.shape[0] - vals.size)]))
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator on ``n_qubits`` qubits."""
@@ -108,14 +92,12 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise InvalidDimension(f"expected shape {(dim, dim)}, got {m.shape}")
-        # m and m^H vanish off the live block (eigenvalues 0), which a unit trace
-        # makes nonempty; each check is "not <=" or "not >=", which a NaN fails
+        # each check is "not <=" or "not >=", which a NaN fails
         if not abs(np.trace(m).real - 1.0) <= ATOL_EXACT:
             raise InvalidState(f"trace {np.trace(m)} is not 1")
-        block = _live_block(m)
-        if not np.abs(block - block.conj().T).max() <= ATOL_EXACT:
+        if not np.abs(m - m.conj().T).max() <= ATOL_EXACT:
             raise InvalidState("density matrix is not Hermitian")
-        if not np.linalg.eigvalsh(block).min() >= PSD_FLOOR:
+        if not np.linalg.eigvalsh(m).min() >= PSD_FLOOR:
             raise InvalidState("density matrix has a negative eigenvalue")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -162,32 +144,28 @@ _FLIP_BIT = str.maketrans("IXYZ", "0110")
 _SIGN_BIT = str.maketrans("IXYZ", "0011")
 
 
-def expectation(state: State, p: PauliString) -> float:
+def expectation(state: PureState, p: PauliString) -> float:
     """Expectation value of a Pauli string, clamped to [-1, 1].  As
     P|x> = i^#Y (-1)^popcount(x & zmask) |x xor flip>, it is one signed gather."""
     n = state.n_qubits
     if p.n_qubits != n:
         raise InvalidDimension(f"Pauli string on {p.n_qubits} qubits, state on {n}")
-    x = np.arange(2**n)
-    src = x ^ int(p.axes.translate(_FLIP_BIT), 2)
+    src = np.arange(2**n) ^ int(p.axes.translate(_FLIP_BIT), 2)
     # popcount parity of src & zmask, folded into bit 0 (n <= 32)
     parity = src & int(p.axes.translate(_SIGN_BIT), 2)
     for shift in (16, 8, 4, 2, 1):
         parity ^= parity >> shift
     phase = (1, 1j, -1, -1j)[p.axes.count("Y") % 4] * (1 - 2 * (parity & 1))
-    if isinstance(state, PureState):
-        val = np.vdot(state.amplitudes, phase * state.amplitudes[src])
-    else:
-        val = (phase * state.matrix[src, x]).sum()
+    val = np.vdot(state.amplitudes, phase * state.amplitudes[src])
     if abs(val.imag) > ATOL_EXACT:
         raise InvalidState(f"expectation {val} has a nonzero imaginary part")
     return float(min(1.0, max(-1.0, val.real)))
 
 
-def reduce_state(state: State, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on the sorted qubit subset ``keep``: one einsum in which
-    a traced qubit's column label equals its row label.  A pure state is
-    reduced from its amplitudes (psi and psi*), never from |psi><psi|."""
+def reduce_state(state: PureState, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced state on the sorted qubit subset ``keep``: one einsum of the
+    amplitudes psi and psi* (never |psi><psi|) in which a traced qubit's
+    column label equals its row label."""
     keep_set = sorted(set(keep))
     n = state.n_qubits
     if not keep_set:
@@ -197,10 +175,7 @@ def reduce_state(state: State, keep: Iterable[int]) -> DensityMatrix:
     rows = list(range(n))
     cols = [n + q if q in keep_set else q for q in rows]
     out = keep_set + [n + q for q in keep_set]
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape((2,) * n)
-        red = np.einsum(psi, rows, psi.conj(), cols, out)
-    else:
-        red = np.einsum(state.matrix.reshape((2,) * (2 * n)), rows + cols, out)
+    psi = state.amplitudes.reshape((2,) * n)
+    red = np.einsum(psi, rows, psi.conj(), cols, out)
     k = len(keep_set)
     return DensityMatrix(k, red.reshape(2**k, 2**k))

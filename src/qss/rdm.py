@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidArgument
-from .qsim import MAX_DENSITY_QUBITS, DensityMatrix, State, hermitian_spectrum, reduce_state
-from .states import ghz_state, v_states
+from .qsim import MAX_DENSITY_QUBITS
+from .states import v_states
 
 __all__ = [
     "GramSolution",
     "marginal_set",
-    "marginals_match",
-    "trace_distance",
     "ghz_counterexample_check",
     "g_uniqueness_check",
 ]
@@ -68,42 +66,36 @@ class GramSolution:
     nullspace_dim: int
 
 
-def marginal_set(state: State) -> list[DensityMatrix]:
-    """The n reduced states obtained by tracing out each single party,
-    indexed by the left-out qubit."""
-    n = state.n_qubits
+def marginal_set(coeffs: np.ndarray, n: int) -> list[np.ndarray]:
+    """The n single-party-traced marginals of sum_ab coeffs[a, b] |a..a><b..b|,
+    indexed by the left-out qubit, as 2x2 matrices on the other parties'
+    span{|0..0>, |1..1>}: tracing out a party keeps only the a = b terms."""
     if n < 3:
         raise InvalidArgument(f"marginal analysis needs n >= 3, got {n}")
-    return [reduce_state(state, [q for q in range(n) if q != j]) for j in range(n)]
+    return [coeffs * np.eye(2) for _ in range(n)]
 
 
-def marginals_match(a: list[DensityMatrix], b: list[DensityMatrix]) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(np.abs(x.matrix - y.matrix).max() <= _MARGINAL_TOL for x, y in zip(a, b))
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) ||a - b||_1."""
-    if a.n_qubits != b.n_qubits:
-        raise InvalidArgument("states must share a qubit count")
-    vals = hermitian_spectrum(a.matrix - b.matrix)
-    return 0.5 * float(np.abs(vals).sum())
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2) ||a - b||_1 of two states written on the same orthonormal span."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def ghz_counterexample_check(n: int) -> bool:
     """True iff the classical |0..0>/|1..1> mixture reproduces every
-    (n-1)-party marginal of the GHZ state while the full states differ."""
+    (n-1)-party marginal of the GHZ state while the full states differ, both
+    given by their 2x2 coefficients on span{|0..0>, |1..1>}."""
     if n < 3:
         raise InvalidArgument(f"need n >= 3, got {n}")
     if n > MAX_DENSITY_QUBITS:
+        # the check is 2x2 at any n; the cap keeps the sizes rdm admits
+        # until the Gram system of g_uniqueness_check is built from shells
         raise BudgetExceeded(f"GHZ counterexample check capped at n <= {MAX_DENSITY_QUBITS}")
-    ghz = ghz_state(n)
-    weights = np.zeros(2**n)
-    weights[[0, -1]] = 0.5
-    mixture = DensityMatrix(n, np.diag(weights))
-    same_marginals = marginals_match(marginal_set(ghz), marginal_set(mixture))
-    return same_marginals and trace_distance(reduce_state(ghz, range(n)), mixture) > 0.4
+    ghz, mixture = np.full((2, 2), 0.5), np.diag([0.5, 0.5])
+    same_marginals = all(
+        np.abs(x - y).max() <= _MARGINAL_TOL
+        for x, y in zip(marginal_set(ghz, n), marginal_set(mixture, n))
+    )
+    return bool(same_marginals and _trace_distance(ghz, mixture) > 0.4)
 
 
 def _coefficient_vectors(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
@@ -159,8 +151,8 @@ def g_uniqueness_check(n: int) -> GramSolution:
     if n < 3:
         raise InvalidArgument(f"uniqueness check needs n >= 3, got {n}")
     if n > MAX_DENSITY_QUBITS:
-        # the system itself is small; the cap matches the GHZ check run beside
-        # it, whose 2^n x 2^n densities no longer fit a DensityMatrix at n = 13
+        # the system is built from the 2^(n-1) amplitudes of v0 and v1; the
+        # cap keeps the sizes rdm admits until it is built from their shells
         raise BudgetExceeded(f"uniqueness check capped at n <= {MAX_DENSITY_QUBITS}")
     a_mat, b_vec = _constraint_system(n)
     # projection of the product Gram onto the orthogonal basis

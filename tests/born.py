@@ -1,25 +1,34 @@
-"""Dense oracles: basis states, projective collapse and Born tables.
+"""Dense oracles: basis states, projective collapse, Born tables, Pauli
+expectations of density matrices and partial traces.
 
 ``outcome_probabilities`` rotates each measured qubit of a pure state into
 its measurement eigenbasis and reads off |amplitude|^2: the exponential
 reference that the protocol's outcome laws and ``exact_mutual_info_ab``'s
 joint law are checked against.  ``project`` collapses a full register onto
 one outcome pattern: the reference for the two-qubit states that ``attack``
-reads off the branch span.
+reads off the branch span.  ``density_expectation`` is the signed Pauli
+gather on a density matrix, the reference for ``bell``'s Pauli transform.
+``sequential_trace`` and ``dense_marginal_set`` reduce 2^n x 2^n states, the
+references for ``reduce_state`` and for ``rdm``'s two-vector marginals.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from qss.errors import InvalidArgument, InvalidDimension
+from qss.errors import InvalidArgument, InvalidDimension, InvalidState
 from qss.qsim import (
+    ATOL_EXACT,
     EIGENBASIS,
     MAX_STATE_QUBITS,
+    DensityMatrix,
     PauliString,
     PureState,
+    _FLIP_BIT,
+    _SIGN_BIT,
     _apply_one,
     _check_axis,
+    reduce_state,
 )
 
 PROB_FLOOR = 1e-12
@@ -93,3 +102,43 @@ def project(
             f"branch probability {prob} below threshold {PROB_FLOOR}"
         )
     return prob, PureState(state.n_qubits, flat / np.sqrt(prob))
+
+
+def density_expectation(rho: DensityMatrix, p: PauliString) -> float:
+    """Expectation value of a Pauli string in a density matrix, clamped to
+    [-1, 1]: the signed gather sum_x phase(x) rho[x xor flip, x], with the
+    checks of ``qsim.expectation``."""
+    n = rho.n_qubits
+    if p.n_qubits != n:
+        raise InvalidDimension(f"Pauli string on {p.n_qubits} qubits, state on {n}")
+    x = np.arange(2**n)
+    src = x ^ int(p.axes.translate(_FLIP_BIT), 2)
+    # popcount parity of src & zmask, folded into bit 0 (n <= 32)
+    parity = src & int(p.axes.translate(_SIGN_BIT), 2)
+    for shift in (16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    phase = (1, 1j, -1, -1j)[p.axes.count("Y") % 4] * (1 - 2 * (parity & 1))
+    val = (phase * rho.matrix[src, x]).sum()
+    if abs(val.imag) > ATOL_EXACT:
+        raise InvalidState(f"expectation {val} has a nonzero imaginary part")
+    return float(min(1.0, max(-1.0, val.real)))
+
+
+def sequential_trace(rho: DensityMatrix, keep) -> np.ndarray:
+    """Reference partial trace: one np.trace per traced qubit, the highest
+    first, on the full 2^n x 2^n matrix; kept qubits in ascending order."""
+    keep_set = sorted(set(keep))
+    n = rho.n_qubits
+    arr = rho.matrix.reshape((2,) * (2 * n))
+    n_cur = n
+    for q in sorted(set(range(n)) - set(keep_set), reverse=True):
+        arr = np.trace(arr, axis1=q, axis2=n_cur + q)
+        n_cur -= 1
+    return arr.reshape(2**n_cur, 2**n_cur)
+
+
+def dense_marginal_set(state: PureState) -> list[np.ndarray]:
+    """The n dense reduced states obtained by tracing out each single party,
+    indexed by the left-out qubit."""
+    n = state.n_qubits
+    return [reduce_state(state, [q for q in range(n) if q != j]).matrix for j in range(n)]

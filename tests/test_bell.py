@@ -36,7 +36,7 @@ from qss.qsim import (
 )
 from qss.states import add_white_noise, g_state, ghz_state
 
-from born import make_basis_state
+from born import density_expectation, make_basis_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -84,12 +84,12 @@ def ghz6_tensor():
 
 
 def nine_expectation_m(rho):
-    """M as first written: T from nine ``expectation`` calls, the oracle for
-    ``horodecki_m``'s Pauli-transform T."""
+    """M as first written: T from nine density-matrix expectations, the
+    oracle for ``horodecki_m``'s Pauli-transform T."""
     t = np.empty((3, 3))
     for i, a in enumerate("XYZ"):
         for j, b in enumerate("XYZ"):
-            t[i, j] = expectation(rho, PauliString(a + b))
+            t[i, j] = density_expectation(rho, PauliString(a + b))
     vals = np.sort(np.linalg.eigvalsh(t.T @ t))
     return float(vals[-1] + vals[-2])
 
@@ -231,25 +231,25 @@ def mixed_states(draw, max_n=3):
 
 
 class TestPauliTransform:
-    """Every entry of the transform against a single ``expectation`` call."""
+    """Every entry of the transform against a single expectation value."""
 
     @staticmethod
-    def assert_matches_expectation(state):
+    def assert_matches_expectation(state, expect):
         entries = correlation_tensor(state).entries
         assert entries.shape == (3,) * state.n_qubits
         for idx in itertools.product(range(3), repeat=state.n_qubits):
             axes = PauliString("".join("XYZ"[i] for i in idx))
-            assert abs(entries[idx] - expectation(state, axes)) < 1e-12, axes
+            assert abs(entries[idx] - expect(state, axes)) < 1e-12, axes
 
     @settings(deadline=None, max_examples=40)
     @given(pure_states())
     def test_complex_pure_states(self, state):
-        self.assert_matches_expectation(state)
+        self.assert_matches_expectation(state, expectation)
 
     @settings(deadline=None, max_examples=40)
     @given(mixed_states())
     def test_mixed_states(self, state):
-        self.assert_matches_expectation(state)
+        self.assert_matches_expectation(state, density_expectation)
 
 
 class TestSquaredSums:

@@ -1,22 +1,45 @@
 """Marginal sets and the Gram-matrix uniqueness check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qss import rdm
 from qss.errors import BudgetExceeded, InvalidArgument
-from qss.qsim import MAX_DENSITY_QUBITS, DensityMatrix, reduce_state
-from qss.rdm import (
-    GramSolution,
-    g_uniqueness_check,
-    ghz_counterexample_check,
-    marginal_set,
-    marginals_match,
-    trace_distance,
-)
+from qss.qsim import MAX_DENSITY_QUBITS, PureState, reduce_state
+from qss.rdm import GramSolution, g_uniqueness_check, ghz_counterexample_check, marginal_set
 from qss.states import g_state, ghz_state, v_states
 
-from born import make_basis_state
+from born import dense_marginal_set, make_basis_state
+
+#: GHZ and the |0..0>/|1..1> mixture as coefficients on span{|0..0>, |1..1>}.
+GHZ_COEFFS = np.full((2, 2), 0.5)
+MIXTURE_COEFFS = np.diag([0.5, 0.5])
+
+
+def on_span(coeffs, k):
+    """The 2^k x 2^k matrix with 2x2 coefficients on span{|0..0>, |1..1>}."""
+    m = np.zeros((2**k, 2**k), dtype=complex)
+    m[np.ix_([0, -1], [0, -1])] = coeffs
+    return m
+
+
+def marginals_match(a, b):
+    """Two marginal sets agree entry by entry within the check's tolerance."""
+    return len(a) == len(b) and all(
+        np.abs(x - y).max() <= rdm._MARGINAL_TOL for x, y in zip(a, b)
+    )
+
+
+def mixture_marginals(*states):
+    """Dense marginal set of the equal-weight mixture of pure states."""
+    return [sum(ms) / len(states) for ms in zip(*map(dense_marginal_set, states))]
+
+
+def dense_trace_distance(a, b):
+    """(1/2) ||a - b||_1 from one eigen-solve of the full matrices."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()
 
 
 def all_pairs_system(n):
@@ -63,31 +86,31 @@ def all_pairs_system(n):
 class TestMarginalSet:
     def test_needs_three_parties(self):
         with pytest.raises(InvalidArgument):
-            marginal_set(g_state(2))
+            marginal_set(GHZ_COEFFS, 2)
 
     def test_product_state_marginals(self):
-        ms = marginal_set(make_basis_state(3, "000"))
+        # |000> has coefficients diag(1, 0)
+        ms = marginal_set(np.diag([1.0, 0.0]), 3)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         for j in range(3):
-            assert np.abs(ms[j].matrix - expected).max() < 1e-12
+            assert np.abs(on_span(ms[j], 2) - expected).max() < 1e-12
 
     def test_ghz_marginal_is_classical_mixture(self):
-        ms = marginal_set(ghz_state(4))
+        ms = marginal_set(GHZ_COEFFS, 4)
         expected = np.zeros((8, 8))
         expected[0, 0] = expected[7, 7] = 0.5
         for j in range(4):
-            assert np.abs(ms[j].matrix - expected).max() < 1e-12
+            assert np.abs(on_span(ms[j], 3) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_g_marginals_permutation_invariant(self, n):
         # the carrier is permutation symmetric, so every single-party-deleted
         # marginal is the same matrix
-        ms = marginal_set(g_state(n))
+        ms = dense_marginal_set(g_state(n))
         assert len(ms) == n
-        first = ms[0].matrix
         for j in range(1, n):
-            assert np.abs(ms[j].matrix - first).max() < 1e-12
+            assert np.abs(ms[j] - ms[0]).max() < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_g_marginal_closed_form(self, n):
@@ -97,57 +120,58 @@ class TestMarginalSet:
             np.outer(v0.amplitudes, v0.amplitudes.conj())
             + np.outer(v1.amplitudes, v1.amplitudes.conj())
         )
-        ms = marginal_set(g_state(n))
-        assert np.abs(ms[0].matrix - expected).max() < 1e-10
+        ms = dense_marginal_set(g_state(n))
+        assert np.abs(ms[0] - expected).max() < 1e-10
 
     def test_marginals_match_tolerance(self):
-        a = marginal_set(g_state(4))
-        b = marginal_set(g_state(4))
-        assert marginals_match(a, b)
-        assert not marginals_match(a, marginal_set(ghz_state(4)))
-
-
-class TestTraceDistance:
-    def test_identical_states(self):
-        rho = reduce_state(g_state(3), range(3))
-        assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_orthogonal_pure_states(self):
-        a = reduce_state(make_basis_state(2, "00"), range(2))
-        b = reduce_state(make_basis_state(2, "11"), range(2))
-        assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetric(self):
-        a = reduce_state(g_state(3), range(3))
-        b = reduce_state(ghz_state(3), range(3))
-        assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-12)
-
-    def test_size_mismatch(self):
-        with pytest.raises(InvalidArgument):
-            trace_distance(
-                reduce_state(g_state(2), range(2)), reduce_state(g_state(3), range(3))
-            )
+        # a trace keeps only the diagonal: GHZ and the mixture share their
+        # marginals, GHZ and |0..0> do not
+        ghz = marginal_set(GHZ_COEFFS, 4)
+        assert marginals_match(ghz, marginal_set(MIXTURE_COEFFS, 4))
+        assert not marginals_match(ghz, marginal_set(np.diag([1.0, 0.0]), 4))
 
 
 class TestGHZCounterexample:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", range(3, MAX_DENSITY_QUBITS + 1))
     def test_holds_for_all_sizes(self, n):
-        assert ghz_counterexample_check(n)
+        # a Python bool, which the CLI's JSON writer needs
+        assert ghz_counterexample_check(n) is True
 
     def test_mixture_really_differs_globally(self):
-        n = 5
-        ghz = reduce_state(ghz_state(n), range(n))
-        z0 = reduce_state(make_basis_state(n, "0" * n), range(n)).matrix
-        z1 = reduce_state(make_basis_state(n, "1" * n), range(n)).matrix
-        mixture = DensityMatrix(n, 0.5 * (z0 + z1))
-        assert trace_distance(ghz, mixture) == pytest.approx(0.5, abs=1e-10)
+        assert rdm._trace_distance(GHZ_COEFFS, MIXTURE_COEFFS) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_support_matches_dense_oracle(self, n):
+        zeros, ones = make_basis_state(n, "0" * n), make_basis_state(n, "1" * n)
+        for coeffs, dense in (
+            (GHZ_COEFFS, dense_marginal_set(ghz_state(n))),
+            (MIXTURE_COEFFS, mixture_marginals(zeros, ones)),
+        ):
+            ms = marginal_set(coeffs, n)
+            assert len(ms) == n
+            for got, expected in zip(ms, dense):
+                assert np.abs(on_span(got, n - 1) - expected).max() < 1e-12
+        full = range(n)
+        ghz = reduce_state(ghz_state(n), full).matrix
+        mixture = 0.5 * (reduce_state(zeros, full).matrix + reduce_state(ones, full).matrix)
+        support = rdm._trace_distance(GHZ_COEFFS, MIXTURE_COEFFS)
+        assert abs(support - dense_trace_distance(ghz, mixture)) < 1e-12
+
+    def test_every_size_peaks_below_one_mib(self):
+        tracemalloc.start()
+        try:
+            for n in range(3, MAX_DENSITY_QUBITS + 1):
+                ghz_counterexample_check(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_oversized_rejected_before_allocating(self, monkeypatch):
-        def allocate(*args):
-            raise AssertionError("a 2^n x 2^n density was allocated")
+        def compute(*args):
+            raise AssertionError("the marginals were computed")
 
-        monkeypatch.setattr(rdm, "ghz_state", allocate)
-        monkeypatch.setattr(rdm, "DensityMatrix", allocate)
+        monkeypatch.setattr(rdm, "marginal_set", compute)
         with pytest.raises(BudgetExceeded):
             ghz_counterexample_check(MAX_DENSITY_QUBITS + 1)
 
@@ -158,8 +182,8 @@ class TestGHZCounterexample:
         w = np.zeros(2**n)
         w[[1 << q for q in range(n)]] = 1.0 / np.sqrt(n)
         wbar = w[::-1]  # flipping every qubit reverses the index order
-        mixture = DensityMatrix(n, 0.5 * (np.outer(w, w) + np.outer(wbar, wbar)))
-        assert not marginals_match(marginal_set(g_state(n)), marginal_set(mixture))
+        mixture = mixture_marginals(PureState(n, w), PureState(n, wbar))
+        assert not marginals_match(dense_marginal_set(g_state(n)), mixture)
 
 
 class TestGramUniqueness:
@@ -200,11 +224,10 @@ class TestGramUniqueness:
         for _ in range(4):
             px = np.kron(px, plus)
             mx = np.kron(mx, minus)
-        mixture = DensityMatrix(
-            4, 0.5 * (np.outer(px, px) + np.outer(mx, mx)).astype(complex)
-        )
-        assert marginals_match(marginal_set(g_state(4)), marginal_set(mixture))
-        assert trace_distance(mixture, reduce_state(g_state(4), range(4))) > 0.1
+        mixture = 0.5 * (np.outer(px, px) + np.outer(mx, mx))
+        pure_states = (PureState(4, px), PureState(4, mx))
+        assert marginals_match(dense_marginal_set(g_state(4)), mixture_marginals(*pure_states))
+        assert dense_trace_distance(mixture, reduce_state(g_state(4), range(4)).matrix) > 0.1
 
     def test_trivial_gram_structure(self):
         sol = g_uniqueness_check(6)
