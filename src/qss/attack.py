@@ -65,13 +65,13 @@ class AttackScenario:
 def _abe(phi: float, xi: np.ndarray, xibar: np.ndarray) -> np.ndarray:
     """Amplitudes of (|0,xi,0> + cos phi |1,xibar,0> + sin phi |1,xi,1>)/sqrt(2)
     for Alice, the Bob register in branch xi or xibar, and Evan's probe."""
-    c, s = math.cos(phi), math.sin(phi)
-    e0, e1 = np.eye(2, dtype=complex)
-    return (
-        np.kron(np.kron(e0, xi), e0)
-        + c * np.kron(np.kron(e1, xibar), e0)
-        + s * np.kron(np.kron(e1, xi), e1)
-    ) / np.sqrt(2.0)
+    xi, xibar = np.asarray(xi), np.asarray(xibar)
+    # axes (Alice, Bob register, probe)
+    abe = np.zeros((2, xi.size, 2), dtype=complex)
+    abe[0, :, 0] = xi
+    abe[1, :, 0] = math.cos(phi) * xibar
+    abe[1, :, 1] = math.sin(phi) * xi
+    return abe.reshape(-1) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)

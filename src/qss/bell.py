@@ -120,32 +120,30 @@ def correlation_tensor(state: State) -> CorrelationTensor:
     # axes (r0, c0, r1, c1, ...), each qubit's pair merged into one axis of 4
     order = [ax for q in range(n) for ax in (q, n + q)]
     arr = rho.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
-    for _ in range(n):
-        # the leading axis is always the next qubit; its Pauli axis goes last
-        arr = np.tensordot(arr, _PAULI_ROWS, axes=([0], [1]))
+    arr = _contract_parties(arr, np.broadcast_to(_PAULI_ROWS, (1, n, 3, 4))).reshape((3,) * n)
     if np.abs(arr.imag).max() > ATOL_EXACT:
         raise InvalidState("correlation tensor has a nonzero imaginary part")
     # + 0.0 turns the -0.0 that roundoff leaves on zero entries into 0.0
     return CorrelationTensor(n, np.clip(arr.real, -1.0, 1.0) + 0.0)
 
 
-def _contract_frames(
-    entries: np.ndarray, frames: np.ndarray, skip: int | None = None
+def _contract_parties(
+    arr: np.ndarray, mats: np.ndarray, skip: int | None = None
 ) -> np.ndarray:
-    """Contract every party of a (3,)*n tensor but ``skip`` with its plane.
+    """Contract every party of a (d,)*n array but ``skip`` with its matrix.
 
-    ``frames`` is a batch of frames, shape (b, n, 2, 3).  The result has shape
-    (b, 2^n), or (b, 2^skip, 3, 2^(n-1-skip)) with party ``skip``'s (x, y, z)
+    ``mats`` is a batch of per-party matrices, shape (b, n, r, d).  The result
+    has shape (b, r^n), or (b, r^skip, d, r^(n-1-skip)) with party ``skip``'s
     axis left in place.
     """
-    b, n = frames.shape[:2]
+    b, n, r, d = mats.shape
     # axes (batch, parties done, next party, parties to come)
-    arr = np.broadcast_to(entries.reshape(1, 1, 3, -1), (b, 1, 3, 3 ** (n - 1)))
+    arr = np.broadcast_to(arr.reshape(1, 1, d, -1), (b, 1, d, d ** (n - 1)))
     for j in range(n):
-        arr = arr.reshape(b, -1, 3, 3 ** (n - 1 - j))
+        arr = arr.reshape(b, -1, d, d ** (n - 1 - j))
         if j != skip:
-            arr = frames[:, None, j] @ arr
-    return arr.reshape(b, -1) if skip is None else arr.reshape(b, 2**skip, 3, -1)
+            arr = mats[:, None, j] @ arr
+    return arr.reshape(b, -1) if skip is None else arr.reshape(b, r**skip, d, -1)
 
 
 def plane_sum(t: CorrelationTensor, frame: LocalFrame | None = None) -> float:
@@ -157,7 +155,7 @@ def plane_sum(t: CorrelationTensor, frame: LocalFrame | None = None) -> float:
         frame = LocalFrame.default(t.n)
     if frame.n != t.n:
         raise InvalidDimension("frame party count does not match tensor")
-    return float((_contract_frames(t.entries, frame.axes[None]) ** 2).sum())
+    return float((_contract_parties(t.entries, frame.axes[None]) ** 2).sum())
 
 
 def full_sum(t: CorrelationTensor) -> float:
@@ -198,7 +196,7 @@ def _search_block(t: CorrelationTensor, seed: int, block: range) -> tuple[np.nda
     for _ in range(_MAX_SWEEPS):
         frames = axes[active]
         for i in range(n):
-            arr = _contract_frames(t.entries, frames, skip=i)
+            arr = _contract_parties(t.entries, frames, skip=i)
             mat = arr.transpose(0, 2, 1, 3).reshape(len(active), 3, -1)
             w, v = np.linalg.eigh(mat @ mat.transpose(0, 2, 1))
             frames[:, i, 0] = v[:, :, -1]

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidArgument
-from .qsim import MAX_DENSITY_QUBITS
-from .states import v_states
 
 __all__ = [
     "GramSolution",
@@ -29,6 +27,9 @@ __all__ = [
 _RESIDUAL_TOL = 1e-9
 _MARGINAL_TOL = 1e-10
 _NULLSPACE_REL_TOL = 1e-8
+
+#: Largest n: basis indices of the n-qubit register are carried as uint64.
+_MAX_QUBITS = np.iinfo(np.uint64).bits
 
 
 def _hermitian_basis() -> np.ndarray:
@@ -86,24 +87,15 @@ def ghz_counterexample_check(n: int) -> bool:
     given by their 2x2 coefficients on span{|0..0>, |1..1>}."""
     if n < 3:
         raise InvalidArgument(f"need n >= 3, got {n}")
-    if n > MAX_DENSITY_QUBITS:
-        # the check is 2x2 at any n; the cap keeps the sizes rdm admits
-        # until the Gram system of g_uniqueness_check is built from shells
-        raise BudgetExceeded(f"GHZ counterexample check capped at n <= {MAX_DENSITY_QUBITS}")
+    if n > _MAX_QUBITS:
+        # the check is 2x2 at any n; the bound is the one rdm's Gram system has
+        raise BudgetExceeded(f"GHZ counterexample check capped at n <= {_MAX_QUBITS}")
     ghz, mixture = np.full((2, 2), 0.5), np.diag([0.5, 0.5])
     same_marginals = all(
         np.abs(x - y).max() <= _MARGINAL_TOL
         for x, y in zip(marginal_set(ghz, n), marginal_set(mixture, n))
     )
     return bool(same_marginals and _trace_distance(ghz, mixture) > 0.4)
-
-
-def _coefficient_vectors(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """W[z] in R^4: the (e00, e01, e10, e11) coefficients of the environment
-    block attached to computational basis state z of qubits 1..n, given the
-    amplitudes of v0 and v1."""
-    # row 2 z' + b, column 2 c + b holds amplitude z' of v_c
-    return np.kron(np.column_stack([a0, a1]), np.eye(2)) / np.sqrt(2.0)
 
 
 def _rows(c: np.ndarray) -> np.ndarray:
@@ -119,22 +111,34 @@ def _constraint_system(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     One equation per pair y <= y' of (n-1)-qubit indices; only pairs inside
     the joint support of W, v0 and v1 can give anything but 0 = 0, and only
-    the rows that are not 0 = 0 are kept.
+    the rows that are not 0 = 0 are kept.  That support has O(n) indices:
+    the shells of v0 (weights 1 and k = n-1) and v1 (weights k-1 and 0), and
+    the rows 2 z' + b that W attaches to them, folded onto party 0's halves.
     """
-    v0, v1 = v_states(n)
-    a0 = v0.amplitudes.real
-    a1 = v1.amplitudes.real
-    # party 0 is the top bit of z: w[0] and w[1] are its two halves
-    w = _coefficient_vectors(a0, a1).reshape(2, 2 ** (n - 1), 4)
-    support = np.flatnonzero(np.abs(w).sum(axis=(0, 2)) + np.abs(a0) + np.abs(a1))
+    k = n - 1
+    full = (1 << k) - 1
+    singles = [1 << q for q in range(k)]
+    shells = np.array(sorted({0, full, *singles, *(full ^ s for s in singles)}), dtype=np.uint64)
+    # W[2 z' + b, 2 c + b] = v_c[z'] / sqrt(2); party 0, the top bit of the
+    # row, splits it into t * 2^k + p
+    rows = (shells[:, None] << np.uint64(1)) | np.arange(2, dtype=np.uint64)
+    halves, folded = (rows >> np.uint64(k)).astype(np.intp), rows & np.uint64(full)
+    support = np.array(sorted({*shells.tolist(), *folded.ravel().tolist()}), dtype=np.uint64)
+    weight = np.array([y.bit_count() for y in support.tolist()])
+    a0 = np.isin(weight, (1, k)) / np.sqrt(float(k + 1))
+    a1 = np.isin(weight, (k - 1, 0)) / np.sqrt(float(k + 1))
+    w = np.zeros((2, support.size, 4))
+    cols, at = np.searchsorted(support, folded), np.searchsorted(support, shells)[:, None]
+    w[halves, cols, np.arange(2)] = a0[at] / np.sqrt(2.0)
+    w[halves, cols, 2 + np.arange(2)] = a1[at] / np.sqrt(2.0)
     i, j = np.triu_indices(support.size)
-    ys, yps = support[i], support[j]
-    # C[pair, a, b] = sum_bit w[bit, y'][a] * w[bit, y][b]
-    c = np.einsum("tpa,tpb->pab", w[:, yps], w[:, ys])
-    target = 0.5 * (a0[ys] * a0[yps] + a1[ys] * a1[yps])
+    # C[pair, a, b] = sum_bit w[bit, y'][a] * w[bit, y][b], with y = support[i]
+    # and y' = support[j]
+    c = np.einsum("tpa,tpb->pab", w[:, j], w[:, i])
+    target = 0.5 * (a0[i] * a0[j] + a1[i] * a1[j])
 
     a_mat = np.vstack([_rows(c), _rows(_ORTHO)])
-    b_vec = np.concatenate([target, np.zeros(ys.size), _ORTHO_RHS, np.zeros(3)])
+    b_vec = np.concatenate([target, np.zeros(i.size), _ORTHO_RHS, np.zeros(3)])
     nonzero = a_mat.any(axis=1) | (b_vec != 0)
     return a_mat[nonzero], b_vec[nonzero]
 
@@ -150,10 +154,9 @@ def g_uniqueness_check(n: int) -> GramSolution:
     """
     if n < 3:
         raise InvalidArgument(f"uniqueness check needs n >= 3, got {n}")
-    if n > MAX_DENSITY_QUBITS:
-        # the system is built from the 2^(n-1) amplitudes of v0 and v1; the
-        # cap keeps the sizes rdm admits until it is built from their shells
-        raise BudgetExceeded(f"uniqueness check capped at n <= {MAX_DENSITY_QUBITS}")
+    if n > _MAX_QUBITS:
+        # before the support indices overflow
+        raise BudgetExceeded(f"uniqueness check capped at n <= {_MAX_QUBITS}")
     a_mat, b_vec = _constraint_system(n)
     # projection of the product Gram onto the orthogonal basis
     norms = np.einsum("kab,kab->k", _BASIS.conj(), _BASIS).real

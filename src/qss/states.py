@@ -48,16 +48,6 @@ def ghz_state(n: int) -> PureState:
     return _shell_state(n, (0, n))
 
 
-def v_states(n: int) -> tuple[PureState, PureState]:
-    """The pair (|v_0>, |v_1>) on k = n-1 qubits used by the marginal analysis:
-    |v_0> on weights 1 and k (every single excitation plus |1...1>), |v_1> its
-    bit flip on weights k-1 and 0. For n = 2 they are |1> and |0>."""
-    if n < 2:
-        raise InvalidArgument(f"v_states needs n >= 2, got {n}")
-    k = n - 1
-    return _shell_state(k, (1, k)), _shell_state(k, (k - 1, 0))
-
-
 def carrier_state(carrier: str, n: int) -> PureState:
     """The n-qubit carrier of the chosen family."""
     if carrier not in CARRIERS:
@@ -81,8 +71,8 @@ def branch_weights(carrier: str, m: int) -> tuple[tuple[int, ...], tuple[int, ..
 def make_carrier_branches(carrier: str, m: int) -> tuple[PureState, PureState]:
     """Alice's collapse branches (|xi>, |xibar>) on the 2m-1 Bob qubits.
 
-    For the G carrier they are ``v_states(2m)``; for the GHZ carrier, the
-    all-0 and all-1 product states.
+    For the G carrier they are the vectors v0, v1 of the marginal analysis at
+    n = 2m; for the GHZ carrier, the all-0 and all-1 product states.
     """
     xi, xibar = branch_weights(carrier, m)
     return _shell_state(2 * m - 1, xi), _shell_state(2 * m - 1, xibar)

@@ -10,6 +10,10 @@ reads off the branch span.  ``density_expectation`` is the signed Pauli
 gather on a density matrix, the reference for ``bell``'s Pauli transform.
 ``sequential_trace`` and ``dense_marginal_set`` reduce 2^n x 2^n states, the
 references for ``reduce_state`` and for ``rdm``'s two-vector marginals.
+``dense_constraint_system`` builds ``rdm``'s Gram system from the 2^(n-1)
+amplitudes of ``v_states``, the reference for the one built on their shells.
+``pauli_transform`` is the tensordot loop that ``bell.correlation_tensor``'s
+party contraction replaced.
 """
 
 from typing import Sequence
@@ -30,6 +34,8 @@ from qss.qsim import (
     _check_axis,
     reduce_state,
 )
+from qss.rdm import _ORTHO, _ORTHO_RHS, _rows
+from qss.states import _shell_state
 
 PROB_FLOOR = 1e-12
 
@@ -142,3 +148,50 @@ def dense_marginal_set(state: PureState) -> list[np.ndarray]:
     indexed by the left-out qubit."""
     n = state.n_qubits
     return [reduce_state(state, [q for q in range(n) if q != j]).matrix for j in range(n)]
+
+
+def v_states(n: int) -> tuple[PureState, PureState]:
+    """The pair (|v_0>, |v_1>) on k = n-1 qubits used by the marginal analysis:
+    |v_0> on weights 1 and k (every single excitation plus |1...1>), |v_1> its
+    bit flip on weights k-1 and 0. For n = 2 they are |1> and |0>."""
+    if n < 2:
+        raise InvalidArgument(f"v_states needs n >= 2, got {n}")
+    k = n - 1
+    return _shell_state(k, (1, k)), _shell_state(k, (k - 1, 0))
+
+
+def dense_constraint_system(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rdm._constraint_system`` from the dense amplitudes of v0 and v1: W as
+    a Kronecker product, and its support found by scanning all 2^(n-1)
+    indices."""
+    v0, v1 = v_states(n)
+    a0 = v0.amplitudes.real
+    a1 = v1.amplitudes.real
+    # row 2 z' + b, column 2 c + b holds amplitude z' of v_c; party 0 is the
+    # top bit of z: w[0] and w[1] are its two halves
+    w = (np.kron(np.column_stack([a0, a1]), np.eye(2)) / np.sqrt(2.0)).reshape(
+        2, 2 ** (n - 1), 4
+    )
+    support = np.flatnonzero(np.abs(w).sum(axis=(0, 2)) + np.abs(a0) + np.abs(a1))
+    i, j = np.triu_indices(support.size)
+    ys, yps = support[i], support[j]
+    # C[pair, a, b] = sum_bit w[bit, y'][a] * w[bit, y][b]
+    c = np.einsum("tpa,tpb->pab", w[:, yps], w[:, ys])
+    target = 0.5 * (a0[ys] * a0[yps] + a1[ys] * a1[yps])
+
+    a_mat = np.vstack([_rows(c), _rows(_ORTHO)])
+    b_vec = np.concatenate([target, np.zeros(ys.size), _ORTHO_RHS, np.zeros(3)])
+    nonzero = a_mat.any(axis=1) | (b_vec != 0)
+    return a_mat[nonzero], b_vec[nonzero]
+
+
+def pauli_transform(rho: np.ndarray, n: int, pauli_rows: np.ndarray) -> np.ndarray:
+    """The (3,)*n complex Pauli transform of a 2^n x 2^n matrix, one
+    np.tensordot per qubit; row a of ``pauli_rows`` is sigma_a.T flattened."""
+    # axes (r0, c0, r1, c1, ...), each qubit's pair merged into one axis of 4
+    order = [ax for q in range(n) for ax in (q, n + q)]
+    arr = rho.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+    for _ in range(n):
+        # the leading axis is always the next qubit; its Pauli axis goes last
+        arr = np.tensordot(arr, pauli_rows, axes=([0], [1]))
+    return arr

@@ -93,6 +93,29 @@ class TestAttackedState:
         ) / np.sqrt(2.0)
         assert np.abs(t.psi.amplitudes - expected).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "xi, xibar",
+        [
+            tuple(np.eye(2)),
+            tuple(b.amplitudes for b in make_carrier_branches("G", 3)),
+            tuple(b.amplitudes for b in make_carrier_branches("GHZ", 2)),
+        ],
+        ids=["qubit", "G3", "GHZ2"],
+    )
+    def test_bit_identical_to_kron_sum(self, xi, xibar):
+        # the Kronecker-product form the written-in-place amplitudes replaced
+        e0, e1 = np.eye(2, dtype=complex)
+        for phi in np.linspace(0.0, math.pi / 2, 41):
+            expected = (
+                np.kron(np.kron(e0, xi), e0)
+                + math.cos(phi) * np.kron(np.kron(e1, xibar), e0)
+                + math.sin(phi) * np.kron(np.kron(e1, xi), e1)
+            ) / np.sqrt(2.0)
+            amps = attack._abe(phi, xi, xibar)
+            assert np.array_equal(amps, expected)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(amps)), np.signbit(part(expected)))
+
     @pytest.mark.parametrize("phi", [0.0, 0.3, 1.1, math.pi / 2])
     def test_normalized(self, phi):
         t = attacked_state(AttackScenario("GHZ", 3, phi))

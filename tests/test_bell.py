@@ -36,7 +36,7 @@ from qss.qsim import (
 )
 from qss.states import add_white_noise, g_state, ghz_state
 
-from born import density_expectation, make_basis_state
+from born import density_expectation, make_basis_state, pauli_transform
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -251,6 +251,21 @@ class TestPauliTransform:
     def test_mixed_states(self, state):
         self.assert_matches_expectation(state, density_expectation)
 
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.7])
+    @pytest.mark.parametrize("make", [g_state, ghz_state])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bit_identical_to_tensordot_loop(self, n, make, p):
+        state = make(n)
+        if p == 1.0:
+            rho = np.outer(state.amplitudes, state.amplitudes.conj())
+        else:
+            state = add_white_noise(state, p).realized
+            rho = state.matrix
+        expected = np.clip(pauli_transform(rho, n, bell._PAULI_ROWS).real, -1.0, 1.0) + 0.0
+        entries = correlation_tensor(state).entries
+        assert np.array_equal(entries, expected)
+        assert np.array_equal(np.signbit(entries), np.signbit(expected))
+
 
 class TestSquaredSums:
     def test_g6_full_sum(self, g6_tensor):
@@ -332,7 +347,7 @@ class TestRotations:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         frame = LocalFrame(np.stack([q[:, :2].T, LocalFrame.default(1).axes[0]]))
         t = correlation_tensor(state)
-        contracted = bell._contract_frames(t.entries, frame.axes[None]).reshape(2, 2)
+        contracted = bell._contract_parties(t.entries, frame.axes[None]).reshape(2, 2)
         n_vec = q[:, 0]  # party 0's first direction
         op = np.kron(
             n_vec[0] * SX + n_vec[1] * SY + n_vec[2] * SZ, SY

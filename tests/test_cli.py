@@ -338,6 +338,8 @@ class TestRdmCommand:
             # taken from the full-matrix eigen-solves that the live-block ones replaced
             ("10", "4f68364fc3e3d86eb76e712ded95f01f39f0a61ddd763b891a14d5dd4ebaea50"),
             ("11", "e43cbb2e7d6cde1090d8d8099eb6933869a5bb837e2089987e46b5105cdaded4"),
+            # taken from the dense v0/v1 build that the shell-built one replaced
+            ("12", "f53c0467c72794ffc41d09d5bf083dd538828dd84237db8bb816f93ecc42b48c"),
         ],
     )
     def test_golden_output_hashes(self, tmp_path, n, sha):
@@ -345,9 +347,24 @@ class TestRdmCommand:
         assert run_cli(["rdm", "--n", n, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
-    def test_oversized_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("n", ["13", "64"])
+    def test_past_the_dense_sizes(self, tmp_path, n):
         out = tmp_path / "rdm.json"
-        assert run_cli(["rdm", "--n", "64", "--out", str(out)]) == 2
+        assert run_cli(["rdm", "--n", n, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["forced_product"] is True
+        assert doc["nullspace_dim"] == 0
+        assert doc["ghz_counterexample"] is True
+
+    def test_oversized_exits_2(self, tmp_path, monkeypatch):
+        # 65 qubits overflow the uint64 basis indices
+        def build(*args):
+            raise AssertionError("rdm started building")
+
+        monkeypatch.setattr(cli.rdm, "_constraint_system", build)
+        monkeypatch.setattr(cli.rdm, "marginal_set", build)
+        out = tmp_path / "rdm.json"
+        assert run_cli(["rdm", "--n", "65", "--out", str(out)]) == 2
         assert not out.exists()
 
 
@@ -558,7 +575,8 @@ def _argv(command, *options):
 
 
 # Admitted sizes stay small (n <= 6, m <= 3, rounds <= 2000, at most 5 grid
-# points); the larger values are ones the commands refuse before allocating.
+# points; rdm's system has O(n^2) rows, so its n = 64 is cheap too); the
+# larger values are ones the commands refuse before allocating.
 _BAD_N = ["-3", "0", "13", "64", str(10**9), "nan", "inf", "1.5", ""]
 _STATE = (["g", "ghz"], ["w", "G"])
 _CARRIER = (["G", "GHZ"], ["W", "g"])
@@ -585,7 +603,11 @@ _BAD_M = ["-1", "0", "1", str(10**9), "nan"]
 _SCAN_N = ["-4", "3", "1025", str(10**9), "nan"]
 
 FUZZ_COMMANDS = {
-    "rdm": _argv("rdm", _option("--n", ["3", "4", "5", "6"], _BAD_N + ["2"])),
+    "rdm": _argv(
+        "rdm",
+        _option("--n", ["3", "4", "5", "6", "13", "64"],
+                ["-3", "0", "2", "65", str(10**9), "nan", "inf", "1.5", ""]),
+    ),
     "tensor": _argv(
         "tensor",
         _option("--state", *_STATE),

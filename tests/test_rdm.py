@@ -7,11 +7,14 @@ import pytest
 
 from qss import rdm
 from qss.errors import BudgetExceeded, InvalidArgument
-from qss.qsim import MAX_DENSITY_QUBITS, PureState, reduce_state
+from qss.qsim import PureState, reduce_state
 from qss.rdm import GramSolution, g_uniqueness_check, ghz_counterexample_check, marginal_set
-from qss.states import g_state, ghz_state, v_states
+from qss.states import g_state, ghz_state
 
-from born import dense_marginal_set, make_basis_state
+from born import dense_constraint_system, dense_marginal_set, make_basis_state, v_states
+
+#: rdm's largest qubit count: its basis indices are carried as uint64.
+MAX_RDM_QUBITS = 64
 
 #: GHZ and the |0..0>/|1..1> mixture as coefficients on span{|0..0>, |1..1>}.
 GHZ_COEFFS = np.full((2, 2), 0.5)
@@ -132,7 +135,7 @@ class TestMarginalSet:
 
 
 class TestGHZCounterexample:
-    @pytest.mark.parametrize("n", range(3, MAX_DENSITY_QUBITS + 1))
+    @pytest.mark.parametrize("n", range(3, MAX_RDM_QUBITS + 1))
     def test_holds_for_all_sizes(self, n):
         # a Python bool, which the CLI's JSON writer needs
         assert ghz_counterexample_check(n) is True
@@ -160,7 +163,7 @@ class TestGHZCounterexample:
     def test_every_size_peaks_below_one_mib(self):
         tracemalloc.start()
         try:
-            for n in range(3, MAX_DENSITY_QUBITS + 1):
+            for n in range(3, MAX_RDM_QUBITS + 1):
                 ghz_counterexample_check(n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -173,7 +176,7 @@ class TestGHZCounterexample:
 
         monkeypatch.setattr(rdm, "marginal_set", compute)
         with pytest.raises(BudgetExceeded):
-            ghz_counterexample_check(MAX_DENSITY_QUBITS + 1)
+            ghz_counterexample_check(MAX_RDM_QUBITS + 1)
 
     def test_g_carrier_has_no_dephasing_counterexample(self):
         # the analogous z-dephasing of the carrier (W/Wbar mixture) does NOT
@@ -187,7 +190,7 @@ class TestGHZCounterexample:
 
 
 class TestGramUniqueness:
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 13, 32, MAX_RDM_QUBITS])
     def test_forced_for_five_plus(self, n):
         sol = g_uniqueness_check(n)
         assert isinstance(sol, GramSolution)
@@ -207,6 +210,23 @@ class TestGramUniqueness:
         a_mat, b_vec = rdm._constraint_system(n)
         assert np.array_equal(a_mat, dense_a[nonzero])
         assert np.array_equal(b_vec, dense_b[nonzero])
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_dense_oracle(self, n):
+        # the shell-built system is the dense one, bit for bit
+        a_mat, b_vec = rdm._constraint_system(n)
+        dense_a, dense_b = dense_constraint_system(n)
+        assert np.array_equal(a_mat, dense_a)
+        assert np.array_equal(b_vec, dense_b)
+
+    def test_largest_size_peaks_below_32_mib(self):
+        tracemalloc.start()
+        try:
+            g_uniqueness_check(MAX_RDM_QUBITS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_not_forced_for_four(self):
         sol = g_uniqueness_check(4)
@@ -246,7 +266,7 @@ class TestGramUniqueness:
 
         monkeypatch.setattr(rdm, "_constraint_system", build)
         with pytest.raises(BudgetExceeded):
-            g_uniqueness_check(MAX_DENSITY_QUBITS + 1)
+            g_uniqueness_check(MAX_RDM_QUBITS + 1)
 
     def test_three_qubit_case_reported(self):
         # n = 3 is outside the regime the uniqueness argument targets but the

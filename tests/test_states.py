@@ -14,8 +14,9 @@ from qss.states import (
     g_state,
     ghz_state,
     make_carrier_branches,
-    v_states,
 )
+
+from born import v_states
 
 
 def w_pair(n):
