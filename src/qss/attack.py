@@ -77,8 +77,10 @@ def _abe(phi: float, xi: np.ndarray, xibar: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TripartiteState:
     """Alice, the Bobs, and Evan's probe after the attack.  The dense ``psi``
-    is built on first read; ``rho_ae`` and ``coalition_collapse`` never need
-    it, since the orthonormal branches let the Bobs be one qubit."""
+    is built on first read, and only ``exact_mutual_info_ab`` (which the
+    acceptance gate calls) and the tests read it: ``rho_ae``,
+    ``coalition_collapse`` and ``protocol.run_protocol`` work on the branch
+    span, where the orthonormal branches let the Bobs be one qubit."""
 
     scenario: AttackScenario
 

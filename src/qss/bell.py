@@ -128,18 +128,20 @@ def correlation_tensor(state: State) -> CorrelationTensor:
 
 
 def _contract_parties(
-    arr: np.ndarray, mats: np.ndarray, skip: int | None = None
+    arr: np.ndarray, mats: np.ndarray, skip: int | None = None, done: int = 0
 ) -> np.ndarray:
     """Contract every party of a (d,)*n array but ``skip`` with its matrix.
 
     ``mats`` is a batch of per-party matrices, shape (b, n, r, d).  The result
     has shape (b, r^n), or (b, r^skip, d, r^(n-1-skip)) with party ``skip``'s
-    axis left in place.
+    axis left in place.  With ``done`` > 0, ``arr`` is a batch whose parties
+    0 .. done-1 are contracted already, shape (b, r^done, d, d^(n-1-done)).
     """
     b, n, r, d = mats.shape
     # axes (batch, parties done, next party, parties to come)
-    arr = np.broadcast_to(arr.reshape(1, 1, d, -1), (b, 1, d, d ** (n - 1)))
-    for j in range(n):
+    shape = (b, r**done, d, d ** (n - 1 - done))
+    arr = np.broadcast_to(arr.reshape((-1,) + shape[1:]), shape)
+    for j in range(done, n):
         arr = arr.reshape(b, -1, d, d ** (n - 1 - j))
         if j != skip:
             arr = mats[:, None, j] @ arr
@@ -195,13 +197,18 @@ def _search_block(t: CorrelationTensor, seed: int, block: range) -> tuple[np.nda
     active = np.arange(len(block))
     for _ in range(_MAX_SWEEPS):
         frames = axes[active]
+        b = len(active)
+        # the tensor with parties 0 .. i-1 contracted with their new planes,
+        # extended by one party a step
+        left = np.broadcast_to(t.entries.reshape(1, 1, 3, -1), (b, 1, 3, 3 ** (n - 1)))
         for i in range(n):
-            arr = _contract_parties(t.entries, frames, skip=i)
-            mat = arr.transpose(0, 2, 1, 3).reshape(len(active), 3, -1)
+            arr = _contract_parties(left, frames, skip=i, done=i)
+            mat = arr.transpose(0, 2, 1, 3).reshape(b, 3, -1)
             w, v = np.linalg.eigh(mat @ mat.transpose(0, 2, 1))
             frames[:, i, 0] = v[:, :, -1]
             frames[:, i, 1] = v[:, :, -2]
             val = w[:, -1] + w[:, -2]
+            left = frames[:, None, i] @ left.reshape(b, -1, 3, 3 ** (n - 1 - i))
         axes[active] = frames
         converged = val - vals[active] < _CONVERGED_GAIN
         vals[active] = val

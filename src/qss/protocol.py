@@ -17,9 +17,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attack import AttackScenario, attacked_state
+from .attack import AttackScenario, _abe
 from .errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from .qsim import EIGENBASIS, Outcome, _apply_one
+from .states import make_carrier_branches
 
 __all__ = [
     "ProtocolConfig",
@@ -33,10 +34,14 @@ __all__ = [
 ]
 
 
-#: Largest m a run admits.  The work, 2m rotations of the 2^(2m+1) amplitudes for
-#: each of the 2^(2m) basis combinations, grows about 18-fold per step in m: m = 6
-#: with 2e4 rounds took a median 2.5 s on a shared 2-core VM.
+#: Largest m a run admits.  The work, for each of the 2^(2m) basis combinations
+#: 2m - 1 rotations of the 2^(2m) branch amplitudes and one 4 x 2 x 2^(2m-1)
+#: product, grows about 19-fold per step in m: m = 6 with 2e4 rounds took a
+#: median 1.7 s on a shared 2-core VM.
 MAX_M = 7
+
+#: Width of the combination keys that ``run_protocol`` sorts: 2m <= 14 bits.
+_COMBO_DTYPE = np.min_scalar_type(2 ** (2 * MAX_M) - 1)
 
 #: Bytes the per-round columns of one run may take, counted as 8 bytes per
 #: party for the basis draws and about six more 8-byte columns (uniforms,
@@ -136,6 +141,15 @@ class ProtocolTranscript:
         )
 
 
+def _group(combos: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rounds grouped by combination: ``order[bounds[c]:bounds[c + 1]]`` are,
+    in round order, the rounds that use combination c, for every c < size.
+    A stable sort of 16-bit keys is a radix sort."""
+    order = np.argsort(combos.astype(_COMBO_DTYPE), kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(combos, minlength=size))])
+    return order, bounds
+
+
 def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     """Simulate all rounds and sift them.  Each basis combination's outcome
     law is built, sampled by its rounds and dropped in turn."""
@@ -151,22 +165,28 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     uniforms = rng.random(config.rounds)
 
     outcome_idx = np.empty(config.rounds, dtype=np.int64)
-    # rounds grouped by combination: order[bounds[c]:bounds[c + 1]] use combination c
-    order = np.argsort(combos, kind="stable")
-    bounds = np.searchsorted(combos[order], np.arange(2**n_parties + 1))
-    psi = attacked_state(config.scenario).psi
-    base = psi.amplitudes.reshape((2,) * psi.n_qubits)
+    order, bounds = _group(combos, 2**n_parties)
+    # the attacked state is sum_b coef[a, b, e] |a>|branch b>|e>: its (Alice,
+    # branch, probe) coefficients, and the branches xi and xibar stacked on
+    # axis 0, with the Bobs on axes 1 .. 2m-1 as in the dense register
+    scenario = config.scenario
+    coef = _abe(scenario.phi, *np.eye(2)).reshape(2, 2, 2)
+    branches = np.stack(
+        [b.amplitudes for b in make_carrier_branches(scenario.carrier, scenario.m)]
+    ).reshape((2,) * n_parties)
     # indexed by a combination's bit for the party: 0 for sigma_x, 1 for sigma_y
     rotations = tuple(EIGENBASIS[ax].conj().T for ax in "XY")
     # every combination is built, used or not, so the work depends on m alone;
-    # its law is cumulative over the party outcomes, marginalized over Evan's
-    # probe (the last axis), whose two terms are added as a length-2 sum would
+    # its law is cumulative over the party outcomes, marginalized over Evan's probe
     for combo in range(2**n_parties):
-        arr = base
-        for q in range(n_parties):
-            arr = _apply_one(arr, q, rotations[(combo >> (n_parties - 1 - q)) & 1])
-        sq = (np.abs(arr) ** 2).reshape(-1)
-        probs = sq[0::2] + sq[1::2]
+        alice = _apply_one(coef, 0, rotations[combo >> (n_parties - 1)])
+        bobs = branches
+        for q in range(1, n_parties):
+            bobs = _apply_one(bobs, q, rotations[(combo >> (n_parties - 1 - q)) & 1])
+        # rows (Alice, probe), columns the Bob outcomes
+        amps = alice.transpose(0, 2, 1).reshape(4, 2) @ bobs.reshape(2, -1)
+        sq = (np.abs(amps) ** 2).reshape(2, 2, -1)
+        probs = (sq[:, 0] + sq[:, 1]).reshape(-1)
         law = np.cumsum(probs / probs.sum())
         rows = order[bounds[combo] : bounds[combo + 1]]
         outcome_idx[rows] = np.searchsorted(law, uniforms[rows], side="right")
@@ -226,13 +246,20 @@ _JSONL_BLOCK_ROUNDS = 8192
 _SIGN_TEXT = str.maketrans({"0": "1,", "1": "-1,"})
 
 
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(x, return_inverse=True)`` for nonnegative integers, without
+    a sort: the sorted distinct values, and each entry's index among them."""
+    present = np.bincount(x) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[x]
+
+
 def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
     """One JSON document per round, one line each, yielded as text blocks
     that each hold the whole newline-terminated lines of up to
     ``_JSONL_BLOCK_ROUNDS`` consecutive rounds."""
     n = t.config.n_parties
-    combos, combo_of = np.unique(t.combo_idx, return_inverse=True)
-    outcomes, outcome_of = np.unique(t.outcome_idx, return_inverse=True)
+    combos, combo_of = _distinct(t.combo_idx)
+    outcomes, outcome_of = _distinct(t.outcome_idx)
     # a line is 5 pieces: prefix, round number, bases, outcomes, sifted flag
     bases = np.array(
         [f',"bases":"{_bases(c, n)}","outcomes":' for c in combos.tolist()], dtype=object

@@ -13,13 +13,22 @@ references for ``reduce_state`` and for ``rdm``'s two-vector marginals.
 ``dense_constraint_system`` builds ``rdm``'s Gram system from the 2^(n-1)
 amplitudes of ``v_states``, the reference for the one built on their shells.
 ``pauli_transform`` is the tensordot loop that ``bell.correlation_tensor``'s
-party contraction replaced.
+party contraction replaced, and ``search_block_from_scratch`` the frame
+search step that contracted every other party afresh before ``bell`` carried
+the left part of the contraction from party to party.
 """
 
 from typing import Sequence
 
 import numpy as np
 
+from qss.bell import (
+    _CONVERGED_GAIN,
+    _MAX_SWEEPS,
+    LocalFrame,
+    _contract_parties,
+    _random_frame,
+)
 from qss.errors import InvalidArgument, InvalidDimension, InvalidState
 from qss.qsim import (
     ATOL_EXACT,
@@ -195,3 +204,33 @@ def pauli_transform(rho: np.ndarray, n: int, pauli_rows: np.ndarray) -> np.ndarr
         # the leading axis is always the next qubit; its Pauli axis goes last
         arr = np.tensordot(arr, pauli_rows, axes=([0], [1]))
     return arr
+
+
+def search_block_from_scratch(t, seed: int, block: range) -> tuple[np.ndarray, np.ndarray]:
+    """``bell._search_block`` with every party step contracting the other
+    n-1 parties from the tensor itself, not from the carried left part."""
+    n = t.n
+    axes = np.stack(
+        [
+            _random_frame(n, np.random.default_rng((seed, r))) if r else LocalFrame.default(n).axes
+            for r in block
+        ]
+    )
+    vals = np.full(len(block), -np.inf)
+    active = np.arange(len(block))
+    for _ in range(_MAX_SWEEPS):
+        frames = axes[active]
+        for i in range(n):
+            arr = _contract_parties(t.entries, frames, skip=i)
+            mat = arr.transpose(0, 2, 1, 3).reshape(len(active), 3, -1)
+            w, v = np.linalg.eigh(mat @ mat.transpose(0, 2, 1))
+            frames[:, i, 0] = v[:, :, -1]
+            frames[:, i, 1] = v[:, :, -2]
+            val = w[:, -1] + w[:, -2]
+        axes[active] = frames
+        converged = val - vals[active] < _CONVERGED_GAIN
+        vals[active] = val
+        active = active[~converged]
+        if not active.size:
+            break
+    return vals, axes

@@ -36,7 +36,12 @@ from qss.qsim import (
 )
 from qss.states import add_white_noise, g_state, ghz_state
 
-from born import density_expectation, make_basis_state, pauli_transform
+from born import (
+    density_expectation,
+    make_basis_state,
+    pauli_transform,
+    search_block_from_scratch,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -474,6 +479,33 @@ class TestPlaneSearch:
 
     def test_restarts_past_one_block(self):
         assert_matches_sequential(named_tensor("g4_p07"), bell._RESTART_BLOCK + 3, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def noisy_tensor(make, n, p):
+    state = make(n)
+    return correlation_tensor(state if p == 1.0 else add_white_noise(state, p).realized)
+
+
+class TestCarriedContraction:
+    """The search with the left contraction carried from party to party
+    gives bit for bit what contracting every other party afresh gave."""
+
+    @pytest.mark.parametrize("restarts", [1, 64, 130])
+    @pytest.mark.parametrize(
+        "make, n, p",
+        [(g_state, 4, 1.0), (g_state, 5, 1.0), (g_state, 6, 0.5), (g_state, 8, 0.9),
+         (ghz_state, 7, 0.5)],
+    )
+    def test_bit_identical_to_contraction_from_scratch(self, make, n, p, restarts):
+        t = noisy_tensor(make, n, p)
+        # every block of a search with this many restarts, as maximize_plane_sum cuts them
+        for start in range(0, restarts, bell._RESTART_BLOCK):
+            block = range(start, min(start + bell._RESTART_BLOCK, restarts))
+            vals, axes = bell._search_block(t, 3, block)
+            ref_vals, ref_axes = search_block_from_scratch(t, 3, block)
+            assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(axes, ref_axes)
 
 
 def collapsed_pair_oracle(n, p):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qss import protocol
-from qss.attack import AttackScenario, attacked_state, binary_entropy
+from qss.attack import AttackScenario, TripartiteState, attacked_state, binary_entropy
 from qss.errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from qss.protocol import (
     MAX_M,
@@ -115,6 +115,60 @@ class TestBlockedBasisDraws:
         outcomes = np.minimum(np.searchsorted(law, uniforms, side="right"), 2**n - 1)
         assert np.array_equal(t.combo_idx, combos)
         assert np.array_equal(t.outcome_idx, outcomes)
+
+
+class TestFactoredLaw:
+    """The laws are built on the branch span: the dense attacked state is
+    never read."""
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_never_reads_the_dense_state(self, carrier, m, monkeypatch):
+        def dense(self):
+            raise AssertionError("the dense attacked state was read")
+
+        monkeypatch.setattr(TripartiteState, "psi", property(dense))
+        scenario = AttackScenario(carrier, m, 0.3)
+        with pytest.raises(AssertionError):
+            attacked_state(scenario).psi
+        t = run_protocol(ProtocolConfig(500, scenario, 0))
+        assert t.outcome_idx.max() < 2 ** (2 * m)
+
+
+def _grouping_cases():
+    rng = np.random.default_rng(5)
+    top = 2 ** (2 * MAX_M)
+    return {
+        "random": (rng.integers(0, 64, size=5000), 64),
+        "one_round": (np.array([37]), 64),
+        "one_combination": (np.full(1000, 9), 16),
+        "top_index_m7": (np.array([top - 1, 0, top - 1, 5, top - 1]), top),
+        "random_m7": (rng.integers(0, top, size=50_000), top),
+    }
+
+
+GROUPING_CASES = _grouping_cases()
+
+
+class TestSortFreeGrouping:
+    """The 16-bit radix sort and the bincount tables give what the int64
+    argsort and ``np.unique`` gave."""
+
+    @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
+    def test_group_matches_int64_argsort(self, case):
+        combos, size = GROUPING_CASES[case]
+        order, bounds = protocol._group(combos, size)
+        ref = np.argsort(combos, kind="stable")
+        assert np.array_equal(order, ref)
+        assert np.array_equal(bounds, np.searchsorted(combos[ref], np.arange(size + 1)))
+
+    @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
+    def test_distinct_matches_unique(self, case):
+        x, _ = GROUPING_CASES[case]
+        values, inverse = protocol._distinct(x)
+        ref_values, ref_inverse = np.unique(x, return_inverse=True)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(inverse, ref_inverse)
 
 
 class TestDeterminism:
