@@ -10,22 +10,14 @@ qubits 1..2M-1, Evan's probe is qubit 2M.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .qsim import (
-    MAX_STATE_QUBITS,
-    DensityMatrix,
-    PauliString,
-    PureState,
-    expectation,
-    reduce_state,
-)
-from .states import CARRIERS, branch_weights, make_carrier_branches
+from .qsim import DensityMatrix, PauliString, PureState, expectation, reduce_state
+from .states import CARRIERS, branch_weights, branch_y_sign
 
 __all__ = [
     "AttackScenario",
@@ -41,6 +33,12 @@ __all__ = [
 ]
 
 
+def _check_phi(phi: float) -> None:
+    """The attack angle's domain, [0, pi/2] up to 1e-12 of roundoff."""
+    if not 0.0 <= phi <= math.pi / 2 + 1e-12:
+        raise InvalidArgument(f"phi must be in [0, pi/2], got {phi}")
+
+
 @dataclass(frozen=True)
 class AttackScenario:
     """Carrier family, qubit count N = 2m, and attack angle phi (radians)."""
@@ -54,8 +52,7 @@ class AttackScenario:
             raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {self.carrier!r}")
         if self.m < 1:
             raise InvalidArgument(f"m must be >= 1, got {self.m}")
-        if not 0.0 <= self.phi <= math.pi / 2 + 1e-12:
-            raise InvalidArgument(f"phi must be in [0, pi/2], got {self.phi}")
+        _check_phi(self.phi)
 
     @property
     def n_parties(self) -> int:
@@ -76,25 +73,11 @@ def _abe(phi: float, xi: np.ndarray, xibar: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TripartiteState:
-    """Alice, the Bobs, and Evan's probe after the attack.  The dense ``psi``
-    is built on first read, and only ``exact_mutual_info_ab`` (which the
-    acceptance gate calls) and the tests read it: ``rho_ae``,
-    ``coalition_collapse`` and ``protocol.run_protocol`` work on the branch
-    span, where the orthonormal branches let the Bobs be one qubit."""
+    """Alice, the Bobs, and Evan's probe after the attack, as its scenario: the
+    orthonormal branches |xi>, |xibar> let every reader treat the Bob register
+    as one qubit, so no 2^(2m+1)-amplitude state is built."""
 
     scenario: AttackScenario
-
-    @functools.cached_property
-    def psi(self) -> PureState:
-        """|psi>_ABE on 2m+1 qubits."""
-        m = self.scenario.m
-        if 2 * m + 1 > MAX_STATE_QUBITS:
-            # before the branches and their Kronecker products are allocated
-            raise InvalidArgument(
-                f"attacked state needs 2m + 1 <= {MAX_STATE_QUBITS} qubits, got m = {m}"
-            )
-        xi, xibar = make_carrier_branches(self.scenario.carrier, m)
-        return PureState(2 * m + 1, _abe(self.scenario.phi, xi.amplitudes, xibar.amplitudes))
 
 
 def attacked_state(scenario: AttackScenario) -> TripartiteState:
@@ -144,20 +127,20 @@ def binary_entropy(p: float) -> float:
 
 def mutual_info_ab(phi: float) -> float:
     """Closed-form I(A:B) = 1 - H((1 + cos phi)/2) in bits."""
-    if not 0.0 <= phi <= math.pi / 2 + 1e-12:
-        raise InvalidArgument(f"phi must be in [0, pi/2], got {phi}")
+    _check_phi(phi)
     return 1.0 - binary_entropy((1.0 + math.cos(phi)) / 2.0)
 
 
 def mutual_info_ae(phi: float) -> float:
-    """Closed-form I(A:E); equals I(A:B) at the complementary angle."""
-    return mutual_info_ab(math.pi / 2 - phi)
+    """Closed-form I(A:E); equals I(A:B) at the complementary angle, which
+    roundoff can take below 0 when phi is pi/2."""
+    _check_phi(phi)
+    return mutual_info_ab(max(0.0, math.pi / 2 - phi))
 
 
 def qber_x(phi: float) -> float:
     """Probability that Alice's bit disagrees with the Bobs' product bit."""
-    if not 0.0 <= phi <= math.pi / 2 + 1e-12:
-        raise InvalidArgument(f"phi must be in [0, pi/2], got {phi}")
+    _check_phi(phi)
     return (1.0 - math.cos(phi)) / 2.0
 
 
@@ -166,15 +149,16 @@ def exact_mutual_info_ab(scenario: AttackScenario) -> float:
 
     Both all-x and all-y measurement rounds are exercised with equal weight,
     matching the sifted-round average of the protocol.  Each round's joint law
-    of Alice's outcome and the Bobs' product comes from three expectations.
+    of Alice's outcome and the Bobs' product comes from three expectations on
+    the three qubits (Alice, branch, probe), at any m.
     """
-    t = attacked_state(scenario)
-    k = 2 * scenario.m - 1  # the Bobs; Evan's probe is the last qubit
+    state = PureState(3, _abe(scenario.phi, *np.eye(2)))
     joints = []
-    for basis in ("X", "Y"):
-        ea = expectation(t.psi, PauliString(basis + "I" * (k + 1)))
-        eb = expectation(t.psi, PauliString("I" + basis * k + "I"))
-        eab = expectation(t.psi, PauliString(basis * (k + 1) + "I"))
+    # on the branch span the Bobs' all-x product acts as X, the all-y one as s*Y
+    for basis, sign in (("X", 1), ("Y", branch_y_sign(scenario.carrier, scenario.m))):
+        ea = expectation(state, PauliString(basis + "II"))
+        eb = sign * expectation(state, PauliString("I" + basis + "I"))
+        eab = sign * expectation(state, PauliString(basis * 2 + "I"))
         # P(a, b) = (1 + a<A> + b<B> + ab<AB>)/4 for Alice's outcome a and the
         # Bobs' product b; row and column 0 are the outcome +1
         joint = np.array([[1 + ea + eb + eab, 1 + ea - eb - eab],

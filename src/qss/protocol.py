@@ -20,7 +20,7 @@ import numpy as np
 from .attack import AttackScenario, _abe
 from .errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from .qsim import EIGENBASIS, Outcome, _apply_one
-from .states import make_carrier_branches
+from .states import branch_y_sign, make_carrier_branches
 
 __all__ = [
     "ProtocolConfig",
@@ -118,9 +118,9 @@ class ProtocolTranscript:
         """Alice's sifted bits and the Bobs' product bits, as arrays."""
         bits = self._sifted_bits()
         # all-y rounds carry a carrier-dependent parity sign: the full-y
-        # correlation is (-1)^(m+1) for the G carrier and (-1)^m for GHZ
+        # correlation is -s, so the product bit flips when s = +1
         scenario = self.config.scenario
-        y_flip = (scenario.m + (scenario.carrier == "G")) % 2
+        y_flip = (1 + branch_y_sign(scenario.carrier, scenario.m)) // 2
         all_y = self.combo_idx[self.sifted] != 0
         # the product of +-1 outcomes is -1 iff an odd number of them are -1
         parity = bits[:, 1:].sum(axis=1) + all_y * y_flip

@@ -55,6 +55,13 @@ _ORTHO_RHS = np.array([1.0, 1.0, 0.0])
 #: Gram of the product solution: e00 = e11 unit, e01 = e10 = 0.
 _PRODUCT_GRAM = np.zeros((4, 4))
 _PRODUCT_GRAM[np.ix_([0, 3], [0, 3])] = 1.0
+_PRODUCT_GRAM.flags.writeable = False
+
+#: The product Gram's coordinates theta on the orthogonal ``_BASIS``.
+_PRODUCT_THETA = (
+    np.einsum("kab,ab->k", _BASIS.conj(), _PRODUCT_GRAM).real
+    / np.einsum("kab,kab->k", _BASIS.conj(), _BASIS).real
+)
 
 
 @dataclass(frozen=True)
@@ -158,10 +165,7 @@ def g_uniqueness_check(n: int) -> GramSolution:
         # before the support indices overflow
         raise BudgetExceeded(f"uniqueness check capped at n <= {_MAX_QUBITS}")
     a_mat, b_vec = _constraint_system(n)
-    # projection of the product Gram onto the orthogonal basis
-    norms = np.einsum("kab,kab->k", _BASIS.conj(), _BASIS).real
-    theta_triv = np.einsum("kab,ab->k", _BASIS.conj(), _PRODUCT_GRAM).real / norms
-    residual = float(np.abs(a_mat @ theta_triv - b_vec).max())
+    residual = float(np.abs(a_mat @ _PRODUCT_THETA - b_vec).max())
     if residual > 1e-6:
         raise InternalInconsistency(
             f"the carrier itself fails its own marginal constraints (residual {residual})"
@@ -171,7 +175,7 @@ def g_uniqueness_check(n: int) -> GramSolution:
     nullspace_dim = int((svals < tol).sum())
     forced = nullspace_dim == 0 and residual < _RESIDUAL_TOL
     return GramSolution(
-        gram=np.tensordot(theta_triv, _BASIS, 1),
+        gram=_PRODUCT_GRAM,
         residual=residual,
         forced_product=forced,
         nullspace_dim=nullspace_dim,

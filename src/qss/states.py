@@ -68,6 +68,14 @@ def branch_weights(carrier: str, m: int) -> tuple[tuple[int, ...], tuple[int, ..
     return ((1, k), (k - 1, 0)) if carrier == "G" else ((0,), (k,))
 
 
+def branch_y_sign(carrier: str, m: int) -> int:
+    """s such that sigma_y on all k = 2m-1 Bobs acts on span{|xi>, |xibar>} as
+    s*Y (and sigma_x as X): Y^k|x> = i^k (-1)^|x| |not x>, and each branch's
+    shells share one weight parity, so s = (-1)^m for G, (-1)^(m+1) for GHZ."""
+    xi, _ = branch_weights(carrier, m)
+    return (-1) ** (m - 1 + xi[0])
+
+
 def make_carrier_branches(carrier: str, m: int) -> tuple[PureState, PureState]:
     """Alice's collapse branches (|xi>, |xibar>) on the 2m-1 Bob qubits.
 

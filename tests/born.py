@@ -1,6 +1,9 @@
-"""Dense oracles: basis states, projective collapse, Born tables, Pauli
-expectations of density matrices and partial traces.
+"""Dense oracles: the attacked state, basis states, projective collapse, Born
+tables, Pauli expectations of density matrices and partial traces.
 
+``dense_attacked_state`` is |psi>_ABE on all 2m+1 qubits, for m <= 9: the
+state that ``attack`` and ``protocol`` read on the branch span, where the
+Bob register is one qubit, and that the tests check them against.
 ``outcome_probabilities`` rotates each measured qubit of a pure state into
 its measurement eigenbasis and reads off |amplitude|^2: the exponential
 reference that the protocol's outcome laws and ``exact_mutual_info_ab``'s
@@ -22,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from qss.attack import AttackScenario, _abe
 from qss.bell import (
     _CONVERGED_GAIN,
     _MAX_SWEEPS,
@@ -44,13 +48,26 @@ from qss.qsim import (
     reduce_state,
 )
 from qss.rdm import _ORTHO, _ORTHO_RHS, _rows
-from qss.states import _shell_state
+from qss.states import _shell_state, make_carrier_branches
 
 PROB_FLOOR = 1e-12
 
 
 class ZeroProbabilityBranch(Exception):
     """Projection onto a branch whose probability is below the zero threshold."""
+
+
+def dense_attacked_state(scenario: AttackScenario) -> PureState:
+    """|psi>_ABE on 2m+1 qubits: Alice is qubit 0, the Bobs 1..2m-1 and
+    Evan's probe 2m."""
+    m = scenario.m
+    if 2 * m + 1 > MAX_STATE_QUBITS:
+        # before the branches and their Kronecker products are allocated
+        raise InvalidArgument(
+            f"attacked state needs 2m + 1 <= {MAX_STATE_QUBITS} qubits, got m = {m}"
+        )
+    xi, xibar = make_carrier_branches(scenario.carrier, m)
+    return PureState(2 * m + 1, _abe(scenario.phi, xi.amplitudes, xibar.amplitudes))
 
 
 def make_basis_state(n: int, bits: str) -> PureState:

@@ -19,10 +19,11 @@ from qss.attack import (
     rho_ae,
 )
 from qss.bell import horodecki_m
-from qss.qsim import reduce_state
-from qss.states import branch_weights, g_state, make_carrier_branches
+from qss.qsim import _apply_one, reduce_state
+from qss.states import branch_weights, branch_y_sign, g_state, make_carrier_branches
 
-from born import outcome_probabilities, project
+import born
+from born import dense_attacked_state, outcome_probabilities, project
 
 PHI_GRID = np.linspace(0.0, math.pi / 2, 21)
 
@@ -34,7 +35,7 @@ def outer(v):
 def branch_images(phi, m=2):
     """Evan's images of |xi>|0> and |xibar>|0>, read off the attacked state:
     Alice's |0> and |1> halves of psi, times sqrt(2), as (Bobs, probe) arrays."""
-    psi = attacked_state(AttackScenario("G", m, phi)).psi.amplitudes
+    psi = dense_attacked_state(AttackScenario("G", m, phi)).amplitudes
     halves = psi.reshape(2, -1, 2) * np.sqrt(2.0)
     return halves[0], halves[1]
 
@@ -76,22 +77,22 @@ class TestUnitaryAction:
 class TestAttackedState:
     @pytest.mark.parametrize("m", [2, 3])
     def test_no_attack_leaves_carrier_untouched(self, m):
-        t = attacked_state(AttackScenario("G", m, 0.0))
+        psi = dense_attacked_state(AttackScenario("G", m, 0.0))
         probe_zero = np.array([1.0, 0.0])
         expected = np.kron(g_state(2 * m).amplitudes, probe_zero)
-        assert np.abs(t.psi.amplitudes - expected).max() < 1e-12
+        assert np.abs(psi.amplitudes - expected).max() < 1e-12
 
     def test_full_interception_structure(self):
         # phi = pi/2: |psi> = (|0, xi, 0> + |1, xi, 1>)/sqrt(2)
         m = 2
-        t = attacked_state(AttackScenario("G", m, math.pi / 2))
+        psi = dense_attacked_state(AttackScenario("G", m, math.pi / 2))
         xi, _ = make_carrier_branches("G", m)
         e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         expected = (
             np.kron(np.kron(e0, xi.amplitudes), e0)
             + np.kron(np.kron(e1, xi.amplitudes), e1)
         ) / np.sqrt(2.0)
-        assert np.abs(t.psi.amplitudes - expected).max() < 1e-12
+        assert np.abs(psi.amplitudes - expected).max() < 1e-12
 
     @pytest.mark.parametrize(
         "xi, xibar",
@@ -118,8 +119,8 @@ class TestAttackedState:
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 1.1, math.pi / 2])
     def test_normalized(self, phi):
-        t = attacked_state(AttackScenario("GHZ", 3, phi))
-        assert np.linalg.norm(t.psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        psi = dense_attacked_state(AttackScenario("GHZ", 3, phi))
+        assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_phi_out_of_range(self):
         with pytest.raises(InvalidArgument):
@@ -130,16 +131,15 @@ class TestAttackedState:
         def build(*args):
             raise AssertionError("the carrier branches were built")
 
-        monkeypatch.setattr(attack, "make_carrier_branches", build)
-        # any m makes a state; its dense psi is checked when first read.
+        monkeypatch.setattr(born, "make_carrier_branches", build)
+        # any m makes a state; the dense oracle checks its register size.
         # m = 9 gives 2m + 1 = 19 qubits, m = 10 gives 21, past the 20 of PureState
-        oversized = attacked_state(AttackScenario(carrier, 10, 0.0))
         with pytest.raises(InvalidArgument):
-            oversized.psi
+            dense_attacked_state(AttackScenario(carrier, 10, 0.0))
         with pytest.raises(AssertionError):
-            attacked_state(AttackScenario(carrier, 9, 0.0)).psi
+            dense_attacked_state(AttackScenario(carrier, 9, 0.0))
         monkeypatch.undo()
-        assert attacked_state(AttackScenario(carrier, 9, 0.0)).psi.n_qubits == 19
+        assert dense_attacked_state(AttackScenario(carrier, 9, 0.0)).n_qubits == 19
 
 
 class TestReducedStates:
@@ -148,7 +148,6 @@ class TestReducedStates:
         # rank-2 form built independently from the branch states:
         # ((1+cos^2)/2)|alpha><alpha| + (sin^2/2)|1 xi><1 xi|
         m = 2
-        t = attacked_state(AttackScenario("G", m, phi))
         xi, xibar = make_carrier_branches("G", m)
         c, s = math.cos(phi), math.sin(phi)
         e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -157,7 +156,8 @@ class TestReducedStates:
         )
         one_xi = np.kron(e1, xi.amplitudes)
         expected = ((1 + c * c) / 2) * outer(alpha) + (s * s / 2) * outer(one_xi)
-        assert np.abs(reduce_state(t.psi, range(2 * m)).matrix - expected).max() < 1e-10
+        psi = dense_attacked_state(AttackScenario("G", m, phi))
+        assert np.abs(reduce_state(psi, range(2 * m)).matrix - expected).max() < 1e-10
 
     @pytest.mark.parametrize("phi", [0.0, 0.4, math.pi / 4, 1.2])
     def test_rho_ae_closed_form(self, phi):
@@ -178,15 +178,14 @@ class TestReducedStates:
         assert np.abs(rho_ae(t).matrix - expected).max() < 1e-12
 
     def test_rho_ab_weights_at_crossover(self):
-        t = attacked_state(AttackScenario("G", 2, math.pi / 4))
-        vals = np.sort(np.linalg.eigvalsh(reduce_state(t.psi, range(4)).matrix))[::-1]
+        psi = dense_attacked_state(AttackScenario("G", 2, math.pi / 4))
+        vals = np.sort(np.linalg.eigvalsh(reduce_state(psi, range(4)).matrix))[::-1]
         assert vals[0] == pytest.approx(0.75, abs=1e-10)
         assert vals[1] == pytest.approx(0.25, abs=1e-10)
         assert abs(vals[2:]).max() < 1e-10
 
     def test_rho_b_trace_and_size(self):
-        t = attacked_state(AttackScenario("G", 3, 0.7))
-        rb = reduce_state(t.psi, range(1, 6))
+        rb = reduce_state(dense_attacked_state(AttackScenario("G", 3, 0.7)), range(1, 6))
         assert rb.n_qubits == 5
         assert np.trace(rb.matrix).real == pytest.approx(1.0, abs=1e-10)
 
@@ -211,7 +210,8 @@ class TestCoalitionCollapse:
         # pair state is identical
         t = attacked_state(AttackScenario("G", 3, 0.8))
         plus = coalition_collapse(t, kept_bob=2).matrix
-        _, collapsed = project(t.psi, [1, 3, 4, 5], "Z", [-1] * 4)
+        psi = dense_attacked_state(t.scenario)
+        _, collapsed = project(psi, [1, 3, 4, 5], "Z", [-1] * 4)
         minus = reduce_state(collapsed, (0, 2)).matrix
         assert np.abs(minus - plus).max() < 1e-10
 
@@ -244,14 +244,36 @@ class TestBranchSpan:
         kept = range(1, 2 * m) if m == 3 else [1]
         for phi in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
             t = attacked_state(AttackScenario(carrier, m, phi))
-            dense_ae = reduce_state(t.psi, (0, 2 * m)).matrix
+            psi = dense_attacked_state(t.scenario)
+            dense_ae = reduce_state(psi, (0, 2 * m)).matrix
             assert np.abs(rho_ae(t).matrix - dense_ae).max() < 1e-11
             for bob in kept:
                 others = [q for q in range(1, 2 * m) if q != bob]
                 basis = "Z" if carrier == "G" else "X"
-                _, collapsed = project(t.psi, others, basis, [1] * len(others))
+                _, collapsed = project(psi, others, basis, [1] * len(others))
                 dense_ab = reduce_state(collapsed, (0, bob)).matrix
                 assert np.abs(coalition_collapse(t, bob).matrix - dense_ab).max() < 1e-11
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_y_sign_matches_dense_oracle(self, m, carrier):
+        # sigma_y on every Bob maps |xi> to s i |xibar> and |xibar> to -s i |xi>,
+        # as Y does |0> and |1>; sigma_x swaps the branches
+        s = branch_y_sign(carrier, m)
+        k = 2 * m - 1
+        xi, xibar = (b.amplitudes.reshape((2,) * k) for b in make_carrier_branches(carrier, m))
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+        def on_every_bob(mat, v):
+            for q in range(k):
+                v = _apply_one(v, q, mat)
+            return v
+
+        assert np.abs(on_every_bob(sy, xi) - s * 1j * xibar).max() < 1e-15
+        assert np.abs(on_every_bob(sy, xibar) + s * 1j * xi).max() < 1e-15
+        assert np.abs(on_every_bob(sx, xi) - xibar).max() < 1e-15
+        assert np.abs(on_every_bob(sx, xibar) - xi).max() < 1e-15
 
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     def test_branch_weights_orthonormal(self, carrier):
@@ -315,17 +337,34 @@ class TestInformationCurves:
         changes = sum(a != b for a, b in zip(signs, signs[1:]))
         assert changes == 1
 
+    def test_half_pi_roundoff_admitted(self):
+        # pi/2 - phi is -4.4e-16 here; I(A:E) reads it as 0
+        phi = 1.570796326794897
+        assert phi > math.pi / 2
+        assert mutual_info_ae(phi) == 1.0
+        assert mutual_info_ab(phi) == pytest.approx(0.0, abs=1e-12)
+        assert qber_x(phi) == pytest.approx(0.5, abs=1e-12)
+        AttackScenario("G", 2, phi)
+
+    @pytest.mark.parametrize("phi", [-1e-9, math.pi / 2 + 1e-9, math.nan])
+    def test_phi_domain_shared(self, phi):
+        for check in (mutual_info_ab, mutual_info_ae, qber_x,
+                      lambda p: AttackScenario("G", 2, p)):
+            with pytest.raises(InvalidArgument):
+                check(phi)
+
     def test_qber_values(self):
         assert qber_x(0.0) == 0.0
         assert qber_x(math.pi / 4) == pytest.approx(0.14644660940672624, abs=1e-12)
         assert qber_x(math.pi / 2) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 50, 500])
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     def test_exact_distribution_matches_analytic(self, m, carrier):
+        # read on the branch span, so past the dense sizes too
         for phi in PHI_GRID:
             exact = exact_mutual_info_ab(AttackScenario(carrier, m, float(phi)))
-            assert exact == pytest.approx(mutual_info_ab(float(phi)), abs=1e-9)
+            assert abs(exact - mutual_info_ab(float(phi))) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
@@ -344,7 +383,7 @@ class TestInformationCurves:
             scenario = AttackScenario(carrier, m, phi)
             seen.clear()
             info = exact_mutual_info_ab(scenario)
-            joints = [born_joint(attacked_state(scenario).psi, basis) for basis in "XY"]
+            joints = [born_joint(dense_attacked_state(scenario), basis) for basis in "XY"]
             cond = [joint[0] / joint.sum(axis=0) for joint in joints]
             p_alice = joints[0].sum(axis=1)[0]
             assert np.abs(np.array(seen) - [*cond[0], *cond[1], p_alice]).max() < 1e-13

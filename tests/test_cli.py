@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qss import attack, cli
+from qss import cli, states
 from qss.cli import main
 
 
@@ -102,17 +102,30 @@ class TestSweepAttack:
             assert not out.exists()
 
     def test_oversized_grid_rejected_before_allocating(self, tmp_path, monkeypatch):
+        # a comma list of MAX_GRID_POINTS points parses; neither form takes more
+        assert cli._parse_grid(",".join(["0.5"] * cli.MAX_GRID_POINTS)).size == cli.MAX_GRID_POINTS
+
         def allocate(*args, **kwargs):
             raise AssertionError("the grid was allocated")
 
         monkeypatch.setattr(np, "linspace", allocate)
+        monkeypatch.setattr(np, "array", allocate)
         out = tmp_path / "x.csv"
-        for count in (cli.MAX_GRID_POINTS + 1, 10**11):
-            grid = f"0:1:{count}"
+        for grid in (f"0:1:{cli.MAX_GRID_POINTS + 1}", f"0:1:{10**11}",
+                     ",".join(["0.5"] * (cli.MAX_GRID_POINTS + 1))):
             assert run_cli(
                 ["sweep-attack", "--m", "2", "--phi-grid", grid, "--out", str(out)]
-            ) == 2, grid
+            ) == 2, grid[:20]
             assert not out.exists()
+
+    def test_phi_just_past_half_pi_by_roundoff(self, tmp_path):
+        # 1.570796326794897 - pi/2 = 4.4e-16, inside the grid's 1e-12 slack
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            ["sweep-attack", "--m", "2", "--phi-grid", "0,1.570796326794897", "--out", str(out)]
+        ) == 0
+        rows, _ = read_csv(out)
+        assert float(rows[-1]["i_ae"]) == 1.0
 
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     @pytest.mark.parametrize("m", [2, 3, 8, 9, 10, 50, 500])
@@ -145,7 +158,8 @@ class TestSweepAttack:
         def build(*args):
             raise AssertionError("the carrier branches were built")
 
-        monkeypatch.setattr(attack, "make_carrier_branches", build)
+        # every carrier and branch state is a rendering of _shell_state
+        monkeypatch.setattr(states, "_shell_state", build)
         out = tmp_path / "x.csv"
         for carrier in ("G", "GHZ"):
             for m in ("10", "500"):

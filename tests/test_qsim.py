@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qss import protocol, qsim
-from qss.attack import AttackScenario, attacked_state
+from qss.attack import AttackScenario
 from qss.errors import InvalidArgument, InvalidDimension, InvalidState
 from qss.qsim import DensityMatrix, PauliString, PureState, expectation, reduce_state
 from qss.states import g_state, make_carrier_branches
 
 from born import (
     ZeroProbabilityBranch,
+    dense_attacked_state,
     density_expectation,
     make_basis_state,
     outcome_probabilities,
@@ -195,7 +196,7 @@ class TestApplyOneKernel:
         # the laws as the moveaxis kernel and a length-2 sum over Evan's probe
         # built them from the dense attacked state
         n = config.n_parties
-        psi = attacked_state(config.scenario).psi
+        psi = dense_attacked_state(config.scenario)
         base = psi.amplitudes.reshape((2,) * psi.n_qubits)
         expected = []
         for combo in range(2**n):
