@@ -1,6 +1,6 @@
 """Simulation and security analysis of multiqubit quantum secret sharing."""
 
-from . import attack, bell, protocol, qsim, rdm, states
+from . import attack, bell, dicke, protocol, qsim, rdm, states
 from .errors import (
     BudgetExceeded,
     EmptySiftedSet,
@@ -14,6 +14,7 @@ from .errors import (
 __all__ = [
     "attack",
     "bell",
+    "dicke",
     "protocol",
     "qsim",
     "rdm",

@@ -23,6 +23,7 @@ __all__ = [
     "AttackScenario",
     "TripartiteState",
     "attacked_state",
+    "check_phi_grid",
     "rho_ae",
     "coalition_collapse",
     "binary_entropy",
@@ -33,10 +34,19 @@ __all__ = [
 ]
 
 
+def check_phi_grid(grid) -> None:
+    """Raise ``InvalidArgument`` unless every attack angle of ``grid`` lies in
+    the domain [0, pi/2], up to 1e-12 of roundoff; NaN lies outside."""
+    if not np.all((0.0 <= grid) & (grid <= math.pi / 2 + 1e-12)):
+        raise InvalidArgument("phi grid must lie within [0, pi/2]")
+
+
 def _check_phi(phi: float) -> None:
-    """The attack angle's domain, [0, pi/2] up to 1e-12 of roundoff."""
-    if not 0.0 <= phi <= math.pi / 2 + 1e-12:
-        raise InvalidArgument(f"phi must be in [0, pi/2], got {phi}")
+    """One attack angle's domain: the grid check's, with the angle named."""
+    try:
+        check_phi_grid(phi)
+    except InvalidArgument:
+        raise InvalidArgument(f"phi must be in [0, pi/2], got {phi}") from None
 
 
 @dataclass(frozen=True)

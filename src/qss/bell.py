@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dicke import plane_axes, plane_model, refine_block
 from .errors import BudgetExceeded, InvalidArgument, InvalidDimension, InvalidState
 from .qsim import ATOL_EXACT, AXES, PAULI, DensityMatrix, PureState, State
 
@@ -23,6 +24,7 @@ __all__ = [
     "correlation_tensor",
     "plane_sum",
     "full_sum",
+    "plane_sum_upper_bound",
     "maximize_plane_sum",
     "collapse_visibility",
     "crit_noise_g",
@@ -127,25 +129,18 @@ def correlation_tensor(state: State) -> CorrelationTensor:
     return CorrelationTensor(n, np.clip(arr.real, -1.0, 1.0) + 0.0)
 
 
-def _contract_parties(
-    arr: np.ndarray, mats: np.ndarray, skip: int | None = None, done: int = 0
-) -> np.ndarray:
-    """Contract every party of a (d,)*n array but ``skip`` with its matrix.
+def _contract_parties(arr: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Contract every party of a (d,)*n array with its matrix.
 
-    ``mats`` is a batch of per-party matrices, shape (b, n, r, d).  The result
-    has shape (b, r^n), or (b, r^skip, d, r^(n-1-skip)) with party ``skip``'s
-    axis left in place.  With ``done`` > 0, ``arr`` is a batch whose parties
-    0 .. done-1 are contracted already, shape (b, r^done, d, d^(n-1-done)).
+    ``mats`` is a batch of per-party matrices, shape (b, n, r, d); the result
+    has shape (b, r^n).
     """
     b, n, r, d = mats.shape
     # axes (batch, parties done, next party, parties to come)
-    shape = (b, r**done, d, d ** (n - 1 - done))
-    arr = np.broadcast_to(arr.reshape((-1,) + shape[1:]), shape)
-    for j in range(done, n):
-        arr = arr.reshape(b, -1, d, d ** (n - 1 - j))
-        if j != skip:
-            arr = mats[:, None, j] @ arr
-    return arr.reshape(b, -1) if skip is None else arr.reshape(b, r**skip, d, -1)
+    arr = np.broadcast_to(arr.reshape(1, 1, d, -1), (b, 1, d, d ** (n - 1)))
+    for j in range(n):
+        arr = mats[:, None, j] @ arr.reshape(b, -1, d, d ** (n - 1 - j))
+    return arr.reshape(b, -1)
 
 
 def plane_sum(t: CorrelationTensor, frame: LocalFrame | None = None) -> float:
@@ -165,87 +160,71 @@ def full_sum(t: CorrelationTensor) -> float:
     return float((t.entries**2).sum())
 
 
-def _random_frame(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
-    return q[:, :, :2].transpose(0, 2, 1)
+def plane_sum_upper_bound(t: CorrelationTensor) -> float:
+    """Certified upper bound on ``plane_sum`` over every local frame.
+
+    Party i's two directions meet the other parties' contraction, a partial
+    isometry, applied to its 3 x 3^(n-1) unfolding T_(i); so any frame's
+    plane sum is at most the sum of the two largest eigenvalues of
+    T_(i) T_(i)^T.  The bound is the least of these over the parties.
+    """
+    unfold = np.stack([np.moveaxis(t.entries, i, 0).reshape(3, -1) for i in range(t.n)])
+    w = np.linalg.eigvalsh(unfold @ unfold.transpose(0, 2, 1))
+    return float((w[:, -1] + w[:, -2]).min())
 
 
-#: Restarts a frame search may ask for: 15,625 blocks, about 3 hours at
-#: n = 8 (0.64 s a block on a 2-core VM).
+#: Restarts a frame search may ask for: 3,907 blocks, about 90 s at n = 8
+#: (about 23 ms a block on a 2-core VM).
 MAX_RESTARTS = 10**6
 
-#: Restarts searched together.  One block's working arrays hold at most
-#: 2 * 3^(n-1) doubles per restart (35 KB at n = 8), whatever the restart count.
-_RESTART_BLOCK = 64
-
-#: Sweeps a restart may take, and the per-sweep gain below which it stops.
-_MAX_SWEEPS = 200
-_CONVERGED_GAIN = 1e-12
-
-
-def _search_block(t: CorrelationTensor, seed: int, block: range) -> tuple[np.ndarray, np.ndarray]:
-    """Final values, shape (len(block),), and frames, (len(block), n, 2, 3),
-    of the restarts in ``block``, all stepped together."""
-    n = t.n
-    axes = np.stack(
-        [
-            _random_frame(n, np.random.default_rng((seed, r))) if r else LocalFrame.default(n).axes
-            for r in block
-        ]
-    )
-    vals = np.full(len(block), -np.inf)
-    active = np.arange(len(block))
-    for _ in range(_MAX_SWEEPS):
-        frames = axes[active]
-        b = len(active)
-        # the tensor with parties 0 .. i-1 contracted with their new planes,
-        # extended by one party a step
-        left = np.broadcast_to(t.entries.reshape(1, 1, 3, -1), (b, 1, 3, 3 ** (n - 1)))
-        for i in range(n):
-            arr = _contract_parties(left, frames, skip=i, done=i)
-            mat = arr.transpose(0, 2, 1, 3).reshape(b, 3, -1)
-            w, v = np.linalg.eigh(mat @ mat.transpose(0, 2, 1))
-            frames[:, i, 0] = v[:, :, -1]
-            frames[:, i, 1] = v[:, :, -2]
-            val = w[:, -1] + w[:, -2]
-            left = frames[:, None, i] @ left.reshape(b, -1, 3, 3 ** (n - 1 - i))
-        axes[active] = frames
-        converged = val - vals[active] < _CONVERGED_GAIN
-        vals[active] = val
-        active = active[~converged]
-        if not active.size:
-            break
-    return vals, axes
+#: Restarts refined together.  A block's arrays hold a few dozen (n+1)-entry
+#: vectors per restart, whatever the restart count.
+_RESTART_BLOCK = 256
 
 
 def maximize_plane_sum(
-    t: CorrelationTensor, restarts: int = 64, seed: int = 0
+    dicke: np.ndarray, visibility: float = 1.0, restarts: int = 64, seed: int = 0
 ) -> tuple[float, LocalFrame]:
-    """Heuristic frame search: alternating per-party plane optimization.
+    """Best plane sum over the frames in which every party measures in one
+    plane.
 
-    For fixed other-party planes the optimal plane of party i is the span of
-    the top two eigenvectors of a 3x3 moment matrix, so each sweep is exact
-    per party.  The value returned is a certified lower bound on the true
-    maximum over all local frames.
+    ``dicke`` is a permutation-symmetric state's amplitudes on the Dicke
+    states |D_w>, w = 0 .. n the number of 1s; white noise to ``visibility``
+    p scales every plane sum by p^2.  Rotating every party alike keeps the
+    state symmetric, so the search runs on its rotated n + 1 Dicke
+    amplitudes: neither a 2^n density nor the 3^n tensor enters.  A
+    shared-plane frame is a frame, so the value is a certified lower bound on
+    the maximum over all local frames.
 
-    Restart 0 starts from the default frame and restart r from a random frame
-    seeded by (seed, r).  A restart sweeps every party in turn until a sweep
-    gains less than 1e-12, at most 200 times; the lowest-index restart with
-    the largest value wins.  Restarts run as one batch per block of
-    ``_RESTART_BLOCK``.
+    Restart 0 starts from the z normal, the default sigma_x / sigma_y frame,
+    and the others from normals drawn from ``default_rng(seed)``.  Each takes
+    trust-region Newton steps on the sphere until the quadratic model
+    promises less than 1e-14 max(1, value), at most 100 steps; the first
+    restart with the largest value wins.  Restarts are refined together,
+    ``_RESTART_BLOCK`` at a time.  The frame is the winning plane's e_theta,
+    e_phi for every party.
     """
     if not 1 <= restarts <= MAX_RESTARTS:
         raise InvalidArgument(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
-    best_val = -np.inf
-    best_axes = LocalFrame.default(t.n).axes
+    if not 0.0 <= visibility <= 1.0:
+        raise InvalidArgument(f"visibility must be in [0, 1], got {visibility}")
+    dicke = np.asarray(dicke, dtype=complex)
+    if dicke.ndim != 1 or dicke.size < 2:
+        raise InvalidDimension(f"expected a Dicke vector of n + 1 >= 2 entries, got {dicke.shape}")
+    if not abs(np.linalg.norm(dicke) - 1.0) <= 1e-10:  # NaN fails the comparison
+        raise InvalidArgument("Dicke vector must have unit norm")
+    model = plane_model(dicke)
+    rng = np.random.default_rng(seed)
+    best_val, best = -np.inf, (0.0, 0.0)
     for start in range(0, restarts, _RESTART_BLOCK):
-        vals, axes = _search_block(t, seed, range(start, min(start + _RESTART_BLOCK, restarts)))
+        vals, th, ph = refine_block(model, rng, range(start, min(start + _RESTART_BLOCK, restarts)))
         k = int(np.argmax(vals))  # the first of equal maxima
         if vals[k] > best_val:
-            best_val, best_axes = float(vals[k]), axes[k]
-    return best_val, LocalFrame(best_axes)
+            best_val, best = float(vals[k]), (float(th[k]), float(ph[k]))
+    axes = np.broadcast_to(plane_axes(*best), (dicke.size - 1, 2, 3))
+    return visibility**2 * best_val, LocalFrame(axes)
 
 
 def collapse_visibility(n: int, p: float) -> float:

@@ -24,6 +24,7 @@ from . import bell, rdm
 from .attack import (
     AttackScenario,
     attacked_state,
+    check_phi_grid,
     coalition_collapse,
     mutual_info_ab,
     mutual_info_ae,
@@ -43,7 +44,7 @@ from .protocol import (
     transcript_summary,
     transcript_to_jsonl,
 )
-from .states import add_white_noise, carrier_state
+from .states import add_white_noise, carrier_state, dicke_vector
 
 SCHEMA_VERSION = "qss-1"
 
@@ -138,9 +139,7 @@ def _cmd_sweep_attack(args) -> int:
     grid = args.phi_grid
     if args.deg:
         grid = np.radians(grid)
-    if grid.min() < 0 or grid.max() > math.pi / 2 + 1e-12:
-        print("error: phi grid must lie within [0, pi/2]", file=sys.stderr)
-        return 2
+    check_phi_grid(grid)
     rows = []
     for phi in grid.tolist():
         t = attacked_state(AttackScenario(args.carrier, args.m, phi))
@@ -163,7 +162,8 @@ def _cmd_bell(args) -> int:
     if args.n > bell.MAX_TENSOR_QUBITS:
         # before add_white_noise builds a 2^n x 2^n matrix the tensor would refuse
         raise BudgetExceeded(f"correlation tensor capped at n <= {bell.MAX_TENSOR_QUBITS}")
-    state = carrier_state("G" if args.state == "g" else "GHZ", args.n)
+    carrier = "G" if args.state == "g" else "GHZ"
+    state = carrier_state(carrier, args.n)
     if args.noise == 1.0:
         tensor = correlation_tensor(state)
     else:
@@ -182,12 +182,15 @@ def _cmd_bell(args) -> int:
         result["p_crit_g"] = bell.crit_noise_g(args.n)
         result["q_crit_ghz"] = bell.crit_noise_ghz(args.n)
     if args.frame == "search":
-        value, frame = bell.maximize_plane_sum(tensor, restarts=args.restarts, seed=args.seed)
+        value, frame = bell.maximize_plane_sum(
+            dicke_vector(carrier, args.n), args.noise, restarts=args.restarts, seed=args.seed
+        )
         result["search"] = {
             "best_plane_sum": value,
             "restarts": args.restarts,
             "frame": [[list(map(float, v)) for v in party] for party in frame.axes],
             "two_setting_criterion_exceeded": value > 1.0,
+            "upper_bound": bell.plane_sum_upper_bound(tensor),
         }
     _atomic_write(args.out, (_json_text(result),))
     return 0

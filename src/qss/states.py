@@ -55,6 +55,20 @@ def carrier_state(carrier: str, n: int) -> PureState:
     return g_state(n) if carrier == "G" else ghz_state(n)
 
 
+def dicke_vector(carrier: str, n: int) -> np.ndarray:
+    """The n-qubit carrier's amplitudes on the normalized Dicke states |D_w>,
+    w = 0 .. n the number of 1s: equal on its shells, weights 1 and n-1 for G
+    (one shell, the Bell state, at n = 2) and 0 and n for GHZ."""
+    if carrier not in CARRIERS:
+        raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {carrier!r}")
+    if n < 2:
+        raise InvalidArgument(f"the carrier needs n >= 2, got {n}")
+    shells = sorted({1, n - 1} if carrier == "G" else {0, n})
+    c = np.zeros(n + 1)
+    c[shells] = 1.0 / math.sqrt(len(shells))
+    return c
+
+
 def branch_weights(carrier: str, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The Hamming-weight shells of Alice's collapse branches |xi>, |xibar> on
     the k = 2m-1 Bob qubits: (1, k) and (k-1, 0) for G, (0,) and (k,) for GHZ.

@@ -16,23 +16,19 @@ references for ``reduce_state`` and for ``rdm``'s two-vector marginals.
 ``dense_constraint_system`` builds ``rdm``'s Gram system from the 2^(n-1)
 amplitudes of ``v_states``, the reference for the one built on their shells.
 ``pauli_transform`` is the tensordot loop that ``bell.correlation_tensor``'s
-party contraction replaced, and ``search_block_from_scratch`` the frame
-search step that contracted every other party afresh before ``bell`` carried
-the left part of the contraction from party to party.
+party contraction replaced.  ``dense_maximize_plane_sum`` is the per-party
+frame search on the 3^n tensor, the reference for ``bell``'s shared-plane
+search on the Dicke vector, and ``search_block_from_scratch`` its step
+before the left part of the contraction was carried from party to party.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from qss.attack import AttackScenario, _abe
-from qss.bell import (
-    _CONVERGED_GAIN,
-    _MAX_SWEEPS,
-    LocalFrame,
-    _contract_parties,
-    _random_frame,
-)
+from qss.bell import LocalFrame
 from qss.errors import InvalidArgument, InvalidDimension, InvalidState
 from qss.qsim import (
     ATOL_EXACT,
@@ -68,6 +64,14 @@ def dense_attacked_state(scenario: AttackScenario) -> PureState:
         )
     xi, xibar = make_carrier_branches(scenario.carrier, m)
     return PureState(2 * m + 1, _abe(scenario.phi, xi.amplitudes, xibar.amplitudes))
+
+
+def dicke_state(c: np.ndarray) -> PureState:
+    """The n-qubit symmetric state with amplitude c[w] / sqrt(C(n, w)) on
+    every basis state of Hamming weight w, n = len(c) - 1."""
+    n = len(c) - 1
+    weight = np.array([bin(x).count("1") for x in range(2**n)])
+    return PureState(n, c[weight] / np.sqrt([math.comb(n, w) for w in weight]))
 
 
 def make_basis_state(n: int, bits: str) -> PureState:
@@ -223,8 +227,98 @@ def pauli_transform(rho: np.ndarray, n: int, pauli_rows: np.ndarray) -> np.ndarr
     return arr
 
 
+def contract_parties(
+    arr: np.ndarray, mats: np.ndarray, skip: int | None = None, done: int = 0
+) -> np.ndarray:
+    """Contract every party of a (d,)*n array but ``skip`` with its matrix.
+
+    ``mats`` is a batch of per-party matrices, shape (b, n, r, d).  The result
+    has shape (b, r^n), or (b, r^skip, d, r^(n-1-skip)) with party ``skip``'s
+    axis left in place.  With ``done`` > 0, ``arr`` is a batch whose parties
+    0 .. done-1 are contracted already, shape (b, r^done, d, d^(n-1-done)).
+    """
+    b, n, r, d = mats.shape
+    # axes (batch, parties done, next party, parties to come)
+    shape = (b, r**done, d, d ** (n - 1 - done))
+    arr = np.broadcast_to(arr.reshape((-1,) + shape[1:]), shape)
+    for j in range(done, n):
+        arr = arr.reshape(b, -1, d, d ** (n - 1 - j))
+        if j != skip:
+            arr = mats[:, None, j] @ arr
+    return arr.reshape(b, -1) if skip is None else arr.reshape(b, r**skip, d, -1)
+
+
+def _random_frame(n: int, rng: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    return q[:, :, :2].transpose(0, 2, 1)
+
+
+#: Restarts searched together by ``dense_maximize_plane_sum``.
+_RESTART_BLOCK = 64
+
+#: Sweeps a restart may take, and the per-sweep gain below which it stops.
+_MAX_SWEEPS = 200
+_CONVERGED_GAIN = 1e-12
+
+
+def _search_block(t, seed: int, block: range) -> tuple[np.ndarray, np.ndarray]:
+    """Final values, shape (len(block),), and frames, (len(block), n, 2, 3),
+    of the restarts in ``block``, all stepped together."""
+    n = t.n
+    axes = np.stack(
+        [
+            _random_frame(n, np.random.default_rng((seed, r))) if r else LocalFrame.default(n).axes
+            for r in block
+        ]
+    )
+    vals = np.full(len(block), -np.inf)
+    active = np.arange(len(block))
+    for _ in range(_MAX_SWEEPS):
+        frames = axes[active]
+        b = len(active)
+        # the tensor with parties 0 .. i-1 contracted with their new planes,
+        # extended by one party a step
+        left = np.broadcast_to(t.entries.reshape(1, 1, 3, -1), (b, 1, 3, 3 ** (n - 1)))
+        for i in range(n):
+            arr = contract_parties(left, frames, skip=i, done=i)
+            mat = arr.transpose(0, 2, 1, 3).reshape(b, 3, -1)
+            w, v = np.linalg.eigh(mat @ mat.transpose(0, 2, 1))
+            frames[:, i, 0] = v[:, :, -1]
+            frames[:, i, 1] = v[:, :, -2]
+            val = w[:, -1] + w[:, -2]
+            left = frames[:, None, i] @ left.reshape(b, -1, 3, 3 ** (n - 1 - i))
+        axes[active] = frames
+        converged = val - vals[active] < _CONVERGED_GAIN
+        vals[active] = val
+        active = active[~converged]
+        if not active.size:
+            break
+    return vals, axes
+
+
+def dense_maximize_plane_sum(t, restarts: int = 64, seed: int = 0) -> tuple[float, LocalFrame]:
+    """Frame search on the 3^n tensor by alternating per-party planes.
+
+    For fixed other-party planes the optimal plane of party i is the span of
+    the top two eigenvectors of a 3x3 moment matrix, so each sweep is exact
+    per party, and the parties' planes may differ.  Restart 0 starts from the
+    default frame and restart r from a random frame seeded by (seed, r).  A
+    restart sweeps every party in turn until a sweep gains less than 1e-12,
+    at most 200 times; the lowest-index restart with the largest value wins.
+    Restarts run as one batch per block of ``_RESTART_BLOCK``.
+    """
+    best_val = -np.inf
+    best_axes = LocalFrame.default(t.n).axes
+    for start in range(0, restarts, _RESTART_BLOCK):
+        vals, axes = _search_block(t, seed, range(start, min(start + _RESTART_BLOCK, restarts)))
+        k = int(np.argmax(vals))  # the first of equal maxima
+        if vals[k] > best_val:
+            best_val, best_axes = float(vals[k]), axes[k]
+    return best_val, LocalFrame(best_axes)
+
+
 def search_block_from_scratch(t, seed: int, block: range) -> tuple[np.ndarray, np.ndarray]:
-    """``bell._search_block`` with every party step contracting the other
+    """``_search_block`` with every party step contracting the other
     n-1 parties from the tensor itself, not from the carried left part."""
     n = t.n
     axes = np.stack(
@@ -238,7 +332,7 @@ def search_block_from_scratch(t, seed: int, block: range) -> tuple[np.ndarray, n
     for _ in range(_MAX_SWEEPS):
         frames = axes[active]
         for i in range(n):
-            arr = _contract_parties(t.entries, frames, skip=i)
+            arr = contract_parties(t.entries, frames, skip=i)
             mat = arr.transpose(0, 2, 1, 3).reshape(len(active), 3, -1)
             w, v = np.linalg.eigh(mat @ mat.transpose(0, 2, 1))
             frames[:, i, 0] = v[:, :, -1]

@@ -349,9 +349,16 @@ class TestInformationCurves:
     @pytest.mark.parametrize("phi", [-1e-9, math.pi / 2 + 1e-9, math.nan])
     def test_phi_domain_shared(self, phi):
         for check in (mutual_info_ab, mutual_info_ae, qber_x,
-                      lambda p: AttackScenario("G", 2, p)):
+                      lambda p: AttackScenario("G", 2, p),
+                      lambda p: attack.check_phi_grid(np.array([0.5, p]))):
             with pytest.raises(InvalidArgument):
                 check(phi)
+
+    def test_phi_grid_check_admits_roundoff(self):
+        attack.check_phi_grid(np.linspace(0.0, math.pi / 2 + 1e-12, 5))
+        attack.check_phi_grid(math.pi / 2 + 1e-12)
+        with pytest.raises(InvalidArgument):
+            attack.check_phi_grid(np.linspace(0.0, math.pi / 2 + 2e-12, 5))
 
     def test_qber_values(self):
         assert qber_x(0.0) == 0.0

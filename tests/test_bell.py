@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qss import bell
+from qss import bell, dicke
 from qss.attack import AttackScenario, attacked_state, coalition_collapse, rho_ae
 from qss.bell import (
     CorrelationTensor,
@@ -25,6 +25,7 @@ from qss.bell import (
     lr_sufficiency_thresholds,
     maximize_plane_sum,
     plane_sum,
+    plane_sum_upper_bound,
 )
 from qss.errors import BudgetExceeded, InvalidArgument, InvalidDimension
 from qss.qsim import (
@@ -34,10 +35,14 @@ from qss.qsim import (
     expectation,
     reduce_state,
 )
-from qss.states import add_white_noise, g_state, ghz_state
+from qss.states import add_white_noise, dicke_vector, g_state, ghz_state
 
+import born
 from born import (
+    _search_block,
+    dense_maximize_plane_sum,
     density_expectation,
+    dicke_state,
     make_basis_state,
     pauli_transform,
     search_block_from_scratch,
@@ -404,7 +409,7 @@ def sequential_search(t, restarts, seed):
 
 
 def assert_matches_sequential(t, restarts, seed):
-    val, frame = maximize_plane_sum(t, restarts=restarts, seed=seed)
+    val, frame = dense_maximize_plane_sum(t, restarts=restarts, seed=seed)
     ref, _ = sequential_search(t, restarts, seed)
     assert abs(val - ref) < 1e-10
     assert abs(plane_sum(t, frame) - val) < 1e-10
@@ -421,42 +426,48 @@ def named_tensor(name):
     return correlation_tensor(state)
 
 
+def shared_frame(n, th, ph):
+    """The plane with normal angles (th, ph) for every one of n parties."""
+    return LocalFrame(np.broadcast_to(dicke.plane_axes(th, ph), (n, 2, 3)))
+
+
 class TestPlaneSearch:
+    """``maximize_plane_sum``'s shared-plane search; the tests against
+    ``sequential_search`` check the dense per-party oracle it is held to."""
+
     def test_ghz6_reaches_default_frame_value(self, ghz6_tensor):
-        val, _ = maximize_plane_sum(ghz6_tensor, restarts=4)
+        val, _ = maximize_plane_sum(dicke_vector("GHZ", 6), restarts=4)
         assert val >= 32.0 - 1e-8
         assert val <= full_sum(ghz6_tensor) + 1e-8
 
     def test_product_state_stays_at_one(self):
-        t = correlation_tensor(make_basis_state(3, "000"))
-        val, _ = maximize_plane_sum(t, restarts=8)
+        val, _ = maximize_plane_sum(np.array([1.0, 0.0, 0.0, 0.0]), restarts=8)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_g6_bounded_by_full_sum(self, g6_tensor):
-        val, frame = maximize_plane_sum(g6_tensor, restarts=4)
+        val, frame = maximize_plane_sum(dicke_vector("G", 6), restarts=4)
         assert 16.0 / 3.0 - 1e-9 <= val <= 23.0 + 1e-8
         # returned frame reproduces the returned value
         assert plane_sum(g6_tensor, frame) == pytest.approx(val, abs=1e-8)
 
-    def test_deterministic_given_seed(self, g6_tensor):
-        v1, _ = maximize_plane_sum(g6_tensor, restarts=3, seed=9)
-        v2, _ = maximize_plane_sum(g6_tensor, restarts=3, seed=9)
+    def test_deterministic_given_seed(self):
+        v1, _ = maximize_plane_sum(dicke_vector("G", 6), restarts=3, seed=9)
+        v2, _ = maximize_plane_sum(dicke_vector("G", 6), restarts=3, seed=9)
         assert v1 == v2
 
-    def test_negative_seed_rejected(self, g6_tensor):
+    def test_negative_seed_rejected(self):
         with pytest.raises(InvalidArgument):
-            maximize_plane_sum(g6_tensor, restarts=3, seed=-1)
+            maximize_plane_sum(dicke_vector("G", 6), restarts=3, seed=-1)
 
     def test_restarts_cap_admitted(self, monkeypatch):
         blocks = []
-        default = LocalFrame.default(2).axes
 
-        def search(t, seed, block):
+        def search(model, rng, block):
             blocks.append(block)
-            return np.zeros(len(block)), np.broadcast_to(default, (len(block), 2, 2, 3))
+            return np.zeros(len(block)), np.zeros(len(block)), np.zeros(len(block))
 
-        monkeypatch.setattr(bell, "_search_block", search)
-        maximize_plane_sum(correlation_tensor(make_basis_state(2, "00")), bell.MAX_RESTARTS)
+        monkeypatch.setattr(bell, "refine_block", search)
+        maximize_plane_sum(np.array([1.0, 0.0, 0.0]), restarts=bell.MAX_RESTARTS)
         assert blocks[-1].stop == bell.MAX_RESTARTS
 
     @settings(deadline=None, max_examples=40)
@@ -469,7 +480,7 @@ class TestPlaneSearch:
     def test_matches_sequential_search(self, state, restarts, seed, block):
         # small blocks make the winner lie in any block, not only the first
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bell, "_RESTART_BLOCK", block)
+            mp.setattr(born, "_RESTART_BLOCK", block)
             assert_matches_sequential(correlation_tensor(state), restarts, seed)
 
     @pytest.mark.parametrize("seed", range(1, 6))
@@ -478,7 +489,169 @@ class TestPlaneSearch:
         assert_matches_sequential(named_tensor(name), 64, seed)
 
     def test_restarts_past_one_block(self):
-        assert_matches_sequential(named_tensor("g4_p07"), bell._RESTART_BLOCK + 3, 2)
+        assert_matches_sequential(named_tensor("g4_p07"), born._RESTART_BLOCK + 3, 2)
+
+
+@st.composite
+def dicke_vectors(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return c / np.linalg.norm(c)
+
+
+normal_angles = st.tuples(st.floats(0.0, math.pi), st.floats(-math.pi, math.pi))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSharedPlaneSearch:
+    @settings(deadline=None, max_examples=60)
+    @given(dicke_vectors(), normal_angles)
+    def test_value_matches_dense_plane_sum(self, c, angles):
+        th, ph = angles
+        value = dicke.plane_model(c)(np.array([th]), np.array([ph]))[0][0]
+        t = correlation_tensor(dicke_state(c))
+        assert value == pytest.approx(plane_sum(t, shared_frame(c.size - 1, th, ph)), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_derivatives_match_finite_differences(self, n):
+        rng = np.random.default_rng(n)
+        c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        c /= np.linalg.norm(c)
+        model = dicke.plane_model(c)
+        th, ph = np.array([0.0, 0.9, 2.5]), np.array([0.4, -1.2, 3.0])
+        _, grad, hess = model(th, ph)
+        e_th, e_ph = np.stack([dicke.plane_axes(*angles) for angles in zip(th, ph)], 1)
+        normal0 = np.cross(e_th, e_ph)
+
+        def value(a, b):
+            # the normal tilted by a towards e_theta and by b towards e_phi
+            normal = normal0 + a * e_th + b * e_ph
+            normal /= np.linalg.norm(normal, axis=1)[:, None]
+            return model(np.arccos(normal[:, 2]), np.arctan2(normal[:, 1], normal[:, 0]))[0]
+
+        h = 1e-4
+        fd_grad = [(value(h, 0) - value(-h, 0)) / (2 * h), (value(0, h) - value(0, -h)) / (2 * h)]
+        fd_hess = [
+            (value(h, 0) - 2 * value(0, 0) + value(-h, 0)) / h**2,
+            (value(0, h) - 2 * value(0, 0) + value(0, -h)) / h**2,
+            (value(h, h) - value(h, -h) - value(-h, h) + value(-h, -h)) / (4 * h**2),
+        ]
+        scale = 2.0**n
+        assert np.abs(grad - np.array(fd_grad).T).max() < 1e-6 * scale
+        assert np.abs(hess - np.array(fd_hess).T).max() < 1e-5 * scale
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    def test_matches_dense_oracle(self, carrier, n):
+        t = correlation_tensor(g_state(n) if carrier == "G" else ghz_state(n))
+        ref, _ = dense_maximize_plane_sum(t, 64, 0)
+        val, frame = maximize_plane_sum(dicke_vector(carrier, n))
+        assert abs(val - ref) <= 1e-9 * max(1.0, ref)
+        assert abs(plane_sum(t, frame) - val) <= 1e-9
+        assert np.array_equal(frame.axes, np.broadcast_to(frame.axes[0], frame.axes.shape))
+
+    def test_noise_scales_by_p_squared(self):
+        c = dicke_vector("G", 6)
+        pure, frame = maximize_plane_sum(c, restarts=16, seed=5)
+        noisy, noisy_frame = maximize_plane_sum(c, 0.5, restarts=16, seed=5)
+        assert noisy == 0.25 * pure
+        assert np.array_equal(noisy_frame.axes, frame.axes)
+        ref, _ = dense_maximize_plane_sum(named_tensor("g6_p05"), 64, 0)
+        assert abs(noisy - ref) <= 1e-9 * max(1.0, ref)
+
+    @pytest.mark.parametrize("carrier, n", [("G", 6), ("GHZ", 5), ("G", 8)])
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_restarts_do_not_depend_on_block_size(self, monkeypatch, carrier, n, block):
+        c = dicke_vector(carrier, n)
+        ref_val, ref_frame = maximize_plane_sum(c, 0.5, restarts=20, seed=11)
+        monkeypatch.setattr(bell, "_RESTART_BLOCK", block)
+        val, frame = maximize_plane_sum(c, 0.5, restarts=20, seed=11)
+        assert val == ref_val
+        assert np.array_equal(frame.axes, ref_frame.axes)
+
+    @pytest.mark.parametrize("carrier, n", [("G", 3), ("G", 6), ("G", 8), ("GHZ", 5)])
+    def test_every_restart_ends_at_a_local_maximum(self, carrier, n):
+        # not only the winner: no restart stops on a slope or at a saddle
+        model = dicke.plane_model(dicke_vector(carrier, n))
+        _, th, ph = dicke.refine_block(model, np.random.default_rng(n), range(64))
+        _, grad, hess = model(th, ph)
+        h11, h22, h12 = hess.T
+        assert np.abs(grad).max() <= 1e-5 * 2.0**n
+        assert ((h11 < 0) & (h11 * h22 > h12**2)).all()
+
+    def test_restart_zero_is_the_default_frame(self):
+        # the xy plane is GHZ's best, so restart 0 stays where it starts
+        val, frame = maximize_plane_sum(dicke_vector("GHZ", 6), restarts=1)
+        assert np.array_equal(frame.axes, LocalFrame.default(6).axes)
+        assert val == pytest.approx(32.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_never_below_the_default_frame(self, n):
+        t = correlation_tensor(g_state(n))
+        val, _ = maximize_plane_sum(dicke_vector("G", n), restarts=1)
+        assert val >= plane_sum(t) - 1e-12
+
+    @pytest.mark.parametrize(
+        "dicke, visibility, error",
+        [
+            (np.array([1.0, 1.0]), 1.0, InvalidArgument),
+            (np.array([np.nan, 0.0]), 1.0, InvalidArgument),
+            (np.array([1.0]), 1.0, InvalidDimension),
+            (np.eye(2), 1.0, InvalidDimension),
+            (np.array([1.0, 0.0]), 1.5, InvalidArgument),
+            (np.array([1.0, 0.0]), -0.1, InvalidArgument),
+        ],
+    )
+    def test_bad_input_rejected(self, dicke, visibility, error):
+        with pytest.raises(error):
+            maximize_plane_sum(dicke, visibility)
+
+
+def top_eigenvalue_only(t):
+    """The upper bound with its second eigenvalue dropped: a mutant the
+    frame check below must reject."""
+    unfold = np.stack([np.moveaxis(t.entries, i, 0).reshape(3, -1) for i in range(t.n)])
+    return float(np.linalg.eigvalsh(unfold @ unfold.transpose(0, 2, 1))[:, -1].min())
+
+
+def assert_bounds_frames(bound, t, rng, frames=20):
+    value = bound(t)
+    for axes in [LocalFrame.default(t.n).axes] + [
+        born._random_frame(t.n, rng) for _ in range(frames)
+    ]:
+        assert plane_sum(t, LocalFrame(axes)) <= value + 1e-9
+
+
+class TestUpperBound:
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "make, n, expected",
+        [(g_state, 4, 8.0), (g_state, 6, 46.0 / 3.0), (g_state, 8, 58.875)]
+        + [(ghz_state, n, 2.0 ** (n - 1)) for n in range(3, 9)],
+    )
+    def test_carrier_values(self, make, n, expected, p):
+        state = make(n)
+        t = correlation_tensor(state if p == 1.0 else add_white_noise(state, p).realized)
+        assert plane_sum_upper_bound(t) == pytest.approx(p * p * expected, abs=1e-9)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(pure_states(max_n=4), mixed_states(max_n=4)), st.integers(0, 2**32 - 1))
+    def test_bounds_every_frame(self, state, seed):
+        assert_bounds_frames(plane_sum_upper_bound, correlation_tensor(state),
+                             np.random.default_rng(seed))
+
+    def test_top_eigenvalue_mutant_rejected(self):
+        with pytest.raises(AssertionError):
+            assert_bounds_frames(top_eigenvalue_only, correlation_tensor(ghz_state(4)),
+                                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    def test_brackets_the_search(self, carrier, n):
+        t = correlation_tensor(g_state(n) if carrier == "G" else ghz_state(n))
+        val, _ = maximize_plane_sum(dicke_vector(carrier, n), restarts=8)
+        assert plane_sum(t) - 1e-12 <= val <= plane_sum_upper_bound(t) + 1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -488,8 +661,8 @@ def noisy_tensor(make, n, p):
 
 
 class TestCarriedContraction:
-    """The search with the left contraction carried from party to party
-    gives bit for bit what contracting every other party afresh gave."""
+    """The oracle search with the left contraction carried from party to
+    party gives bit for bit what contracting every other party afresh gave."""
 
     @pytest.mark.parametrize("restarts", [1, 64, 130])
     @pytest.mark.parametrize(
@@ -499,10 +672,10 @@ class TestCarriedContraction:
     )
     def test_bit_identical_to_contraction_from_scratch(self, make, n, p, restarts):
         t = noisy_tensor(make, n, p)
-        # every block of a search with this many restarts, as maximize_plane_sum cuts them
-        for start in range(0, restarts, bell._RESTART_BLOCK):
-            block = range(start, min(start + bell._RESTART_BLOCK, restarts))
-            vals, axes = bell._search_block(t, 3, block)
+        # every block of a search with this many restarts, as the oracle cuts them
+        for start in range(0, restarts, born._RESTART_BLOCK):
+            block = range(start, min(start + born._RESTART_BLOCK, restarts))
+            vals, axes = _search_block(t, 3, block)
             ref_vals, ref_axes = search_block_from_scratch(t, 3, block)
             assert np.array_equal(vals, ref_vals)
             assert np.array_equal(axes, ref_axes)

@@ -127,6 +127,22 @@ class TestSweepAttack:
         rows, _ = read_csv(out)
         assert float(rows[-1]["i_ae"]) == 1.0
 
+    def test_grid_end_within_roundoff_slack(self, tmp_path, monkeypatch):
+        out = tmp_path / "x.csv"
+        grid = f"0:{math.pi / 2 + 1e-12!r}:3"
+        assert run_cli(["sweep-attack", "--m", "2", "--phi-grid", grid, "--out", str(out)]) == 0
+        assert len(read_csv(out)[0]) == 3
+
+        def attack(*args):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(cli, "attacked_state", attack)
+        for grid in (f"0:{math.pi / 2 + 2e-12!r}:3", f"0,{math.pi / 2 + 2e-12!r}", "0,nan"):
+            assert run_cli(
+                ["sweep-attack", "--m", "2", "--phi-grid", grid, "--out", str(out)]
+            ) == 2, grid
+        assert len(read_csv(out)[0]) == 3
+
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     @pytest.mark.parametrize("m", [2, 3, 8, 9, 10, 50, 500])
     def test_horodecki_columns_exact(self, tmp_path, m, carrier):
@@ -245,6 +261,18 @@ class TestBellCommand:
         assert run_cli(["bell", "--state", "g", "--n", "4", "--out", str(out)]) == 0
         assert len(calls) == 1
 
+    def test_search_reports_one_plane_and_upper_bound(self, tmp_path):
+        out = tmp_path / "bell.json"
+        assert run_cli(
+            ["bell", "--state", "g", "--n", "6", "--noise", "0.5", "--frame", "search",
+             "--restarts", "8", "--out", str(out)]
+        ) == 0
+        search = json.loads(out.read_text())["search"]
+        assert search["upper_bound"] == pytest.approx(0.25 * 46 / 3, abs=1e-9)
+        assert search["best_plane_sum"] == pytest.approx(0.25 * 7.308641975308651, abs=1e-9)
+        assert search["best_plane_sum"] <= search["upper_bound"]
+        assert all(party == search["frame"][0] for party in search["frame"])
+
     def test_search_rerun_byte_identical(self, tmp_path):
         outs = [tmp_path / "a.json", tmp_path / "b.json"]
         for out in outs:
@@ -265,7 +293,7 @@ class TestBellCommand:
         def search(*args):
             raise AssertionError("a restart block ran")
 
-        monkeypatch.setattr(cli.bell, "_search_block", search)
+        monkeypatch.setattr(cli.bell, "refine_block", search)
         out = tmp_path / "bell.json"
         args = ["bell", "--state", "g", "--n", "4", "--frame", "search",
                 "--restarts", str(restarts), "--out", str(out)]

@@ -10,7 +10,7 @@ import pytest
 
 import qss
 
-MODULES = ("qsim", "states", "attack", "protocol", "bell", "rdm")
+MODULES = ("qsim", "states", "attack", "protocol", "bell", "dicke", "rdm")
 
 #: Public names whose only callers are in the acceptance gate.
 GATE_ONLY = {

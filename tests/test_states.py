@@ -11,12 +11,13 @@ from qss.qsim import MAX_STATE_QUBITS, PauliString, expectation, reduce_state
 from qss.states import (
     add_white_noise,
     carrier_state,
+    dicke_vector,
     g_state,
     ghz_state,
     make_carrier_branches,
 )
 
-from born import v_states
+from born import dicke_state, v_states
 
 
 def w_pair(n):
@@ -242,6 +243,20 @@ class TestBranchStates:
         assert np.abs(
             carrier_state("GHZ", 4).amplitudes - ghz_state(4).amplitudes
         ).max() < 1e-12
+
+
+
+class TestDickeVector:
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    def test_spells_out_the_carrier(self, carrier, n):
+        dense = dicke_state(dicke_vector(carrier, n)).amplitudes
+        assert np.abs(dense - carrier_state(carrier, n).amplitudes).max() < 1e-15
+
+    @pytest.mark.parametrize("carrier, n", [("G", 1), ("GHZ", 0), ("W", 4)])
+    def test_rejected(self, carrier, n):
+        with pytest.raises(InvalidArgument):
+            dicke_vector(carrier, n)
 
 
 def refuse_allocation(monkeypatch):
