@@ -11,6 +11,7 @@ of (config, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -35,9 +36,9 @@ __all__ = [
 
 
 #: Largest m a run admits.  The work, for each of the 2^(2m) basis combinations
-#: 2m - 1 rotations of the 2^(2m) branch amplitudes and one 4 x 2 x 2^(2m-1)
-#: product, grows about 19-fold per step in m: m = 6 with 2e4 rounds took a
-#: median 1.7 s on a shared 2-core VM.
+#: 2m - 1 rotations of the 2^(2m-1) amplitudes of |xi>, one signed gather for
+#: |xibar> and one 4 x 2 x 2^(2m-1) product, grows about 19-fold per step in m:
+#: m = 6 with 2e4 rounds took a median 1.3 s on a shared 2-core VM.
 MAX_M = 7
 
 #: Width of the combination keys that ``run_protocol`` sorts: 2m <= 14 bits.
@@ -109,14 +110,17 @@ class ProtocolTranscript:
     def sift_count(self) -> int:
         return int(np.count_nonzero(self.sifted))
 
+    @functools.cached_property
     def _sifted_bits(self) -> np.ndarray:
-        """Outcome bits of the sifted rounds, shape (sift_count, n_parties)."""
+        """Outcome bits of the sifted rounds, (sift_count, n_parties), read-only int8."""
         shifts = np.arange(self.config.n_parties - 1, -1, -1)
-        return (self.outcome_idx[self.sifted, None] >> shifts) & 1
+        bits = ((self.outcome_idx[self.sifted, None] >> shifts) & 1).astype(np.int8)
+        bits.flags.writeable = False
+        return bits
 
     def _key_bits(self) -> tuple[np.ndarray, np.ndarray]:
         """Alice's sifted bits and the Bobs' product bits, as arrays."""
-        bits = self._sifted_bits()
+        bits = self._sifted_bits
         # all-y rounds carry a carrier-dependent parity sign: the full-y
         # correlation is -s, so the product bit flips when s = +1
         scenario = self.config.scenario
@@ -167,24 +171,32 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     outcome_idx = np.empty(config.rounds, dtype=np.int64)
     order, bounds = _group(combos, 2**n_parties)
     # the attacked state is sum_b coef[a, b, e] |a>|branch b>|e>: its (Alice,
-    # branch, probe) coefficients, and the branches xi and xibar stacked on
-    # axis 0, with the Bobs on axes 1 .. 2m-1 as in the dense register
+    # branch, probe) coefficients, and the branch xi with the Bobs on axes
+    # 0 .. k-1, k = 2m-1, as in the dense register
     scenario = config.scenario
     coef = _abe(scenario.phi, *np.eye(2)).reshape(2, 2, 2)
-    branches = np.stack(
-        [b.amplitudes for b in make_carrier_branches(scenario.carrier, scenario.m)]
-    ).reshape((2,) * n_parties)
+    k = n_parties - 1
+    xi = make_carrier_branches(scenario.carrier, scenario.m)[0].amplitudes.reshape((2,) * k)
     # indexed by a combination's bit for the party: 0 for sigma_x, 1 for sigma_y
     rotations = tuple(EIGENBASIS[ax].conj().T for ax in "XY")
+    # |xibar> = X^k|xi>, and R_X X = Z R_X, R_Y X = Y R_Y, so R|xibar>[o] =
+    # (-i)^#Y (-1)^|o| R|xi>[o ^ ymask], ymask the Y-Bobs' bits: exact factors
+    parity = np.array([o.bit_count() & 1 for o in range(2**k)])
+    phased = np.array([1, -1j, -1, 1j])[:, None] * (1 - 2 * parity)
+    index = np.arange(2**k)
+    bobs = np.empty((2, 2**k), dtype=complex)  # rows R|xi>, R|xibar>
     # every combination is built, used or not, so the work depends on m alone;
     # its law is cumulative over the party outcomes, marginalized over Evan's probe
     for combo in range(2**n_parties):
-        alice = _apply_one(coef, 0, rotations[combo >> (n_parties - 1)])
-        bobs = branches
-        for q in range(1, n_parties):
-            bobs = _apply_one(bobs, q, rotations[(combo >> (n_parties - 1 - q)) & 1])
+        alice = _apply_one(coef, 0, rotations[combo >> k])
+        rotated = xi
+        for q in range(k):
+            rotated = _apply_one(rotated, q, rotations[(combo >> (k - 1 - q)) & 1])
+        np.copyto(bobs[0].reshape(rotated.shape), rotated)
+        ymask = combo & (2**k - 1)
+        np.multiply(bobs[0][index ^ ymask], phased[ymask.bit_count() % 4], out=bobs[1])
         # rows (Alice, probe), columns the Bob outcomes
-        amps = alice.transpose(0, 2, 1).reshape(4, 2) @ bobs.reshape(2, -1)
+        amps = alice.transpose(0, 2, 1).reshape(4, 2) @ bobs
         sq = (np.abs(amps) ** 2).reshape(2, 2, -1)
         probs = (sq[:, 0] + sq[:, 1]).reshape(-1)
         law = np.cumsum(probs / probs.sum())
@@ -215,8 +227,9 @@ def _entropy(codes: np.ndarray) -> float:
 
 
 def _plugin_mutual_info(x: np.ndarray, y: np.ndarray) -> float:
-    """Plug-in mutual information (bits) between paired nonnegative integer codes."""
-    joint = x * (int(y.max()) + 1) + y
+    """Plug-in mutual information (bits) between paired nonnegative integer
+    codes; the joint code is built on y, which must be wide enough for it."""
+    joint = y * (int(x.max()) + 1) + x
     return _entropy(x) + _entropy(y) - _entropy(joint)
 
 
@@ -235,7 +248,7 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
         raise InvalidArgument("subset must be proper; use reconstruct_key for all Bobs")
     if t.sift_count == 0:
         raise EmptySiftedSet("transcript has no sifted rounds")
-    bits = t._sifted_bits()
+    bits = t._sifted_bits
     # the coalition's bits, MSB first, as one integer per round
     packed = bits[:, sub] @ (1 << np.arange(len(sub) - 1, -1, -1))
     return _plugin_mutual_info(bits[:, 0], packed)

@@ -105,17 +105,45 @@ class TestBlockedBasisDraws:
         rng = np.random.default_rng(31)
         combos = rng.integers(0, 2, size=(rounds, n)) @ (1 << np.arange(n - 1, -1, -1))
         uniforms = rng.random(rounds)
-        # with rotations left out every combination samples the attacked
-        # state's own law, which exposes the uniforms at no 2^(2m)-fold cost
-        scenario = AttackScenario("G", m, 0.3)
+        # the uniforms each combination hands to searchsorted, never its law;
+        # with rotations left out the 2^(2m) laws cost little
+        handed = []
+        searchsorted = np.searchsorted
+
+        def recorded(a, v, side="left", sorter=None):
+            if side == "right":
+                handed.append(np.array(v))
+            return searchsorted(a, v, side=side, sorter=sorter)
+
+        monkeypatch.setattr(np, "searchsorted", recorded)
         monkeypatch.setattr(protocol, "_apply_one", lambda arr, axis, mat: arr)
-        t = run_protocol(ProtocolConfig(rounds, scenario, 31))
-        sq = np.abs(dense_attacked_state(scenario).amplitudes) ** 2
-        probs = sq.reshape(2**n, 2).sum(axis=1)
-        law = np.cumsum(probs / probs.sum())
-        outcomes = np.minimum(np.searchsorted(law, uniforms, side="right"), 2**n - 1)
+        t = run_protocol(ProtocolConfig(rounds, AttackScenario("G", m, 0.3), 31))
         assert np.array_equal(t.combo_idx, combos)
-        assert np.array_equal(t.outcome_idx, outcomes)
+        # one call per combination, in index order, each with its rounds' uniforms
+        assert len(handed) == 2**n
+        for combo, u in enumerate(handed):
+            assert np.array_equal(u, uniforms[combos == combo])
+
+
+class TestRotationCount:
+    """One rotation per party per combination, each Bob's on the 2^(2m-1)
+    amplitudes of |xi> alone: the count the benchmark pins."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_bob_calls_rotate_one_branch(self, m, monkeypatch):
+        sizes = []
+        apply_one = protocol._apply_one
+
+        def counted(arr, axis, mat):
+            sizes.append(arr.size)
+            return apply_one(arr, axis, mat)
+
+        monkeypatch.setattr(protocol, "_apply_one", counted)
+        run_protocol(ProtocolConfig(200, AttackScenario("G", m, 0.3), 0))
+        n, combos = 2 * m, 4**m
+        # Alice's rotations act on the 8 (Alice, branch, probe) coefficients
+        assert len(sizes) == n * combos
+        assert Counter(sizes) == Counter({8: combos}) + Counter({2 ** (n - 1): (n - 1) * combos})
 
 
 class TestFactoredLaw:
@@ -272,6 +300,15 @@ class TestKeyReconstruction:
         assert alice == tuple((1 - rec.outcomes[0]) // 2 for rec in sifted)
         assert bob == tuple(int(math.prod(rec.outcomes[1:]) == -1) for rec in sifted)
         assert err == sum(a != b for a, b in zip(alice, bob)) / crossover_run.sift_count
+
+    def test_sifted_bits_built_once_and_read_only(self):
+        # the key and every coalition estimate share one bit matrix
+        t = make_transcript(rounds=500, seed=3)
+        bits = t._sifted_bits
+        assert bits is t._sifted_bits
+        assert bits.shape == (t.sift_count, t.config.n_parties) and bits.dtype == np.int8
+        with pytest.raises(ValueError):
+            bits[0, 0] = 1 - bits[0, 0]
 
     def test_empty_sifted_set(self):
         base = make_transcript(rounds=10)

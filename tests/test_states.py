@@ -214,6 +214,14 @@ class TestBranchStates:
         flipped = xi.amplitudes.reshape((2,) * k)[(slice(None, None, -1),) * k]
         assert np.abs(flipped.reshape(-1) - xibar.amplitudes).max() < 1e-12
 
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_xibar_is_index_reversal_of_xi(self, carrier, m):
+        # X on every Bob maps index x to 2^k - 1 - x; run_protocol reads the
+        # rotated xibar off the rotated xi by this, so it must hold exactly
+        xi, xibar = make_carrier_branches(carrier, m)
+        assert np.array_equal(xibar.amplitudes, xi.amplitudes[::-1])
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_v_states_reconstruct_carrier(self, n):
         # (1/sqrt 2)(|v0>|0> + |v1>|1>) on qubits (1..n-1, n) reassembled
