@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .qsim import DensityMatrix, PauliString, PureState, expectation, reduce_state
-from .states import CARRIERS, branch_weights, branch_y_sign
+from .states import CARRIERS, branch_y_sign
 
 __all__ = [
     "AttackScenario",
@@ -106,22 +106,19 @@ def coalition_collapse(t: TripartiteState, kept_bob: int) -> DensityMatrix:
     For the G carrier the other 2M-2 Bobs project in the sigma_z basis onto
     the all-|0> pattern; for the GHZ carrier they project in sigma_x onto
     all-plus.  Both branches are permutation symmetric, so every kept Bob
-    gives the same state: B_k's amplitude b in the branch on the weights W is,
-    up to a factor both branches share, sum_w N(w) [w + b in W].
+    gives the same state.
     """
-    m, carrier = t.scenario.m, t.scenario.carrier
+    m = t.scenario.m
     if m < 2:
         raise InvalidArgument("coalition collapse needs m >= 2 (at least two Bobs)")
     if not 1 <= kept_bob <= 2 * m - 1:
         raise InvalidArgument(f"kept_bob must be a Bob qubit in [1, {2 * m - 1}]")
-    # N(w) = C(r, w) counts the others' weight-w basis states the pattern
-    # overlaps, all equally: only |0...0> (r = 0) for G, every one of them
-    # (r = 2M-2) for the all-plus pattern of GHZ
-    r = 2 * m - 2 if carrier == "GHZ" else 0
-    xi, xibar = (
-        [float(sum(math.comb(r, v - b) for v in set(weights) if v >= b)) for b in (0, 1)]
-        for weights in branch_weights(carrier, m)
-    )
+    # B_k's amplitudes in |xi> and |xibar>, up to a factor both share, are unit
+    # rows at every M >= 2: for G the others' |0...0> keeps only weight 1 of
+    # xi's shells (1, 2M-1), B_k at 1, and weight 0 of xibar's (2M-2, 0), B_k
+    # at 0; the GHZ branches are |0...0> and |1...1>, and all-plus overlaps
+    # the others' part of both equally
+    xi, xibar = np.eye(2)[::-1] if t.scenario.carrier == "G" else np.eye(2)
     amps = _abe(t.scenario.phi, xi, xibar)
     return reduce_state(PureState(3, amps / np.linalg.norm(amps)), (0, 1))
 

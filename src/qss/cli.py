@@ -44,7 +44,7 @@ from .protocol import (
     transcript_summary,
     transcript_to_jsonl,
 )
-from .states import add_white_noise, carrier_state, dicke_vector
+from .states import CARRIERS, add_white_noise, carrier_state, dicke_vector
 
 SCHEMA_VERSION = "qss-1"
 
@@ -162,7 +162,7 @@ def _cmd_bell(args) -> int:
     if args.n > bell.MAX_TENSOR_QUBITS:
         # before add_white_noise builds a 2^n x 2^n matrix the tensor would refuse
         raise BudgetExceeded(f"correlation tensor capped at n <= {bell.MAX_TENSOR_QUBITS}")
-    carrier = "G" if args.state == "g" else "GHZ"
+    carrier = args.state.upper()
     state = carrier_state(carrier, args.n)
     if args.noise == 1.0:
         tensor = correlation_tensor(state)
@@ -220,7 +220,7 @@ def _cmd_rdm(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    state = carrier_state("G" if args.state == "g" else "GHZ", args.n)
+    state = carrier_state(args.state.upper(), args.n)
     tensor = correlation_tensor(state)
     result = {
         "schema_version": SCHEMA_VERSION,
@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="half the party count (N = 2m)")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--phi", type=float, default=0.0, help="attack angle")
-    p.add_argument("--carrier", choices=["G", "GHZ"], default="G")
+    p.add_argument("--carrier", choices=CARRIERS, default="G")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deg", action="store_true", help="interpret angles in degrees")
     p.add_argument("--out", required=True, help="output path prefix")
@@ -252,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-attack", help="security sweep over attack angles")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--carrier", choices=["G", "GHZ"], default="G")
+    p.add_argument("--carrier", choices=CARRIERS, default="G")
     p.add_argument("--phi-grid", type=_parse_grid, required=True,
                    help="start:stop:count or comma list")
     p.add_argument("--deg", action="store_true")
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_attack)
 
     p = sub.add_parser("bell", help="correlation-strength sums and thresholds")
-    p.add_argument("--state", choices=["g", "ghz"], required=True)
+    p.add_argument("--state", choices=[c.lower() for c in CARRIERS], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--noise", type=float, default=1.0, help="visibility p")
     p.add_argument("--frame", choices=["default", "search"], default="default")
@@ -281,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rdm)
 
     p = sub.add_parser("tensor", help="full correlation tensor export")
-    p.add_argument("--state", choices=["g", "ghz"], required=True)
+    p.add_argument("--state", choices=[c.lower() for c in CARRIERS], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tensor)

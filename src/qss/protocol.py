@@ -20,7 +20,7 @@ import numpy as np
 
 from .attack import AttackScenario, _abe
 from .errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
-from .qsim import EIGENBASIS, Outcome, _apply_one
+from .qsim import EIGENBASIS, Outcome, _apply_one, popcounts
 from .states import branch_y_sign, make_carrier_branches
 
 __all__ = [
@@ -181,8 +181,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     rotations = tuple(EIGENBASIS[ax].conj().T for ax in "XY")
     # |xibar> = X^k|xi>, and R_X X = Z R_X, R_Y X = Y R_Y, so R|xibar>[o] =
     # (-i)^#Y (-1)^|o| R|xi>[o ^ ymask], ymask the Y-Bobs' bits: exact factors
-    parity = np.array([o.bit_count() & 1 for o in range(2**k)])
-    phased = np.array([1, -1j, -1, 1j])[:, None] * (1 - 2 * parity)
+    ones = popcounts(k)
+    phased = np.array([1, -1j, -1, 1j])[:, None] * (1 - 2 * (ones & 1))
     index = np.arange(2**k)
     bobs = np.empty((2, 2**k), dtype=complex)  # rows R|xi>, R|xibar>
     # every combination is built, used or not, so the work depends on m alone;
@@ -194,7 +194,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
             rotated = _apply_one(rotated, q, rotations[(combo >> (k - 1 - q)) & 1])
         np.copyto(bobs[0].reshape(rotated.shape), rotated)
         ymask = combo & (2**k - 1)
-        np.multiply(bobs[0][index ^ ymask], phased[ymask.bit_count() % 4], out=bobs[1])
+        np.multiply(bobs[0][index ^ ymask], phased[ones[ymask] % 4], out=bobs[1])
         # rows (Alice, probe), columns the Bob outcomes
         amps = alice.transpose(0, 2, 1).reshape(4, 2) @ bobs
         sq = (np.abs(amps) ** 2).reshape(2, 2, -1)

@@ -144,6 +144,14 @@ _FLIP_BIT = str.maketrans("IXYZ", "0110")
 _SIGN_BIT = str.maketrans("IXYZ", "0011")
 
 
+def popcounts(k: int) -> np.ndarray:
+    """The Hamming weights of 0 .. 2^k - 1; each doubling adds a top bit."""
+    table = np.zeros(1, dtype=np.intp)
+    for _ in range(k):
+        table = np.concatenate([table, table + 1])
+    return table
+
+
 def expectation(state: PureState, p: PauliString) -> float:
     """Expectation value of a Pauli string, clamped to [-1, 1].  As
     P|x> = i^#Y (-1)^popcount(x & zmask) |x xor flip>, it is one signed gather."""
@@ -151,11 +159,8 @@ def expectation(state: PureState, p: PauliString) -> float:
     if p.n_qubits != n:
         raise InvalidDimension(f"Pauli string on {p.n_qubits} qubits, state on {n}")
     src = np.arange(2**n) ^ int(p.axes.translate(_FLIP_BIT), 2)
-    # popcount parity of src & zmask, folded into bit 0 (n <= 32)
-    parity = src & int(p.axes.translate(_SIGN_BIT), 2)
-    for shift in (16, 8, 4, 2, 1):
-        parity ^= parity >> shift
-    phase = (1, 1j, -1, -1j)[p.axes.count("Y") % 4] * (1 - 2 * (parity & 1))
+    parity = popcounts(n)[src & int(p.axes.translate(_SIGN_BIT), 2)] & 1
+    phase = (1, 1j, -1, -1j)[p.axes.count("Y") % 4] * (1 - 2 * parity)
     val = np.vdot(state.amplitudes, phase * state.amplitudes[src])
     if abs(val.imag) > ATOL_EXACT:
         raise InvalidState(f"expectation {val} has a nonzero imaginary part")

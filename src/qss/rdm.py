@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidArgument
+from .states import branch_weights, shell_norm
 
 __all__ = [
     "GramSolution",
@@ -119,8 +120,8 @@ def _constraint_system(n: int) -> tuple[np.ndarray, np.ndarray]:
     One equation per pair y <= y' of (n-1)-qubit indices; only pairs inside
     the joint support of W, v0 and v1 can give anything but 0 = 0, and only
     the rows that are not 0 = 0 are kept.  That support has O(n) indices:
-    the shells of v0 (weights 1 and k = n-1) and v1 (weights k-1 and 0), and
-    the rows 2 z' + b that W attaches to them, folded onto party 0's halves.
+    the shells of v0 and v1 (the G carrier's branches), and the rows 2 z' + b
+    that W attaches to them, folded onto party 0's halves.
     """
     k = n - 1
     full = (1 << k) - 1
@@ -132,8 +133,7 @@ def _constraint_system(n: int) -> tuple[np.ndarray, np.ndarray]:
     halves, folded = (rows >> np.uint64(k)).astype(np.intp), rows & np.uint64(full)
     support = np.array(sorted({*shells.tolist(), *folded.ravel().tolist()}), dtype=np.uint64)
     weight = np.array([y.bit_count() for y in support.tolist()])
-    a0 = np.isin(weight, (1, k)) / np.sqrt(float(k + 1))
-    a1 = np.isin(weight, (k - 1, 0)) / np.sqrt(float(k + 1))
+    a0, a1 = (np.isin(weight, ws) / shell_norm(k, ws) for ws in branch_weights("G", n))
     w = np.zeros((2, support.size, 4))
     cols, at = np.searchsorted(support, folded), np.searchsorted(support, shells)[:, None]
     w[halves, cols, np.arange(2)] = a0[at] / np.sqrt(2.0)

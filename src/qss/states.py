@@ -1,6 +1,7 @@
 """Carrier and branch states, each a uniform superposition over Hamming-weight
-shells, and the white-noise admixture. All amplitudes are real and
-non-negative, which makes state equality tests phase-unambiguous.
+shells, which ``carrier_weights`` alone spells, and the white-noise
+admixture. All amplitudes are real and non-negative, which makes state
+equality tests phase-unambiguous.
 """
 
 from __future__ import annotations
@@ -11,10 +12,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .qsim import MAX_DENSITY_QUBITS, MAX_STATE_QUBITS, DensityMatrix, PureState
+from .qsim import MAX_DENSITY_QUBITS, MAX_STATE_QUBITS, DensityMatrix, PureState, popcounts
 
 #: Carrier families supported by the protocol.
 CARRIERS = ("G", "GHZ")
+
+
+def carrier_weights(carrier: str, n: int) -> tuple[int, int]:
+    """The Hamming weights of the n-qubit carrier's shells: 1 and n-1 for G,
+    whose multiqubit correlations are weak (one shell, the Bell state, at
+    n = 2), and 0 and n for GHZ, whose correlations are strong."""
+    if carrier not in CARRIERS:
+        raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {carrier!r}")
+    if n < 2:
+        raise InvalidArgument(f"the carrier needs n >= 2, got {n}")
+    return (1, n - 1) if carrier == "G" else (0, n)
+
+
+def shell_norm(k: int, weights: tuple[int, ...]) -> float:
+    """The norm of the unnormalized sum of the k-qubit basis states whose
+    Hamming weight is in ``weights``."""
+    return np.sqrt(float(sum(math.comb(k, w) for w in set(weights))))
 
 
 def _shell_state(k: int, weights: tuple[int, ...]) -> PureState:
@@ -23,70 +41,44 @@ def _shell_state(k: int, weights: tuple[int, ...]) -> PureState:
     if k > MAX_STATE_QUBITS:
         # before the 2^k amplitudes are allocated
         raise InvalidArgument(f"n_qubits must be in [1, {MAX_STATE_QUBITS}], got {k}")
-    # popcount[x] is the Hamming weight of x; each doubling adds a top bit
-    popcount = np.zeros(1, dtype=np.intp)
-    for _ in range(k):
-        popcount = np.concatenate([popcount, popcount + 1])
     shell = np.zeros(k + 1, dtype=complex)
     shell[list(weights)] = 1.0
-    count = sum(math.comb(k, w) for w in set(weights))
-    return PureState(k, shell[popcount] / np.sqrt(float(count)))
+    return PureState(k, shell[popcounts(k)] / shell_norm(k, weights))
 
 
 def g_state(n: int) -> PureState:
-    """The secret-sharing carrier (|W_n> + |Wbar_n>)/sqrt(2), on weights 1 and
-    n-1. For n = 2 both are weight 1: the Bell state (|01> + |10>)/sqrt(2)."""
-    if n < 2:
-        raise InvalidArgument(f"g_state needs n >= 2, got {n}")
-    return _shell_state(n, (1, n - 1))
-
-
-def ghz_state(n: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2), on weights 0 and n."""
-    if n < 2:
-        raise InvalidArgument(f"ghz_state needs n >= 2, got {n}")
-    return _shell_state(n, (0, n))
+    """The secret-sharing carrier (|W_n> + |Wbar_n>)/sqrt(2)."""
+    return carrier_state("G", n)
 
 
 def carrier_state(carrier: str, n: int) -> PureState:
     """The n-qubit carrier of the chosen family."""
-    if carrier not in CARRIERS:
-        raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {carrier!r}")
-    return g_state(n) if carrier == "G" else ghz_state(n)
+    return _shell_state(n, carrier_weights(carrier, n))
 
 
 def dicke_vector(carrier: str, n: int) -> np.ndarray:
     """The n-qubit carrier's amplitudes on the normalized Dicke states |D_w>,
-    w = 0 .. n the number of 1s: equal on its shells, weights 1 and n-1 for G
-    (one shell, the Bell state, at n = 2) and 0 and n for GHZ."""
-    if carrier not in CARRIERS:
-        raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {carrier!r}")
-    if n < 2:
-        raise InvalidArgument(f"the carrier needs n >= 2, got {n}")
-    shells = sorted({1, n - 1} if carrier == "G" else {0, n})
+    w = 0 .. n the number of 1s: equal on its shells."""
+    shells = list(set(carrier_weights(carrier, n)))
     c = np.zeros(n + 1)
     c[shells] = 1.0 / math.sqrt(len(shells))
     return c
 
 
-def branch_weights(carrier: str, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def branch_weights(carrier: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The Hamming-weight shells of Alice's collapse branches |xi>, |xibar> on
-    the k = 2m-1 Bob qubits: (1, k) and (k-1, 0) for G, (0,) and (k,) for GHZ.
-    The two sets are disjoint and hold equally many basis states, so the
-    branches are orthonormal."""
-    if carrier not in CARRIERS:
-        raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {carrier!r}")
-    if m < 1:
-        raise InvalidArgument(f"m must be >= 1, got {m}")
-    k = 2 * m - 1
-    return ((1, k), (k - 1, 0)) if carrier == "G" else ((0,), (k,))
+    the other n-1 qubits of the n-qubit carrier: its shells with Alice's
+    qubit read as 0 and as 1.  Both hold equally many basis states and, but
+    for G at n = 3, are disjoint, so the protocol's branches are orthonormal."""
+    weights = carrier_weights(carrier, n)
+    return tuple(w for w in weights if w < n), tuple(w - 1 for w in weights if w > 0)
 
 
 def branch_y_sign(carrier: str, m: int) -> int:
     """s such that sigma_y on all k = 2m-1 Bobs acts on span{|xi>, |xibar>} as
     s*Y (and sigma_x as X): Y^k|x> = i^k (-1)^|x| |not x>, and each branch's
     shells share one weight parity, so s = (-1)^m for G, (-1)^(m+1) for GHZ."""
-    xi, _ = branch_weights(carrier, m)
+    xi, _ = branch_weights(carrier, 2 * m)
     return (-1) ** (m - 1 + xi[0])
 
 
@@ -96,7 +88,7 @@ def make_carrier_branches(carrier: str, m: int) -> tuple[PureState, PureState]:
     For the G carrier they are the vectors v0, v1 of the marginal analysis at
     n = 2m; for the GHZ carrier, the all-0 and all-1 product states.
     """
-    xi, xibar = branch_weights(carrier, m)
+    xi, xibar = branch_weights(carrier, 2 * m)
     return _shell_state(2 * m - 1, xi), _shell_state(2 * m - 1, xibar)
 
 

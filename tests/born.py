@@ -4,6 +4,8 @@ tables, Pauli expectations of density matrices and partial traces.
 ``dense_attacked_state`` is |psi>_ABE on all 2m+1 qubits, for m <= 9: the
 state that ``attack`` and ``protocol`` read on the branch span, where the
 Bob register is one qubit, and that the tests check them against.
+``binomial_collapse`` is the collapsed pair from binomial sums over the
+branch shells, the reference for ``coalition_collapse``'s unit rows.
 ``outcome_probabilities`` rotates each measured qubit of a pure state into
 its measurement eigenbasis and reads off |amplitude|^2: the exponential
 reference that the protocol's outcome laws and ``exact_mutual_info_ab``'s
@@ -64,6 +66,24 @@ def dense_attacked_state(scenario: AttackScenario) -> PureState:
         )
     xi, xibar = make_carrier_branches(scenario.carrier, m)
     return PureState(2 * m + 1, _abe(scenario.phi, xi.amplitudes, xibar.amplitudes))
+
+
+def binomial_collapse(scenario: AttackScenario) -> DensityMatrix:
+    """``attack.coalition_collapse`` from binomial sums over the branch shells
+    W, spelled out here: B_k's amplitude b in a branch is, up to a factor
+    both branches share, sum_w N(w) [w + b in W], where N(w) = C(r, w)
+    counts the others' weight-w basis states the post-selected pattern
+    overlaps, all equally: only |0...0> (r = 0) for G, every one of them
+    (r = 2m-2) for the all-plus pattern of GHZ."""
+    m, k = scenario.m, 2 * scenario.m - 1
+    shells = ((1, k), (k - 1, 0)) if scenario.carrier == "G" else ((0,), (k,))
+    r = 2 * m - 2 if scenario.carrier == "GHZ" else 0
+    xi, xibar = (
+        [float(sum(math.comb(r, v - b) for v in set(weights) if v >= b)) for b in (0, 1)]
+        for weights in shells
+    )
+    amps = _abe(scenario.phi, xi, xibar)
+    return reduce_state(PureState(3, amps / np.linalg.norm(amps)), (0, 1))
 
 
 def dicke_state(c: np.ndarray) -> PureState:

@@ -204,6 +204,15 @@ class TestCoalitionCollapse:
             expected = ((1 + c * c) / 2) * outer(beta) + (s * s / 2) * outer(np.eye(4)[v])
             assert np.abs(coalition_collapse(t, kept_bob=1).matrix - expected).max() < 1e-10
 
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_unit_rows_match_binomial_sums(self, m, carrier):
+        for phi in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
+            t = attacked_state(AttackScenario(carrier, m, phi))
+            expected = born.binomial_collapse(t.scenario).matrix
+            for bob in (1, 2 * m - 1):
+                assert np.array_equal(coalition_collapse(t, bob).matrix, expected)
+
     def test_all_ones_pattern_gives_same_state(self):
         # in both uniform patterns the surviving branch terms are the single
         # excitation (or hole) sitting on the kept qubit, so the collapsed
@@ -278,12 +287,12 @@ class TestBranchSpan:
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     def test_branch_weights_orthonormal(self, carrier):
         # disjoint shells of equal size: the reduction to one Bob qubit rests
-        # on <xi|xibar> = 0 and on both branches sharing one norm
-        for m in range(1, 501):
-            k = 2 * m - 1
-            xi, xibar = (set(w) for w in branch_weights(carrier, m))
+        # on <xi|xibar> = 0 and on both branches sharing one norm, at the
+        # protocol's n = 2m (at n = 3 the G shells share weight 1)
+        for n in range(2, 1001, 2):
+            xi, xibar = (set(w) for w in branch_weights(carrier, n))
             assert not xi & xibar
-            assert sum(math.comb(k, w) for w in xi) == sum(math.comb(k, w) for w in xibar)
+            assert sum(math.comb(n - 1, w) for w in xi) == sum(math.comb(n - 1, w) for w in xibar)
 
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     @pytest.mark.parametrize("m", [3, 50, 500])

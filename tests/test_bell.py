@@ -35,7 +35,7 @@ from qss.qsim import (
     expectation,
     reduce_state,
 )
-from qss.states import add_white_noise, dicke_vector, g_state, ghz_state
+from qss.states import add_white_noise, carrier_state, dicke_vector, g_state
 
 import born
 from born import (
@@ -83,6 +83,11 @@ def expected_g6_tensor_entry(axes):
     return table.get(key, 0.0)
 
 
+def ghz_state(n):
+    """The GHZ carrier, under a name that parametrized test ids can show."""
+    return carrier_state("GHZ", n)
+
+
 @pytest.fixture(scope="module")
 def g6_tensor():
     return correlation_tensor(g_state(6))
@@ -90,7 +95,7 @@ def g6_tensor():
 
 @pytest.fixture(scope="module")
 def ghz6_tensor():
-    return correlation_tensor(ghz_state(6))
+    return correlation_tensor(carrier_state("GHZ", 6))
 
 
 def nine_expectation_m(rho):
@@ -194,7 +199,7 @@ class TestCorrelationTensorValues:
             ), axes
 
     def test_ghz6_spot_checks_against_kron_oracle(self, ghz6_tensor):
-        amps = ghz_state(6).amplitudes
+        amps = carrier_state("GHZ", 6).amplitudes
         for axes in ("XXXXXX", "ZZZZZZ", "XXYYXX", "ZZXXZZ", "YYYYYY", "XYZXYZ"):
             idx = tuple("XYZ".index(a) for a in axes)
             assert ghz6_tensor.entries[idx] == pytest.approx(
@@ -289,7 +294,7 @@ class TestSquaredSums:
         assert full_sum(ghz6_tensor) == pytest.approx(33.0, abs=1e-9)
 
     def test_ghz6_plane_sum_brute_force(self, ghz6_tensor):
-        amps = ghz_state(6).amplitudes
+        amps = carrier_state("GHZ", 6).amplitudes
         total = sum(
             kron_expectation(amps, "".join(axes)) ** 2
             for axes in itertools.product("XY", repeat=6)
@@ -420,7 +425,7 @@ def named_tensor(name):
     state = {
         "g6_p05": lambda: add_white_noise(g_state(6), 0.5).realized,
         "g6": lambda: g_state(6),
-        "ghz6": lambda: ghz_state(6),
+        "ghz6": lambda: carrier_state("GHZ", 6),
         "g4_p07": lambda: add_white_noise(g_state(4), 0.7).realized,
     }[name]()
     return correlation_tensor(state)
@@ -544,7 +549,7 @@ class TestSharedPlaneSearch:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     def test_matches_dense_oracle(self, carrier, n):
-        t = correlation_tensor(g_state(n) if carrier == "G" else ghz_state(n))
+        t = correlation_tensor(carrier_state(carrier, n))
         ref, _ = dense_maximize_plane_sum(t, 64, 0)
         val, frame = maximize_plane_sum(dicke_vector(carrier, n))
         assert abs(val - ref) <= 1e-9 * max(1.0, ref)
@@ -649,7 +654,7 @@ class TestUpperBound:
     @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     def test_brackets_the_search(self, carrier, n):
-        t = correlation_tensor(g_state(n) if carrier == "G" else ghz_state(n))
+        t = correlation_tensor(carrier_state(carrier, n))
         val, _ = maximize_plane_sum(dicke_vector(carrier, n), restarts=8)
         assert plane_sum(t) - 1e-12 <= val <= plane_sum_upper_bound(t) + 1e-9
 

@@ -77,19 +77,23 @@ class TestSweepAttack:
     # sha256 of the CSV, taken from the expectation values computed by
     # rotating the density once per Pauli factor, before the signed gather;
     # m = 3 gives the file of m = 2, since both read the states off the
-    # branch span, where the Bob register is one qubit at every m
+    # branch span, where the Bob register is one qubit at every m; the GHZ
+    # rows, taken before the collapse amplitudes were written as unit rows,
+    # give it too, since the collapsed pair has the same M
     @pytest.mark.parametrize(
-        "m, sha",
+        "m, sha, carrier",
         [
-            ("2", "dc768665e9d96ffa1c7c33b059aceab9ddf22f4bf4bbf921b7593848fc09bc89"),
-            ("3", "dc768665e9d96ffa1c7c33b059aceab9ddf22f4bf4bbf921b7593848fc09bc89"),
+            ("2", "dc768665e9d96ffa1c7c33b059aceab9ddf22f4bf4bbf921b7593848fc09bc89", "G"),
+            ("3", "dc768665e9d96ffa1c7c33b059aceab9ddf22f4bf4bbf921b7593848fc09bc89", "G"),
+            ("2", "dc768665e9d96ffa1c7c33b059aceab9ddf22f4bf4bbf921b7593848fc09bc89", "GHZ"),
+            ("5", "dc768665e9d96ffa1c7c33b059aceab9ddf22f4bf4bbf921b7593848fc09bc89", "GHZ"),
         ],
     )
-    def test_golden_output_hashes(self, tmp_path, m, sha):
+    def test_golden_output_hashes(self, tmp_path, m, sha, carrier):
         out = tmp_path / "sweep.csv"
         assert run_cli(
-            ["sweep-attack", "--m", m, "--phi-grid", "0:1.5707963267948966:41",
-             "--out", str(out)]
+            ["sweep-attack", "--m", m, "--carrier", carrier,
+             "--phi-grid", "0:1.5707963267948966:41", "--out", str(out)]
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 

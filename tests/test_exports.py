@@ -14,6 +14,7 @@ MODULES = ("qsim", "states", "attack", "protocol", "bell", "dicke", "rdm")
 
 #: Public names whose only callers are in the acceptance gate.
 GATE_ONLY = {
+    "g_state",
     "exact_mutual_info_ab",
     "collapse_visibility",
     "lr_sufficiency_thresholds",

@@ -267,6 +267,12 @@ class TestApplyPauli:
         assert abs(density_expectation(state, PauliString(axes)) - expected) < 1e-10
 
 
+class TestPopcounts:
+    @pytest.mark.parametrize("k", range(17))
+    def test_hamming_weights(self, k):
+        assert qsim.popcounts(k).tolist() == [x.bit_count() for x in range(2**k)]
+
+
 class TestExpectation:
     def test_x_on_g6(self):
         assert expectation(g_state(6), PauliString.uniform("X", 6)) == pytest.approx(

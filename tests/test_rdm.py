@@ -9,7 +9,7 @@ from qss import rdm
 from qss.errors import BudgetExceeded, InvalidArgument
 from qss.qsim import PureState, reduce_state
 from qss.rdm import GramSolution, g_uniqueness_check, ghz_counterexample_check, marginal_set
-from qss.states import g_state, ghz_state
+from qss.states import carrier_state, g_state
 
 from born import dense_constraint_system, dense_marginal_set, make_basis_state, v_states
 
@@ -147,7 +147,7 @@ class TestGHZCounterexample:
     def test_support_matches_dense_oracle(self, n):
         zeros, ones = make_basis_state(n, "0" * n), make_basis_state(n, "1" * n)
         for coeffs, dense in (
-            (GHZ_COEFFS, dense_marginal_set(ghz_state(n))),
+            (GHZ_COEFFS, dense_marginal_set(carrier_state("GHZ", n))),
             (MIXTURE_COEFFS, mixture_marginals(zeros, ones)),
         ):
             ms = marginal_set(coeffs, n)
@@ -155,7 +155,7 @@ class TestGHZCounterexample:
             for got, expected in zip(ms, dense):
                 assert np.abs(on_span(got, n - 1) - expected).max() < 1e-12
         full = range(n)
-        ghz = reduce_state(ghz_state(n), full).matrix
+        ghz = reduce_state(carrier_state("GHZ", n), full).matrix
         mixture = 0.5 * (reduce_state(zeros, full).matrix + reduce_state(ones, full).matrix)
         support = rdm._trace_distance(GHZ_COEFFS, MIXTURE_COEFFS)
         assert abs(support - dense_trace_distance(ghz, mixture)) < 1e-12

@@ -10,11 +10,12 @@ from qss.errors import InvalidArgument
 from qss.qsim import MAX_STATE_QUBITS, PauliString, expectation, reduce_state
 from qss.states import (
     add_white_noise,
+    branch_weights,
     carrier_state,
     dicke_vector,
     g_state,
-    ghz_state,
     make_carrier_branches,
+    shell_norm,
 )
 
 from born import dicke_state, v_states
@@ -84,7 +85,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("n", range(2, MAX_STATE_QUBITS + 1))
     def test_carriers(self, n):
         assert_bit_identical(g_state(n).amplitudes, hand_built_g_amps(n))
-        assert_bit_identical(ghz_state(n).amplitudes, hand_built_ghz_amps(n))
+        assert_bit_identical(carrier_state("GHZ", n).amplitudes, hand_built_ghz_amps(n))
 
     @pytest.mark.parametrize("n", range(3, MAX_STATE_QUBITS + 1))
     def test_v_states(self, n):
@@ -177,14 +178,14 @@ class TestGState:
 
 class TestGHZState:
     def test_amplitudes(self):
-        amps = ghz_state(3).amplitudes
+        amps = carrier_state("GHZ", 3).amplitudes
         expected = np.zeros(8)
         expected[[0, 7]] = 1.0 / np.sqrt(2.0)
         assert np.abs(amps - expected).max() < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_all_z_correlation(self, n):
-        assert expectation(ghz_state(n), PauliString.uniform("Z", n)) == pytest.approx(
+        assert expectation(carrier_state("GHZ", n), PauliString.uniform("Z", n)) == pytest.approx(
             1.0, abs=1e-10
         )
 
@@ -246,10 +247,10 @@ class TestBranchStates:
 
     def test_carrier_state_dispatch(self):
         assert np.abs(
-            carrier_state("G", 4).amplitudes - g_state(4).amplitudes
+            carrier_state("G", 4).amplitudes - hand_built_g_amps(4)
         ).max() < 1e-12
         assert np.abs(
-            carrier_state("GHZ", 4).amplitudes - ghz_state(4).amplitudes
+            carrier_state("GHZ", 4).amplitudes - hand_built_ghz_amps(4)
         ).max() < 1e-12
 
 
@@ -267,6 +268,21 @@ class TestDickeVector:
             dicke_vector(carrier, n)
 
 
+
+class TestShells:
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_branch_weights(self, n):
+        # the carrier's shells split on Alice's qubit, at the odd and even n
+        # that rdm's branches (n) and the protocol's (2m) use
+        assert [set(w) for w in branch_weights("G", n)] == [{1, n - 1}, {0, n - 2}]
+        assert [set(w) for w in branch_weights("GHZ", n)] == [{0}, {n - 1}]
+
+    @pytest.mark.parametrize("k", range(2, 64))
+    def test_shell_norm(self, k):
+        # sqrt(k + 1) is the norm rdm wrote out for both of its branches
+        for weights, count in [((1, k), k + 1), ((k - 1, 0), k + 1), ((0,), 1), ((1, 1), k)]:
+            assert shell_norm(k, weights) == np.sqrt(float(count))
+
 def refuse_allocation(monkeypatch):
     def allocate(*args, **kwargs):
         raise AssertionError("the 2^k amplitudes were allocated")
@@ -283,7 +299,7 @@ class TestSizeLimit:
         "make, past_cap",
         [
             (g_state, MAX_STATE_QUBITS + 1),
-            (ghz_state, MAX_STATE_QUBITS + 1),
+            (functools.partial(carrier_state, "GHZ"), MAX_STATE_QUBITS + 1),
             (v_states, MAX_STATE_QUBITS + 2),
             # m = 11: 21 Bob qubits
             (functools.partial(make_carrier_branches, "G"), 11),
