@@ -89,8 +89,8 @@ def _csv_text(header: list[str], rows: list[list], comments: list[str] = ()) -> 
     return "\n".join(lines) + "\n"
 
 
-#: Points a ``--phi-grid`` may ask for, in either form.  At about 0.8 ms a
-#: point (any m) a million take about 15 minutes and 140 MB of CSV rows.
+#: Points a ``--phi-grid`` may ask for, in either form.  At about 0.3 ms a
+#: point (any m) a million take about 5 minutes and 130 MB of CSV rows.
 MAX_GRID_POINTS = 10**6
 
 

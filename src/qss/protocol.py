@@ -38,16 +38,16 @@ __all__ = [
 #: Largest m a run admits.  The work, for each of the 2^(2m) basis combinations
 #: 2m - 1 rotations of the 2^(2m-1) amplitudes of |xi>, one signed gather for
 #: |xibar> and one 4 x 2 x 2^(2m-1) product, grows about 19-fold per step in m:
-#: m = 6 with 2e4 rounds took a median 1.3 s on a shared 2-core VM.
+#: m = 6 with 2e4 rounds takes about 1.05 s on a shared 2-core VM.
 MAX_M = 7
 
-#: Width of the combination keys that ``run_protocol`` sorts: 2m <= 14 bits.
-_COMBO_DTYPE = np.min_scalar_type(2 ** (2 * MAX_M) - 1)
+#: Round column type: 2m <= 14 bits, and 2^(2m), which searchsorted may return.
+_COMBO_DTYPE = np.min_scalar_type(2 ** (2 * MAX_M))
 
 #: Bytes the per-round columns of one run may take, counted as 8 bytes per
-#: party for the basis draws and about six more 8-byte columns (uniforms,
-#: combinations, grouping order, outcomes), 8 * (2m + 6) a round.  The basis
-#: draws are made a block at a time, so this is an upper bound.
+#: party for the basis draws and six more 8-byte columns, 8 * (2m + 6) a
+#: round.  An upper bound: the draws are made a block at a time, and only
+#: the uniforms and the grouping order take 8 bytes; the rest take 2 or 1.
 ROUND_BUDGET_BYTES = 2**31
 
 #: Rounds whose basis bits ``run_protocol`` draws at once; the rounds x 2m
@@ -149,8 +149,8 @@ def _group(combos: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Rounds grouped by combination: ``order[bounds[c]:bounds[c + 1]]`` are,
     in round order, the rounds that use combination c, for every c < size.
     A stable sort of 16-bit keys is a radix sort."""
-    order = np.argsort(combos.astype(_COMBO_DTYPE), kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(combos, minlength=size))])
+    order = np.argsort(combos, kind="stable")
     return order, bounds
 
 
@@ -162,13 +162,13 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     # the basis bits, drawn a block of rows at a time (the same stream as one
     # draw of all rounds) and packed into each round's combination, MSB first
     weights = 1 << np.arange(n_parties - 1, -1, -1)
-    combos = np.empty(config.rounds, dtype=np.int64)
+    combos = np.empty(config.rounds, dtype=_COMBO_DTYPE)
     for a in range(0, config.rounds, _BASIS_BLOCK_ROUNDS):
         b = min(a + _BASIS_BLOCK_ROUNDS, config.rounds)
         combos[a:b] = rng.integers(0, 2, size=(b - a, n_parties)) @ weights
     uniforms = rng.random(config.rounds)
 
-    outcome_idx = np.empty(config.rounds, dtype=np.int64)
+    outcome_idx = np.empty(config.rounds, dtype=_COMBO_DTYPE)
     order, bounds = _group(combos, 2**n_parties)
     # the attacked state is sum_b coef[a, b, e] |a>|branch b>|e>: its (Alice,
     # branch, probe) coefficients, and the branch xi with the Bobs on axes
@@ -202,7 +202,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         law = np.cumsum(probs / probs.sum())
         rows = order[bounds[combo] : bounds[combo + 1]]
         outcome_idx[rows] = np.searchsorted(law, uniforms[rows], side="right")
-    outcome_idx = np.minimum(outcome_idx, 2**n_parties - 1)
+    np.minimum(outcome_idx, 2**n_parties - 1, out=outcome_idx)
     sifted = (combos == 0) | (combos == 2**n_parties - 1)
     return ProtocolTranscript(config, combos, outcome_idx, sifted)
 
@@ -255,15 +255,15 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
 
 
 #: Rounds whose lines ``transcript_to_jsonl`` joins into one text block.
-_JSONL_BLOCK_ROUNDS = 8192
+_JSONL_BLOCK_ROUNDS = 2048
 _SIGN_TEXT = str.maketrans({"0": "1,", "1": "-1,"})
 
 
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(x, return_inverse=True)`` for nonnegative integers, without
-    a sort: the sorted distinct values, and each entry's index among them."""
+    """``np.unique(x)`` of nonnegative integers without a sort, and a lookup
+    table: ``lookup[x]`` is the inverse."""
     present = np.bincount(x) > 0
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[x]
+    return np.flatnonzero(present), np.cumsum(present) - 1
 
 
 def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
@@ -283,15 +283,14 @@ def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
         dtype=object,
     )
     flags = np.array([',"sifted":false}\n', ',"sifted":true}\n'], dtype=object)
-    sifted = t.sifted.astype(np.intp)
     rounds = t.combo_idx.size
     for a in range(0, rounds, _JSONL_BLOCK_ROUNDS):
         b = min(a + _JSONL_BLOCK_ROUNDS, rounds)
         parts = ['{"round":'] * (5 * (b - a))
         parts[1::5] = map(str, range(a, b))
-        parts[2::5] = bases[combo_of[a:b]].tolist()
-        parts[3::5] = signs[outcome_of[a:b]].tolist()
-        parts[4::5] = flags[sifted[a:b]].tolist()
+        parts[2::5] = bases[combo_of[t.combo_idx[a:b]]].tolist()
+        parts[3::5] = signs[outcome_of[t.outcome_idx[a:b]]].tolist()
+        parts[4::5] = flags[t.sifted[a:b].astype(np.intp)].tolist()
         yield "".join(parts)
 
 

@@ -525,21 +525,32 @@ class TestRunProtocolCommand:
         ) == 2
         assert not list(tmp_path.iterdir())
 
-    def test_transcript_streamed_within_round_budget(self, tmp_path):
-        # the whole command stays within 1.5 times the round columns that
-        # ROUND_BUDGET_BYTES bounds; a transcript joined into one string does not
-        m, rounds = 3, 200_000
-        out = tmp_path / "run"
+    @staticmethod
+    def _traced_peak(tmp_path, m, rounds):
+        """Traced peak bytes of one run-protocol command, after a small run
+        has made every lazy import, so that only the run's own data counts."""
+        warm_up = ["run-protocol", "--m", "2", "--rounds", "200", "--out", str(tmp_path / "warm")]
+        assert run_cli(warm_up) == 0
         tracemalloc.start()
         try:
-            code = run_cli(
-                ["run-protocol", "--m", str(m), "--rounds", str(rounds), "--out", str(out)]
-            )
+            code = run_cli(["run-protocol", "--m", str(m), "--rounds", str(rounds),
+                            "--out", str(tmp_path / "run")])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 1.5 * 8 * (2 * m + 6) * rounds
+        return peak
+
+    def test_transcript_streamed_within_round_budget(self, tmp_path):
+        # 2-byte combination and outcome columns, 8-byte uniforms and grouping
+        # order, and JSONL blocks of a few thousand lines: about 23 bytes a
+        # round, where int64 columns took 52
+        assert self._traced_peak(tmp_path, 3, 200_000) <= 32 * 200_000
+
+    def test_wide_transcript_within_budget(self, tmp_path):
+        # at m = 6 one law and one JSONL block bound the peak: about 1.6 MB,
+        # where 8192-round blocks and int64 columns took 4.0 MB
+        assert self._traced_peak(tmp_path, 6, 20_000) <= 2.5e6
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         def chunks():

@@ -164,13 +164,17 @@ class TestFactoredLaw:
 def _grouping_cases():
     rng = np.random.default_rng(5)
     top = 2 ** (2 * MAX_M)
-    return {
+    cases = {
         "random": (rng.integers(0, 64, size=5000), 64),
         "one_round": (np.array([37]), 64),
         "one_combination": (np.full(1000, 9), 16),
         "top_index_m7": (np.array([top - 1, 0, top - 1, 5, top - 1]), top),
         "random_m7": (rng.integers(0, top, size=50_000), top),
     }
+    # the columns run_protocol builds are of _COMBO_DTYPE
+    cases.update({f"{name}_uint16": (x.astype(np.uint16), size)
+                  for name, (x, size) in list(cases.items())})
+    return cases
 
 
 GROUPING_CASES = _grouping_cases()
@@ -184,17 +188,41 @@ class TestSortFreeGrouping:
     def test_group_matches_int64_argsort(self, case):
         combos, size = GROUPING_CASES[case]
         order, bounds = protocol._group(combos, size)
-        ref = np.argsort(combos, kind="stable")
+        ref = np.argsort(combos.astype(np.int64), kind="stable")
         assert np.array_equal(order, ref)
         assert np.array_equal(bounds, np.searchsorted(combos[ref], np.arange(size + 1)))
 
     @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
     def test_distinct_matches_unique(self, case):
         x, _ = GROUPING_CASES[case]
-        values, inverse = protocol._distinct(x)
+        values, lookup = protocol._distinct(x)
         ref_values, ref_inverse = np.unique(x, return_inverse=True)
         assert np.array_equal(values, ref_values)
-        assert np.array_equal(inverse, ref_inverse)
+        assert np.array_equal(lookup[x], ref_inverse)
+
+
+class TestCompactColumns:
+    """The round columns are 2-byte integers, and each fits every value that
+    run_protocol writes into it."""
+
+    def test_dtype_holds_unclamped_outcomes(self):
+        # searchsorted over a law of 2^(2m) entries may return 2^(2m) itself
+        assert np.iinfo(protocol._COMBO_DTYPE).max >= 2 ** (2 * MAX_M)
+        assert np.dtype(protocol._COMBO_DTYPE).itemsize == 2
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_clamp_keeps_dtype(self, m, monkeypatch):
+        searchsorted = np.searchsorted
+
+        def past_the_end(a, v, side="left", sorter=None):
+            if side == "right":
+                return np.full(np.shape(v), len(a))
+            return searchsorted(a, v, side=side, sorter=sorter)
+
+        monkeypatch.setattr(np, "searchsorted", past_the_end)
+        t = run_protocol(ProtocolConfig(500, AttackScenario("G", m, 0.3), 7))
+        assert t.combo_idx.dtype == t.outcome_idx.dtype == protocol._COMBO_DTYPE
+        assert np.all(t.outcome_idx == 2 ** (2 * m) - 1)
 
 
 class TestDeterminism:
@@ -558,6 +586,19 @@ class TestColumnarJsonl:
             mp.setattr(protocol, "_JSONL_BLOCK_ROUNDS", block)
             for k in sorted({1, max(block - 1, 1), block, block + 1, 2 * block + 3}):
                 assert_blocks_match_oracle(first_rounds(t, k), block)
+
+    @pytest.mark.parametrize("m, rounds", [(2, 3 * 2048 + 5), (6, 5 * 2048 + 1)])
+    def test_writers_ignore_column_dtype(self, m, rounds):
+        t = make_transcript(m=m, rounds=rounds, phi=0.3, seed=8)
+        wide = ProtocolTranscript(t.config, t.combo_idx.astype(np.int64),
+                                  t.outcome_idx.astype(np.int64), t.sifted)
+        assert t.combo_idx.dtype == t.outcome_idx.dtype == protocol._COMBO_DTYPE
+        assert t.sift_count > 0
+        assert "".join(transcript_to_jsonl(wide)) == "".join(transcript_to_jsonl(t))
+        subsets = [(1,), tuple(range(1, 2 * m - 1))]
+        assert json.dumps(transcript_summary(wide, subsets)) == json.dumps(
+            transcript_summary(t, subsets)
+        )
 
     def test_default_block_boundaries(self):
         block = protocol._JSONL_BLOCK_ROUNDS
