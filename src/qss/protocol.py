@@ -254,8 +254,9 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
     return _plugin_mutual_info(bits[:, 0], packed)
 
 
-#: Rounds whose lines ``transcript_to_jsonl`` joins into one text block.
-_JSONL_BLOCK_ROUNDS = 2048
+#: Rounds whose lines ``transcript_to_jsonl`` joins into one text block: one
+#: thousand, so that a default block's round numbers share one prefix.
+_JSONL_BLOCK_ROUNDS = 1000
 _SIGN_TEXT = str.maketrans({"0": "1,", "1": "-1,"})
 
 
@@ -269,7 +270,8 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
     """One JSON document per round, one line each, yielded as text blocks
     that each hold the whole newline-terminated lines of up to
-    ``_JSONL_BLOCK_ROUNDS`` consecutive rounds."""
+    ``_JSONL_BLOCK_ROUNDS`` consecutive rounds.  Round numbers are read from
+    digit tables, not formatted one by one."""
     n = t.config.n_parties
     combos, combo_of = _distinct(t.combo_idx)
     outcomes, outcome_of = _distinct(t.outcome_idx)
@@ -283,11 +285,20 @@ def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
         dtype=object,
     )
     flags = np.array([',"sifted":false}\n', ',"sifted":true}\n'], dtype=object)
+    # round i is the prefix for h = i // 1000, then i % 1000 padded to three
+    # digits, or unpadded while h = 0
+    padded = [f"{j:03d}" for j in range(1000)]
+    digits = ([s.lstrip("0") or "0" for s in padded], padded)
     rounds = t.combo_idx.size
     for a in range(0, rounds, _JSONL_BLOCK_ROUNDS):
         b = min(a + _JSONL_BLOCK_ROUNDS, rounds)
-        parts = ['{"round":'] * (5 * (b - a))
-        parts[1::5] = map(str, range(a, b))
+        parts = [None] * (5 * (b - a))
+        # each run of the block's rounds that shares its thousands h
+        for lo in (a, *range(a - a % 1000 + 1000, b, 1000)):
+            h, j = divmod(lo, 1000)
+            run, at = min(b - lo, 1000 - j), 5 * (lo - a)
+            parts[at : at + 5 * run : 5] = ['{"round":' + str(h) if h else '{"round":'] * run
+            parts[at + 1 : at + 5 * run : 5] = digits[h > 0][j : j + run]
         parts[2::5] = bases[combo_of[t.combo_idx[a:b]]].tolist()
         parts[3::5] = signs[outcome_of[t.outcome_idx[a:b]]].tolist()
         parts[4::5] = flags[t.sifted[a:b].astype(np.intp)].tolist()

@@ -204,6 +204,27 @@ class TestCoalitionCollapse:
             expected = ((1 + c * c) / 2) * outer(beta) + (s * s / 2) * outer(np.eye(4)[v])
             assert np.abs(coalition_collapse(t, kept_bob=1).matrix - expected).max() < 1e-10
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize(
+        "carrier, phi, entries",
+        [
+            # (row, column, value) of every nonzero entry; cos = 1/2 at pi/3
+            ("G", 0.0, [(1, 1, 1 / 2), (1, 2, 1 / 2), (2, 1, 1 / 2), (2, 2, 1 / 2)]),
+            ("G", math.pi / 3, [(1, 1, 1 / 2), (1, 2, 1 / 4), (2, 1, 1 / 4), (2, 2, 1 / 8),
+                                (3, 3, 3 / 8)]),
+            ("GHZ", 0.0, [(0, 0, 1 / 2), (0, 3, 1 / 2), (3, 0, 1 / 2), (3, 3, 1 / 2)]),
+            ("GHZ", math.pi / 3, [(0, 0, 1 / 2), (0, 3, 1 / 4), (3, 0, 1 / 4), (3, 3, 1 / 8),
+                                  (2, 2, 3 / 8)]),
+        ],
+    )
+    def test_pinned_entries(self, m, carrier, phi, entries):
+        # the collapsed pair itself, not M, which both carriers share
+        expected = np.zeros((4, 4))
+        for row, col, value in entries:
+            expected[row, col] = value
+        matrix = coalition_collapse(attacked_state(AttackScenario(carrier, m, phi)), 1).matrix
+        assert np.abs(matrix - expected).max() < 1e-15
+
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     @pytest.mark.parametrize("m", range(2, 10))
     def test_unit_rows_match_binomial_sums(self, m, carrier):

@@ -543,14 +543,15 @@ class TestRunProtocolCommand:
 
     def test_transcript_streamed_within_round_budget(self, tmp_path):
         # 2-byte combination and outcome columns, 8-byte uniforms and grouping
-        # order, and JSONL blocks of a few thousand lines: about 23 bytes a
+        # order, and JSONL blocks of one thousand lines: about 23 bytes a
         # round, where int64 columns took 52
         assert self._traced_peak(tmp_path, 3, 200_000) <= 32 * 200_000
 
     def test_wide_transcript_within_budget(self, tmp_path):
-        # at m = 6 one law and one JSONL block bound the peak: about 1.6 MB,
-        # where 8192-round blocks and int64 columns took 4.0 MB
-        assert self._traced_peak(tmp_path, 6, 20_000) <= 2.5e6
+        # at m = 6 one law and one 1000-line JSONL block bound the peak: about
+        # 1.32 MB, where 2048-line blocks took 1.60 MB and 8192-line blocks
+        # with int64 columns 4.0 MB
+        assert self._traced_peak(tmp_path, 6, 20_000) <= 1.5e6
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         def chunks():

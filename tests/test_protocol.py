@@ -566,7 +566,8 @@ def assert_blocks_match_oracle(t, block):
         min(block, rounds - a) for a in range(0, rounds, block)
     ]
     assert all(b.endswith("\n") for b in blocks)
-    assert "".join(blocks) == oracle_jsonl(t)
+    # compared as lines: pytest's diff of two long strings takes minutes
+    assert "".join(blocks).splitlines(True) == oracle_jsonl(t).splitlines(True)
 
 
 class TestColumnarJsonl:
@@ -604,6 +605,34 @@ class TestColumnarJsonl:
         block = protocol._JSONL_BLOCK_ROUNDS
         t = make_transcript(m=2, rounds=2 * block + 3, phi=0.3, seed=5)
         assert_blocks_match_oracle(t, block)
+
+    @pytest.mark.parametrize("block", [7, 333, 1024])
+    def test_blocks_split_at_thousands(self, block, monkeypatch):
+        # blocks that start below a multiple of 1000 and run past it
+        monkeypatch.setattr(protocol, "_JSONL_BLOCK_ROUNDS", block)
+        assert_blocks_match_oracle(make_transcript(m=2, rounds=2101, phi=0.3, seed=6), block)
+
+    def test_round_numbers_across_powers_of_ten(self):
+        # constant columns, written by the default blocks, checked at the rounds
+        # where the number grows a digit: 1000, 10^4, 10^5 and 10^6
+        rounds, block = 1_000_005, protocol._JSONL_BLOCK_ROUNDS
+        config = ProtocolConfig(rounds, AttackScenario("G", 2, 0.0), 0)
+        zeros = np.zeros(rounds, dtype=np.uint16)
+        t = ProtocolTranscript(config, zeros, zeros, np.ones(rounds, dtype=bool))
+        edges = (1000, 10**4, 10**5, 10**6)
+        last = (rounds - 1) // block * block
+        checked = {i // block * block for e in edges for i in (e - 1, e)} | {0, last - block, last}
+        lines = 0
+        for a, text in zip(range(0, rounds, block), transcript_to_jsonl(t)):
+            lines += text.count("\n")
+            if a in checked:
+                assert text.splitlines(True) == [
+                    json.dumps({"round": i, "bases": "XXXX", "outcomes": [1, 1, 1, 1],
+                                "sifted": True}, separators=(",", ":")) + "\n"
+                    for i in range(a, min(a + block, rounds))
+                ]
+                checked.remove(a)
+        assert lines == rounds and not checked
 
 
 class TestTranscriptExport:
