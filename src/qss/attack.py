@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .qsim import DensityMatrix, PauliString, PureState, expectation, reduce_state
-from .states import CARRIERS, branch_y_sign
+from .states import branch_y_sign, carrier_weights
 
 __all__ = [
     "AttackScenario",
@@ -58,10 +58,9 @@ class AttackScenario:
     phi: float
 
     def __post_init__(self):
-        if self.carrier not in CARRIERS:
-            raise InvalidArgument(f"carrier must be one of {CARRIERS}, got {self.carrier!r}")
         if self.m < 1:
             raise InvalidArgument(f"m must be >= 1, got {self.m}")
+        carrier_weights(self.carrier, 2 * self.m)  # refuses an unknown carrier
         _check_phi(self.phi)
 
     @property

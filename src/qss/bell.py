@@ -18,9 +18,9 @@ from .qsim import ATOL_EXACT, AXES, PAULI, DensityMatrix, PureState, State
 
 __all__ = [
     "CorrelationTensor",
-    "LocalFrame",
     "ThresholdReport",
     "horodecki_m",
+    "check_tensor_qubits",
     "correlation_tensor",
     "plane_sum",
     "full_sum",
@@ -57,42 +57,6 @@ class CorrelationTensor:
         object.__setattr__(self, "entries", ent)
 
 
-@dataclass(frozen=True)
-class LocalFrame:
-    """Per-party orthonormal direction pair spanning the measurement plane.
-
-    ``axes`` has shape (n, 2, 3): axes[i, 0] and axes[i, 1] are party i's two
-    unit directions.
-    """
-
-    axes: np.ndarray
-
-    def __post_init__(self):
-        ax = np.array(self.axes, dtype=float)
-        if ax.ndim != 3 or ax.shape[1:] != (2, 3):
-            raise InvalidDimension(f"expected shape (n, 2, 3), got {ax.shape}")
-        norms = np.linalg.norm(ax, axis=2)
-        if not np.abs(norms - 1.0).max() <= 1e-10:  # NaN fails the comparison
-            raise InvalidArgument("frame directions must be unit vectors")
-        dots = np.einsum("ik,ik->i", ax[:, 0], ax[:, 1])
-        if not np.abs(dots).max() <= 1e-10:
-            raise InvalidArgument("frame direction pairs must be orthogonal")
-        ax.flags.writeable = False
-        object.__setattr__(self, "axes", ax)
-
-    @property
-    def n(self) -> int:
-        return self.axes.shape[0]
-
-    @classmethod
-    def default(cls, n: int) -> "LocalFrame":
-        """The protocol's fixed sigma_x / sigma_y plane for every party."""
-        ax = np.zeros((n, 2, 3))
-        ax[:, 0, 0] = 1.0
-        ax[:, 1, 1] = 1.0
-        return cls(ax)
-
-
 def horodecki_m(rho: DensityMatrix) -> float:
     """M(rho): sum of the two largest eigenvalues of T^T T.
 
@@ -106,6 +70,12 @@ def horodecki_m(rho: DensityMatrix) -> float:
     return float(vals[-1] + vals[-2])
 
 
+def check_tensor_qubits(n: int) -> None:
+    """Refuse a tensor of more than ``MAX_TENSOR_QUBITS`` parties."""
+    if n > MAX_TENSOR_QUBITS:
+        raise BudgetExceeded(f"correlation tensor capped at n <= {MAX_TENSOR_QUBITS}")
+
+
 def correlation_tensor(state: State) -> CorrelationTensor:
     """Dense correlation tensor of a pure or mixed n-qubit state, n <= 8.
 
@@ -113,8 +83,7 @@ def correlation_tensor(state: State) -> CorrelationTensor:
     rho is contracted once with the three Paulis.
     """
     n = state.n_qubits
-    if n > MAX_TENSOR_QUBITS:
-        raise BudgetExceeded(f"correlation tensor capped at n <= {MAX_TENSOR_QUBITS}")
+    check_tensor_qubits(n)
     if isinstance(state, PureState):
         rho = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
@@ -122,37 +91,20 @@ def correlation_tensor(state: State) -> CorrelationTensor:
     # axes (r0, c0, r1, c1, ...), each qubit's pair merged into one axis of 4
     order = [ax for q in range(n) for ax in (q, n + q)]
     arr = rho.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
-    arr = _contract_parties(arr, np.broadcast_to(_PAULI_ROWS, (1, n, 3, 4))).reshape((3,) * n)
+    for j in range(n):
+        # axes (parties done, next party, parties to come)
+        arr = _PAULI_ROWS @ arr.reshape(-1, 4, 4 ** (n - 1 - j))
+    arr = arr.reshape((3,) * n)
     if np.abs(arr.imag).max() > ATOL_EXACT:
         raise InvalidState("correlation tensor has a nonzero imaginary part")
     # + 0.0 turns the -0.0 that roundoff leaves on zero entries into 0.0
     return CorrelationTensor(n, np.clip(arr.real, -1.0, 1.0) + 0.0)
 
 
-def _contract_parties(arr: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Contract every party of a (d,)*n array with its matrix.
-
-    ``mats`` is a batch of per-party matrices, shape (b, n, r, d); the result
-    has shape (b, r^n).
-    """
-    b, n, r, d = mats.shape
-    # axes (batch, parties done, next party, parties to come)
-    arr = np.broadcast_to(arr.reshape(1, 1, d, -1), (b, 1, d, d ** (n - 1)))
-    for j in range(n):
-        arr = mats[:, None, j] @ arr.reshape(b, -1, d, d ** (n - 1 - j))
-    return arr.reshape(b, -1)
-
-
-def plane_sum(t: CorrelationTensor, frame: LocalFrame | None = None) -> float:
-    """Sum of squared tensor entries with every index in the frame's plane.
-
-    The default frame is the protocol's fixed sigma_x / sigma_y axes.
-    """
-    if frame is None:
-        frame = LocalFrame.default(t.n)
-    if frame.n != t.n:
-        raise InvalidDimension("frame party count does not match tensor")
-    return float((_contract_parties(t.entries, frame.axes[None]) ** 2).sum())
+def plane_sum(t: CorrelationTensor) -> float:
+    """Sum of squared tensor entries with every index in the protocol's fixed
+    sigma_x / sigma_y plane."""
+    return float((t.entries[(slice(2),) * t.n] ** 2).sum())
 
 
 def full_sum(t: CorrelationTensor) -> float:
@@ -161,7 +113,7 @@ def full_sum(t: CorrelationTensor) -> float:
 
 
 def plane_sum_upper_bound(t: CorrelationTensor) -> float:
-    """Certified upper bound on ``plane_sum`` over every local frame.
+    """Certified upper bound on the plane sum in every local frame.
 
     Party i's two directions meet the other parties' contraction, a partial
     isometry, applied to its 3 x 3^(n-1) unfolding T_(i); so any frame's
@@ -184,7 +136,7 @@ _RESTART_BLOCK = 256
 
 def maximize_plane_sum(
     dicke: np.ndarray, visibility: float = 1.0, restarts: int = 64, seed: int = 0
-) -> tuple[float, LocalFrame]:
+) -> tuple[float, np.ndarray]:
     """Best plane sum over the frames in which every party measures in one
     plane.
 
@@ -201,8 +153,8 @@ def maximize_plane_sum(
     trust-region Newton steps on the sphere until the quadratic model
     promises less than 1e-14 max(1, value), at most 100 steps; the first
     restart with the largest value wins.  Restarts are refined together,
-    ``_RESTART_BLOCK`` at a time.  The frame is the winning plane's e_theta,
-    e_phi for every party.
+    ``_RESTART_BLOCK`` at a time.  The frame, shape (n, 2, 3), is the winning
+    plane's e_theta, e_phi for every party.
     """
     if not 1 <= restarts <= MAX_RESTARTS:
         raise InvalidArgument(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
@@ -223,8 +175,7 @@ def maximize_plane_sum(
         k = int(np.argmax(vals))  # the first of equal maxima
         if vals[k] > best_val:
             best_val, best = float(vals[k]), (float(th[k]), float(ph[k]))
-    axes = np.broadcast_to(plane_axes(*best), (dicke.size - 1, 2, 3))
-    return visibility**2 * best_val, LocalFrame(axes)
+    return visibility**2 * best_val, np.broadcast_to(plane_axes(*best), (dicke.size - 1, 2, 3))
 
 
 def collapse_visibility(n: int, p: float) -> float:

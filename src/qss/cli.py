@@ -32,12 +32,7 @@ from .attack import (
     rho_ae,
 )
 from .bell import correlation_tensor, horodecki_m
-from .errors import (
-    BudgetExceeded,
-    InternalInconsistency,
-    InvalidState,
-    QssError,
-)
+from .errors import InternalInconsistency, InvalidState, QssError
 from .protocol import (
     ProtocolConfig,
     run_protocol,
@@ -159,9 +154,8 @@ def _cmd_sweep_attack(args) -> int:
 
 
 def _cmd_bell(args) -> int:
-    if args.n > bell.MAX_TENSOR_QUBITS:
-        # before add_white_noise builds a 2^n x 2^n matrix the tensor would refuse
-        raise BudgetExceeded(f"correlation tensor capped at n <= {bell.MAX_TENSOR_QUBITS}")
+    # before add_white_noise builds a 2^n x 2^n matrix the tensor would refuse
+    bell.check_tensor_qubits(args.n)
     carrier = args.state.upper()
     state = carrier_state(carrier, args.n)
     if args.noise == 1.0:
@@ -188,7 +182,7 @@ def _cmd_bell(args) -> int:
         result["search"] = {
             "best_plane_sum": value,
             "restarts": args.restarts,
-            "frame": [[list(map(float, v)) for v in party] for party in frame.axes],
+            "frame": [[list(map(float, v)) for v in party] for party in frame],
             "two_setting_criterion_exceeded": value > 1.0,
             "upper_bound": bell.plane_sum_upper_bound(tensor),
         }
@@ -220,6 +214,8 @@ def _cmd_rdm(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
+    # before the 2^n carrier amplitudes are built
+    bell.check_tensor_qubits(args.n)
     state = carrier_state(args.state.upper(), args.n)
     tensor = correlation_tensor(state)
     result = {

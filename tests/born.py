@@ -18,10 +18,13 @@ references for ``reduce_state`` and for ``rdm``'s two-vector marginals.
 ``dense_constraint_system`` builds ``rdm``'s Gram system from the 2^(n-1)
 amplitudes of ``v_states``, the reference for the one built on their shells.
 ``pauli_transform`` is the tensordot loop that ``bell.correlation_tensor``'s
-party contraction replaced.  ``dense_maximize_plane_sum`` is the per-party
-frame search on the 3^n tensor, the reference for ``bell``'s shared-plane
-search on the Dicke vector, and ``search_block_from_scratch`` its step
-before the left part of the contraction was carried from party to party.
+party contraction replaced.  ``frame_plane_sum`` is the plane sum in any
+local frame, the reference for ``bell.plane_sum``'s fixed sigma_x / sigma_y
+block and for the frames the searches return.  ``dense_maximize_plane_sum``
+is the per-party frame search on the 3^n tensor, the reference for
+``bell``'s shared-plane search on the Dicke vector, and
+``search_block_from_scratch`` its step before the left part of the
+contraction was carried from party to party.
 """
 
 import math
@@ -30,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from qss.attack import AttackScenario, _abe
-from qss.bell import LocalFrame
 from qss.errors import InvalidArgument, InvalidDimension, InvalidState
 from qss.qsim import (
     ATOL_EXACT,
@@ -268,6 +270,21 @@ def contract_parties(
     return arr.reshape(b, -1) if skip is None else arr.reshape(b, r**skip, d, -1)
 
 
+def default_frame(n: int) -> np.ndarray:
+    """The protocol's fixed sigma_x / sigma_y plane for every party, shape
+    (n, 2, 3)."""
+    axes = np.zeros((n, 2, 3))
+    axes[:, 0, 0] = 1.0
+    axes[:, 1, 1] = 1.0
+    return axes
+
+
+def frame_plane_sum(t, axes: np.ndarray) -> float:
+    """Sum of squared tensor entries with party i's index contracted with
+    its two directions ``axes[i]``, shape (n, 2, 3)."""
+    return float((contract_parties(t.entries, np.asarray(axes)[None]) ** 2).sum())
+
+
 def _random_frame(n: int, rng: np.random.Generator) -> np.ndarray:
     q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
     return q[:, :, :2].transpose(0, 2, 1)
@@ -287,7 +304,7 @@ def _search_block(t, seed: int, block: range) -> tuple[np.ndarray, np.ndarray]:
     n = t.n
     axes = np.stack(
         [
-            _random_frame(n, np.random.default_rng((seed, r))) if r else LocalFrame.default(n).axes
+            _random_frame(n, np.random.default_rng((seed, r))) if r else default_frame(n)
             for r in block
         ]
     )
@@ -316,7 +333,7 @@ def _search_block(t, seed: int, block: range) -> tuple[np.ndarray, np.ndarray]:
     return vals, axes
 
 
-def dense_maximize_plane_sum(t, restarts: int = 64, seed: int = 0) -> tuple[float, LocalFrame]:
+def dense_maximize_plane_sum(t, restarts: int = 64, seed: int = 0) -> tuple[float, np.ndarray]:
     """Frame search on the 3^n tensor by alternating per-party planes.
 
     For fixed other-party planes the optimal plane of party i is the span of
@@ -328,13 +345,13 @@ def dense_maximize_plane_sum(t, restarts: int = 64, seed: int = 0) -> tuple[floa
     Restarts run as one batch per block of ``_RESTART_BLOCK``.
     """
     best_val = -np.inf
-    best_axes = LocalFrame.default(t.n).axes
+    best_axes = default_frame(t.n)
     for start in range(0, restarts, _RESTART_BLOCK):
         vals, axes = _search_block(t, seed, range(start, min(start + _RESTART_BLOCK, restarts)))
         k = int(np.argmax(vals))  # the first of equal maxima
         if vals[k] > best_val:
             best_val, best_axes = float(vals[k]), axes[k]
-    return best_val, LocalFrame(best_axes)
+    return best_val, best_axes
 
 
 def search_block_from_scratch(t, seed: int, block: range) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +360,7 @@ def search_block_from_scratch(t, seed: int, block: range) -> tuple[np.ndarray, n
     n = t.n
     axes = np.stack(
         [
-            _random_frame(n, np.random.default_rng((seed, r))) if r else LocalFrame.default(n).axes
+            _random_frame(n, np.random.default_rng((seed, r))) if r else default_frame(n)
             for r in block
         ]
     )

@@ -1,6 +1,7 @@
 """Eavesdropping attack: attacked state, reduced states, information curves."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,18 @@ class TestAttackedState:
     def test_phi_out_of_range(self):
         with pytest.raises(InvalidArgument):
             AttackScenario("G", 2, -0.1)
+
+    @pytest.mark.parametrize(
+        "carrier, m, message",
+        [
+            ("W", 2, "carrier must be one of ('G', 'GHZ'), got 'W'"),
+            ("G", 0, "m must be >= 1, got 0"),
+            ("W", 0, "m must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_scenario_rejected(self, carrier, m, message):
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
+            AttackScenario(carrier, m, 0.0)
 
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     def test_register_size_checked_before_branches(self, carrier, monkeypatch):

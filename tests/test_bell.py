@@ -13,7 +13,6 @@ from qss.attack import AttackScenario, attacked_state, coalition_collapse, rho_a
 from qss.bell import (
     CorrelationTensor,
     G6_ANY_FRAME_BOUND,
-    LocalFrame,
     ThresholdReport,
     collapse_visibility,
     correlation_tensor,
@@ -40,9 +39,12 @@ from qss.states import add_white_noise, carrier_state, dicke_vector, g_state
 import born
 from born import (
     _search_block,
+    contract_parties,
+    default_frame,
     dense_maximize_plane_sum,
     density_expectation,
     dicke_state,
+    frame_plane_sum,
     make_basis_state,
     pauli_transform,
     search_block_from_scratch,
@@ -312,33 +314,19 @@ class TestSquaredSums:
         t = correlation_tensor(DensityMatrix(2, np.eye(4) / 4))
         assert full_sum(t) == pytest.approx(0.0, abs=1e-12)
 
-    def test_plane_sum_with_explicit_default_frame(self, g6_tensor):
-        frame = LocalFrame.default(6)
-        assert plane_sum(g6_tensor, frame) == pytest.approx(
-            plane_sum(g6_tensor), abs=1e-10
-        )
+    @pytest.mark.parametrize("p", [1.0, 0.7, 0.5, 0.18, 0.0])
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    def test_plane_sum_is_the_default_frame_contraction(self, carrier, n, p):
+        # the x/y block is the contraction with unit axes, bit for bit
+        state = carrier_state(carrier, n)
+        t = correlation_tensor(state if p == 1.0 else add_white_noise(state, p).realized)
+        assert plane_sum(t) == frame_plane_sum(t, default_frame(n))
 
     def test_tensor_linearity(self):
         pure = correlation_tensor(g_state(4)).entries
         noisy = correlation_tensor(add_white_noise(g_state(4), 0.6).realized).entries
         assert np.abs(noisy - 0.6 * pure).max() < 1e-10
-
-
-class TestLocalFrameValidation:
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(InvalidArgument):
-            LocalFrame([[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
-
-    def test_non_orthogonal_pair_rejected(self):
-        with pytest.raises(InvalidArgument):
-            LocalFrame([[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
-
-    @pytest.mark.parametrize("party", [0, 1])
-    def test_nan_direction_rejected(self, party):
-        axes = LocalFrame.default(2).axes.copy()
-        axes[party, 1, 2] = np.nan
-        with pytest.raises(InvalidArgument):
-            LocalFrame(axes)
 
 
 class TestRotations:
@@ -360,9 +348,9 @@ class TestRotations:
         state = g_state(2)
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        frame = LocalFrame(np.stack([q[:, :2].T, LocalFrame.default(1).axes[0]]))
+        frame = np.stack([q[:, :2].T, default_frame(1)[0]])
         t = correlation_tensor(state)
-        contracted = bell._contract_parties(t.entries, frame.axes[None]).reshape(2, 2)
+        contracted = contract_parties(t.entries, frame[None]).reshape(2, 2)
         n_vec = q[:, 0]  # party 0's first direction
         op = np.kron(
             n_vec[0] * SX + n_vec[1] * SY + n_vec[2] * SZ, SY
@@ -380,11 +368,11 @@ def sequential_search(t, restarts, seed):
 
     n = t.n
     best_val = -np.inf
-    best_axes = LocalFrame.default(n).axes.copy()
+    best_axes = default_frame(n)
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
         if r == 0:
-            axes = LocalFrame.default(n).axes.copy()
+            axes = default_frame(n)
         else:
             axes = np.empty((n, 2, 3))
             for i in range(n):
@@ -410,14 +398,14 @@ def sequential_search(t, restarts, seed):
         if prev > best_val:
             best_val = prev
             best_axes = axes.copy()
-    return best_val, LocalFrame(best_axes)
+    return best_val, best_axes
 
 
 def assert_matches_sequential(t, restarts, seed):
     val, frame = dense_maximize_plane_sum(t, restarts=restarts, seed=seed)
     ref, _ = sequential_search(t, restarts, seed)
     assert abs(val - ref) < 1e-10
-    assert abs(plane_sum(t, frame) - val) < 1e-10
+    assert abs(frame_plane_sum(t, frame) - val) < 1e-10
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,7 +421,7 @@ def named_tensor(name):
 
 def shared_frame(n, th, ph):
     """The plane with normal angles (th, ph) for every one of n parties."""
-    return LocalFrame(np.broadcast_to(dicke.plane_axes(th, ph), (n, 2, 3)))
+    return np.broadcast_to(dicke.plane_axes(th, ph), (n, 2, 3))
 
 
 class TestPlaneSearch:
@@ -453,7 +441,7 @@ class TestPlaneSearch:
         val, frame = maximize_plane_sum(dicke_vector("G", 6), restarts=4)
         assert 16.0 / 3.0 - 1e-9 <= val <= 23.0 + 1e-8
         # returned frame reproduces the returned value
-        assert plane_sum(g6_tensor, frame) == pytest.approx(val, abs=1e-8)
+        assert frame_plane_sum(g6_tensor, frame) == pytest.approx(val, abs=1e-8)
 
     def test_deterministic_given_seed(self):
         v1, _ = maximize_plane_sum(dicke_vector("G", 6), restarts=3, seed=9)
@@ -516,7 +504,7 @@ class TestSharedPlaneSearch:
         th, ph = angles
         value = dicke.plane_model(c)(np.array([th]), np.array([ph]))[0][0]
         t = correlation_tensor(dicke_state(c))
-        assert value == pytest.approx(plane_sum(t, shared_frame(c.size - 1, th, ph)), abs=1e-10)
+        assert value == pytest.approx(frame_plane_sum(t, shared_frame(c.size - 1, th, ph)), abs=1e-10)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_derivatives_match_finite_differences(self, n):
@@ -553,15 +541,15 @@ class TestSharedPlaneSearch:
         ref, _ = dense_maximize_plane_sum(t, 64, 0)
         val, frame = maximize_plane_sum(dicke_vector(carrier, n))
         assert abs(val - ref) <= 1e-9 * max(1.0, ref)
-        assert abs(plane_sum(t, frame) - val) <= 1e-9
-        assert np.array_equal(frame.axes, np.broadcast_to(frame.axes[0], frame.axes.shape))
+        assert abs(frame_plane_sum(t, frame) - val) <= 1e-9
+        assert np.array_equal(frame, np.broadcast_to(frame[0], frame.shape))
 
     def test_noise_scales_by_p_squared(self):
         c = dicke_vector("G", 6)
         pure, frame = maximize_plane_sum(c, restarts=16, seed=5)
         noisy, noisy_frame = maximize_plane_sum(c, 0.5, restarts=16, seed=5)
         assert noisy == 0.25 * pure
-        assert np.array_equal(noisy_frame.axes, frame.axes)
+        assert np.array_equal(noisy_frame, frame)
         ref, _ = dense_maximize_plane_sum(named_tensor("g6_p05"), 64, 0)
         assert abs(noisy - ref) <= 1e-9 * max(1.0, ref)
 
@@ -573,7 +561,7 @@ class TestSharedPlaneSearch:
         monkeypatch.setattr(bell, "_RESTART_BLOCK", block)
         val, frame = maximize_plane_sum(c, 0.5, restarts=20, seed=11)
         assert val == ref_val
-        assert np.array_equal(frame.axes, ref_frame.axes)
+        assert np.array_equal(frame, ref_frame)
 
     @pytest.mark.parametrize("carrier, n", [("G", 3), ("G", 6), ("G", 8), ("GHZ", 5)])
     def test_every_restart_ends_at_a_local_maximum(self, carrier, n):
@@ -588,7 +576,7 @@ class TestSharedPlaneSearch:
     def test_restart_zero_is_the_default_frame(self):
         # the xy plane is GHZ's best, so restart 0 stays where it starts
         val, frame = maximize_plane_sum(dicke_vector("GHZ", 6), restarts=1)
-        assert np.array_equal(frame.axes, LocalFrame.default(6).axes)
+        assert np.array_equal(frame, default_frame(6))
         assert val == pytest.approx(32.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
@@ -622,10 +610,8 @@ def top_eigenvalue_only(t):
 
 def assert_bounds_frames(bound, t, rng, frames=20):
     value = bound(t)
-    for axes in [LocalFrame.default(t.n).axes] + [
-        born._random_frame(t.n, rng) for _ in range(frames)
-    ]:
-        assert plane_sum(t, LocalFrame(axes)) <= value + 1e-9
+    for axes in [default_frame(t.n)] + [born._random_frame(t.n, rng) for _ in range(frames)]:
+        assert frame_plane_sum(t, axes) <= value + 1e-9
 
 
 class TestUpperBound:

@@ -252,6 +252,22 @@ class TestBellCommand:
         assert run_cli(args) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
+    # sha256 of the frame-search bell JSON, taken while maximize_plane_sum
+    # still wrapped its axes in a validated frame object
+    @pytest.mark.parametrize(
+        "args, sha",
+        [
+            (["--state", "g", "--n", "6", "--noise", "0.5", "--restarts", "8", "--seed", "3"],
+             "d9ef2cac98e7832242554e84e992149b110c5352b37f1333f42cf4de9f1abc87"),
+            (["--state", "ghz", "--n", "4", "--restarts", "2"],
+             "02ed00c591c94629e80e4dedee2ab1ce5ced58e44a1f68bb1f1f519f73d891cd"),
+        ],
+    )
+    def test_golden_frame_search_hashes(self, tmp_path, args, sha):
+        out = tmp_path / "bell.json"
+        assert run_cli(["bell", "--frame", "search", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
     def test_plane_sum_computed_once(self, tmp_path, monkeypatch):
         calls = []
         plane_sum = cli.bell.plane_sum
@@ -317,6 +333,20 @@ class TestBellCommand:
         out = tmp_path / "bell.json"
         args = ["bell", "--state", "g", "--n", "11", "--noise", "0.5", "--out", str(out)]
         assert run_cli(args) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bell", "tensor"])
+    @pytest.mark.parametrize("n", ["20", "21"])
+    def test_oversized_tensor_refused_before_the_carrier(
+        self, tmp_path, monkeypatch, capsys, command, n
+    ):
+        def build(*args):
+            raise AssertionError("the carrier state was built")
+
+        monkeypatch.setattr(cli, "carrier_state", build)
+        out = tmp_path / "out.json"
+        assert run_cli([command, "--state", "g", "--n", n, "--out", str(out)]) == 2
+        assert "correlation tensor capped at n <= 8" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bell", "tensor"])
