@@ -4,8 +4,8 @@ The attack acts only on the two-dimensional span {|xi>|0>, |xibar>|0>} of the
 Bob register plus a one-qubit probe; the protocol state never leaves that
 span, so the map is implemented as an isometry there and nowhere else.
 
-Register layout of the tripartite state: Alice is qubit 0, the 2M-1 Bobs are
-qubits 1..2M-1, Evan's probe is qubit 2M.
+Register layout of the tripartite state: Alice is qubit 0, the Bob register
+(as the branch qubit, |xi> = |0>, |xibar> = |1>) qubit 1, Evan's probe qubit 2.
 """
 
 from __future__ import annotations
@@ -68,35 +68,30 @@ class AttackScenario:
         return 2 * self.m
 
 
-def _abe(phi: float, xi: np.ndarray, xibar: np.ndarray) -> np.ndarray:
-    """Amplitudes of (|0,xi,0> + cos phi |1,xibar,0> + sin phi |1,xi,1>)/sqrt(2)
-    for Alice, the Bob register in branch xi or xibar, and Evan's probe."""
-    xi, xibar = np.asarray(xi), np.asarray(xibar)
-    # axes (Alice, Bob register, probe)
-    abe = np.zeros((2, xi.size, 2), dtype=complex)
-    abe[0, :, 0] = xi
-    abe[1, :, 0] = math.cos(phi) * xibar
-    abe[1, :, 1] = math.sin(phi) * xi
-    return abe.reshape(-1) / np.sqrt(2.0)
-
-
 @dataclass(frozen=True)
 class TripartiteState:
-    """Alice, the Bobs, and Evan's probe after the attack, as its scenario: the
-    orthonormal branches |xi>, |xibar> let every reader treat the Bob register
-    as one qubit, so no 2^(2m+1)-amplitude state is built."""
+    """Alice, the Bobs, and Evan's probe after the attack, on the branch span:
+    the orthonormal branches |xi>, |xibar> of the Bob register are |0>, |1> of
+    one branch qubit, so ``abe`` is the (Alice, branch, probe) state at any m
+    and no 2^(2m+1)-amplitude state is built."""
 
     scenario: AttackScenario
+    abe: PureState
 
 
 def attacked_state(scenario: AttackScenario) -> TripartiteState:
-    """The state after Evan's attack on the carrier, for any m."""
-    return TripartiteState(scenario)
+    """(|0,xi,0> + cos phi |1,xibar,0> + sin phi |1,xi,1>)/sqrt(2), the state
+    after Evan's attack on the carrier, for any m."""
+    abe = np.zeros((2, 2, 2), dtype=complex)
+    abe[0, 0, 0] = 1.0
+    abe[1, 1, 0] = math.cos(scenario.phi)
+    abe[1, 0, 1] = math.sin(scenario.phi)
+    return TripartiteState(scenario, PureState(3, abe.reshape(-1) / np.sqrt(2.0)))
 
 
 def rho_ae(t: TripartiteState) -> DensityMatrix:
-    """Alice + Evan's probe (two qubits), with |xi>, |xibar> as |0>, |1>."""
-    return reduce_state(PureState(3, _abe(t.scenario.phi, *np.eye(2))), (0, 2))
+    """Alice + Evan's probe (two qubits)."""
+    return reduce_state(t.abe, (0, 2))
 
 
 def coalition_collapse(t: TripartiteState, kept_bob: int) -> DensityMatrix:
@@ -115,10 +110,12 @@ def coalition_collapse(t: TripartiteState, kept_bob: int) -> DensityMatrix:
     # B_k's amplitudes in |xi> and |xibar>, up to a factor both share, are unit
     # rows at every M >= 2: for G the others' |0...0> keeps only weight 1 of
     # xi's shells (1, 2M-1), B_k at 1, and weight 0 of xibar's (2M-2, 0), B_k
-    # at 0; the GHZ branches are |0...0> and |1...1>, and all-plus overlaps
-    # the others' part of both equally
-    xi, xibar = np.eye(2)[::-1] if t.scenario.carrier == "G" else np.eye(2)
-    amps = _abe(t.scenario.phi, xi, xibar)
+    # at 0, so B_k is the branch qubit flipped; the GHZ branches are |0...0>
+    # and |1...1>, and all-plus overlaps the others' part of both equally
+    amps = t.abe.amplitudes.reshape(2, 2, 2)
+    if t.scenario.carrier == "G":
+        amps = amps[:, ::-1]
+    amps = amps.reshape(-1)
     return reduce_state(PureState(3, amps / np.linalg.norm(amps)), (0, 1))
 
 
@@ -158,7 +155,7 @@ def exact_mutual_info_ab(scenario: AttackScenario) -> float:
     of Alice's outcome and the Bobs' product comes from three expectations on
     the three qubits (Alice, branch, probe), at any m.
     """
-    state = PureState(3, _abe(scenario.phi, *np.eye(2)))
+    state = attacked_state(scenario).abe
     joints = []
     # on the branch span the Bobs' all-x product acts as X, the all-y one as s*Y
     for basis, sign in (("X", 1), ("Y", branch_y_sign(scenario.carrier, scenario.m))):

@@ -46,12 +46,16 @@ SCHEMA_VERSION = "qss-1"
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the text chunks to ``path`` as they come, through a temp file
-    renamed into place, so a failure partway leaves no file behind."""
+    renamed into place, so a failure partway leaves no file behind.  The file
+    gets the mode that the umask gives a new file."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qss-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
+        os.chmod(tmp, 0o666 & ~umask)  # not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -123,10 +127,15 @@ def _cmd_run_protocol(args) -> int:
             "seed": args.seed,
         }
     )
-    # formatted first, so that a summary that cannot be written leaves no transcript
+    # a summary that cannot be formatted or written leaves no transcript
     summary_text = _json_text(summary)
-    _atomic_write(args.out + ".transcript.jsonl", transcript_to_jsonl(transcript))
-    _atomic_write(args.out + ".summary.json", (summary_text,))
+    transcript_path = args.out + ".transcript.jsonl"
+    _atomic_write(transcript_path, transcript_to_jsonl(transcript))
+    try:
+        _atomic_write(args.out + ".summary.json", (summary_text,))
+    except BaseException:
+        os.unlink(transcript_path)
+        raise
     return 0
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attack import AttackScenario, _abe
+from .attack import AttackScenario, attacked_state
 from .errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from .qsim import EIGENBASIS, Outcome, _apply_one, popcounts
 from .states import branch_y_sign, make_carrier_branches
@@ -44,11 +44,13 @@ MAX_M = 7
 #: Round column type: 2m <= 14 bits, and 2^(2m), which searchsorted may return.
 _COMBO_DTYPE = np.min_scalar_type(2 ** (2 * MAX_M))
 
-#: Bytes the per-round columns of one run may take, counted as 8 bytes per
-#: party for the basis draws and six more 8-byte columns, 8 * (2m + 6) a
-#: round.  An upper bound: the draws are made a block at a time, and only
-#: the uniforms and the grouping order take 8 bytes; the rest take 2 or 1.
+#: Bytes the per-round columns of one run may take, counted as
+#: ``_ROUND_BYTES`` a round at every m.  An upper bound: the basis draws are
+#: made a block at a time, the uniforms and the grouping order take 8 bytes a
+#: round, the columns kept 2, 2 and 1, and a whole command's traced peak is
+#: 22-25 bytes a round.
 ROUND_BUDGET_BYTES = 2**31
+_ROUND_BYTES = 32
 
 #: Rounds whose basis bits ``run_protocol`` draws at once; the rounds x 2m
 #: matrix of all of them is never built.
@@ -71,10 +73,9 @@ class ProtocolConfig:
             raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
         if m > MAX_M:
             raise BudgetExceeded(f"protocol runs are capped at m <= {MAX_M}, got {m}")
-        per_round = 8 * (2 * m + 6)
-        if per_round * self.rounds > ROUND_BUDGET_BYTES:
+        if _ROUND_BYTES * self.rounds > ROUND_BUDGET_BYTES:
             raise BudgetExceeded(
-                f"{self.rounds} rounds of {per_round} bytes exceed {ROUND_BUDGET_BYTES} bytes"
+                f"{self.rounds} rounds of {_ROUND_BYTES} bytes exceed {ROUND_BUDGET_BYTES} bytes"
             )
 
     @property
@@ -117,18 +118,6 @@ class ProtocolTranscript:
         bits = ((self.outcome_idx[self.sifted, None] >> shifts) & 1).astype(np.int8)
         bits.flags.writeable = False
         return bits
-
-    def _key_bits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alice's sifted bits and the Bobs' product bits, as arrays."""
-        bits = self._sifted_bits
-        # all-y rounds carry a carrier-dependent parity sign: the full-y
-        # correlation is -s, so the product bit flips when s = +1
-        scenario = self.config.scenario
-        y_flip = (1 + branch_y_sign(scenario.carrier, scenario.m)) // 2
-        all_y = self.combo_idx[self.sifted] != 0
-        # the product of +-1 outcomes is -1 iff an odd number of them are -1
-        parity = bits[:, 1:].sum(axis=1) + all_y * y_flip
-        return bits[:, 0], parity % 2
 
     @property
     def records(self) -> tuple[RoundRecord, ...]:
@@ -174,7 +163,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     # branch, probe) coefficients, and the branch xi with the Bobs on axes
     # 0 .. k-1, k = 2m-1, as in the dense register
     scenario = config.scenario
-    coef = _abe(scenario.phi, *np.eye(2)).reshape(2, 2, 2)
+    coef = attacked_state(scenario).abe.amplitudes.reshape(2, 2, 2)
     k = n_parties - 1
     xi = make_carrier_branches(scenario.carrier, scenario.m)[0].amplitudes.reshape((2,) * k)
     # indexed by a combination's bit for the party: 0 for sigma_x, 1 for sigma_y
@@ -213,7 +202,14 @@ def reconstruct_key(
     """Alice's bits, the Bobs' cooperative reconstruction, and their error rate."""
     if t.sift_count == 0:
         raise EmptySiftedSet("transcript has no sifted rounds")
-    alice, bob = t._key_bits()
+    bits = t._sifted_bits
+    # all-y rounds carry a carrier-dependent parity sign: the full-y
+    # correlation is -s, so the product bit flips when s = +1
+    scenario = t.config.scenario
+    y_flip = (1 + branch_y_sign(scenario.carrier, scenario.m)) // 2
+    all_y = t.combo_idx[t.sifted] != 0
+    # the product of +-1 outcomes is -1 iff an odd number of them are -1
+    alice, bob = bits[:, 0], (bits[:, 1:].sum(axis=1) + all_y * y_flip) % 2
     errors = int(np.count_nonzero(alice != bob))
     return tuple(alice.tolist()), tuple(bob.tolist()), errors / t.sift_count
 
@@ -254,9 +250,6 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
     return _plugin_mutual_info(bits[:, 0], packed)
 
 
-#: Rounds whose lines ``transcript_to_jsonl`` joins into one text block: one
-#: thousand, so that a default block's round numbers share one prefix.
-_JSONL_BLOCK_ROUNDS = 1000
 _SIGN_TEXT = str.maketrans({"0": "1,", "1": "-1,"})
 
 
@@ -269,9 +262,9 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
     """One JSON document per round, one line each, yielded as text blocks
-    that each hold the whole newline-terminated lines of up to
-    ``_JSONL_BLOCK_ROUNDS`` consecutive rounds.  Round numbers are read from
-    digit tables, not formatted one by one."""
+    that each hold the whole newline-terminated lines of the rounds of one
+    thousand, 1000 h to 1000 h + 999.  Round numbers are read from digit
+    tables, not formatted one by one."""
     n = t.config.n_parties
     combos, combo_of = _distinct(t.combo_idx)
     outcomes, outcome_of = _distinct(t.outcome_idx)
@@ -290,15 +283,11 @@ def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
     padded = [f"{j:03d}" for j in range(1000)]
     digits = ([s.lstrip("0") or "0" for s in padded], padded)
     rounds = t.combo_idx.size
-    for a in range(0, rounds, _JSONL_BLOCK_ROUNDS):
-        b = min(a + _JSONL_BLOCK_ROUNDS, rounds)
+    for a in range(0, rounds, 1000):
+        b, h = min(a + 1000, rounds), a // 1000
         parts = [None] * (5 * (b - a))
-        # each run of the block's rounds that shares its thousands h
-        for lo in (a, *range(a - a % 1000 + 1000, b, 1000)):
-            h, j = divmod(lo, 1000)
-            run, at = min(b - lo, 1000 - j), 5 * (lo - a)
-            parts[at : at + 5 * run : 5] = ['{"round":' + str(h) if h else '{"round":'] * run
-            parts[at + 1 : at + 5 * run : 5] = digits[h > 0][j : j + run]
+        parts[0::5] = ['{"round":' + str(h) if h else '{"round":'] * (b - a)
+        parts[1::5] = digits[h > 0][: b - a]
         parts[2::5] = bases[combo_of[t.combo_idx[a:b]]].tolist()
         parts[3::5] = signs[outcome_of[t.outcome_idx[a:b]]].tolist()
         parts[4::5] = flags[t.sifted[a:b].astype(np.intp)].tolist()

@@ -1,9 +1,11 @@
 """Dense oracles: the attacked state, basis states, projective collapse, Born
 tables, Pauli expectations of density matrices and partial traces.
 
-``dense_attacked_state`` is |psi>_ABE on all 2m+1 qubits, for m <= 9: the
-state that ``attack`` and ``protocol`` read on the branch span, where the
-Bob register is one qubit, and that the tests check them against.
+``attacked_amplitudes`` writes the attacked state for any pair of branch
+vectors; ``dense_attacked_state`` is it on the carrier's branches, |psi>_ABE
+on all 2m+1 qubits, for m <= 9: the state that ``attack.attacked_state``
+holds on the branch span, where the Bob register is one qubit, and that the
+tests check it against.
 ``binomial_collapse`` is the collapsed pair from binomial sums over the
 branch shells, the reference for ``coalition_collapse``'s unit rows.
 ``outcome_probabilities`` rotates each measured qubit of a pure state into
@@ -32,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qss.attack import AttackScenario, _abe
+from qss.attack import AttackScenario
 from qss.errors import InvalidArgument, InvalidDimension, InvalidState
 from qss.qsim import (
     ATOL_EXACT,
@@ -57,6 +59,18 @@ class ZeroProbabilityBranch(Exception):
     """Projection onto a branch whose probability is below the zero threshold."""
 
 
+def attacked_amplitudes(phi: float, xi, xibar) -> np.ndarray:
+    """Amplitudes of (|0,xi,0> + cos phi |1,xibar,0> + sin phi |1,xi,1>)/sqrt(2)
+    for Alice, the Bob register in branch xi or xibar, and Evan's probe."""
+    xi, xibar = np.asarray(xi), np.asarray(xibar)
+    # axes (Alice, Bob register, probe)
+    abe = np.zeros((2, xi.size, 2), dtype=complex)
+    abe[0, :, 0] = xi
+    abe[1, :, 0] = math.cos(phi) * xibar
+    abe[1, :, 1] = math.sin(phi) * xi
+    return abe.reshape(-1) / np.sqrt(2.0)
+
+
 def dense_attacked_state(scenario: AttackScenario) -> PureState:
     """|psi>_ABE on 2m+1 qubits: Alice is qubit 0, the Bobs 1..2m-1 and
     Evan's probe 2m."""
@@ -67,7 +81,7 @@ def dense_attacked_state(scenario: AttackScenario) -> PureState:
             f"attacked state needs 2m + 1 <= {MAX_STATE_QUBITS} qubits, got m = {m}"
         )
     xi, xibar = make_carrier_branches(scenario.carrier, m)
-    return PureState(2 * m + 1, _abe(scenario.phi, xi.amplitudes, xibar.amplitudes))
+    return PureState(2 * m + 1, attacked_amplitudes(scenario.phi, xi.amplitudes, xibar.amplitudes))
 
 
 def binomial_collapse(scenario: AttackScenario) -> DensityMatrix:
@@ -84,7 +98,7 @@ def binomial_collapse(scenario: AttackScenario) -> DensityMatrix:
         [float(sum(math.comb(r, v - b) for v in set(weights) if v >= b)) for b in (0, 1)]
         for weights in shells
     )
-    amps = _abe(scenario.phi, xi, xibar)
+    amps = attacked_amplitudes(scenario.phi, xi, xibar)
     return reduce_state(PureState(3, amps / np.linalg.norm(amps)), (0, 1))
 
 

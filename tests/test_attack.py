@@ -95,17 +95,15 @@ class TestAttackedState:
         ) / np.sqrt(2.0)
         assert np.abs(psi.amplitudes - expected).max() < 1e-12
 
-    @pytest.mark.parametrize(
-        "xi, xibar",
-        [
-            tuple(np.eye(2)),
-            tuple(b.amplitudes for b in make_carrier_branches("G", 3)),
-            tuple(b.amplitudes for b in make_carrier_branches("GHZ", 2)),
-        ],
-        ids=["qubit", "G3", "GHZ2"],
-    )
-    def test_bit_identical_to_kron_sum(self, xi, xibar):
-        # the Kronecker-product form the written-in-place amplitudes replaced
+    @pytest.mark.parametrize("branches", ["qubit", "G3", "GHZ2"])
+    def test_bit_identical_to_kron_sum(self, branches):
+        # the Kronecker-product form the written-in-place amplitudes replaced;
+        # on the branch qubit, the state attacked_state holds for each carrier
+        if branches == "qubit":
+            xi, xibar = np.eye(2)
+        else:
+            carrier, m = {"G3": ("G", 3), "GHZ2": ("GHZ", 2)}[branches]
+            xi, xibar = (b.amplitudes for b in make_carrier_branches(carrier, m))
         e0, e1 = np.eye(2, dtype=complex)
         for phi in np.linspace(0.0, math.pi / 2, 41):
             expected = (
@@ -113,10 +111,15 @@ class TestAttackedState:
                 + math.cos(phi) * np.kron(np.kron(e1, xibar), e0)
                 + math.sin(phi) * np.kron(np.kron(e1, xi), e1)
             ) / np.sqrt(2.0)
-            amps = attack._abe(phi, xi, xibar)
-            assert np.array_equal(amps, expected)
-            for part in (np.real, np.imag):
-                assert np.array_equal(np.signbit(part(amps)), np.signbit(part(expected)))
+            if branches == "qubit":
+                states = [attacked_state(AttackScenario(c, 3, phi)).abe for c in ("G", "GHZ")]
+                cases = [s.amplitudes for s in states]
+            else:
+                cases = [born.attacked_amplitudes(phi, xi, xibar)]
+            for amps in cases:
+                assert np.array_equal(amps, expected)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(amps)), np.signbit(part(expected)))
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 1.1, math.pi / 2])
     def test_normalized(self, phi):

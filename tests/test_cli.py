@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -574,14 +576,25 @@ class TestRunProtocolCommand:
     def test_transcript_streamed_within_round_budget(self, tmp_path):
         # 2-byte combination and outcome columns, 8-byte uniforms and grouping
         # order, and JSONL blocks of one thousand lines: about 23 bytes a
-        # round, where int64 columns took 52
-        assert self._traced_peak(tmp_path, 3, 200_000) <= 32 * 200_000
+        # round, where int64 columns took 52; the 32 bytes a round that
+        # ProtocolConfig charges at every m
+        for m in (2, 3):
+            assert self._traced_peak(tmp_path, m, 200_000) <= 32 * 200_000
 
     def test_wide_transcript_within_budget(self, tmp_path):
         # at m = 6 one law and one 1000-line JSONL block bound the peak: about
         # 1.32 MB, where 2048-line blocks took 1.60 MB and 8192-line blocks
         # with int64 columns 4.0 MB
         assert self._traced_peak(tmp_path, 6, 20_000) <= 1.5e6
+
+    def test_unwritable_summary_leaves_no_transcript(self, tmp_path):
+        (tmp_path / "run.summary.json").mkdir()
+        out = tmp_path / "run"
+        assert run_cli(
+            ["run-protocol", "--m", "2", "--rounds", "200", "--out", str(out)]
+        ) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["run.summary.json"]
+        assert not list((tmp_path / "run.summary.json").iterdir())
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         def chunks():
@@ -601,6 +614,27 @@ class TestRunProtocolCommand:
 
     def test_unknown_command_exits_2(self):
         assert run_cli(["frobnicate"]) == 2
+
+
+class TestOutputMode:
+    """Outputs get the mode the umask gives a new file, not the temp file's."""
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            assert run_cli(["rdm", "--n", "3", "--out", str(tmp_path / "rdm.json")]) == 0
+            assert run_cli(["run-protocol", "--m", "2", "--rounds", "200",
+                            "--out", str(tmp_path / "run")]) == 0
+        finally:
+            os.umask(old)
+        outputs = sorted(tmp_path.iterdir())
+        assert [p.name for p in outputs] == [
+            "rdm.json", "run.summary.json", "run.transcript.jsonl"
+        ]
+        for p in outputs:
+            assert stat.S_IMODE(p.stat().st_mode) == mode
 
 
 class TestNonFiniteOutput:

@@ -80,12 +80,15 @@ class TestConfigValidation:
             tracemalloc.stop()
         assert peak < 8 * 16**5 // 4
 
-    # built, never run: a run at these sizes would allocate its round columns
+    # built, never run: a run at these sizes would allocate its round columns;
+    # a run is charged 32 bytes a round whatever m
     @pytest.mark.parametrize("m", [2, 3, 7])
     def test_round_budget_admits_its_limit(self, m):
-        ProtocolConfig(ROUND_BUDGET_BYTES // (8 * (2 * m + 6)), AttackScenario("G", m, 0.0), 0)
+        ProtocolConfig(ROUND_BUDGET_BYTES // 32, AttackScenario("G", m, 0.0), 0)
+        with pytest.raises(BudgetExceeded, match="of 32 bytes"):
+            ProtocolConfig(ROUND_BUDGET_BYTES // 32 + 1, AttackScenario("G", m, 0.0), 0)
 
-    @pytest.mark.parametrize("rounds", [ROUND_BUDGET_BYTES // 96 + 1, 10**14, 10**100])
+    @pytest.mark.parametrize("rounds", [ROUND_BUDGET_BYTES // 32 + 1, 10**14, 10**100])
     def test_round_budget_rejects_more(self, rounds):
         with pytest.raises(BudgetExceeded):
             ProtocolConfig(rounds, AttackScenario("G", 3, 0.0), 0)
@@ -154,9 +157,9 @@ class TestFactoredLaw:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_never_reads_the_dense_state(self, carrier, m):
         scenario = AttackScenario(carrier, m, 0.3)
-        # the scenario is all a TripartiteState holds
-        assert [f.name for f in dataclasses.fields(TripartiteState)] == ["scenario"]
-        assert not hasattr(attacked_state(scenario), "psi")
+        # a TripartiteState holds its scenario and the 3-qubit branch-span state
+        assert tuple(f.name for f in dataclasses.fields(TripartiteState)) == ("scenario", "abe")
+        assert attacked_state(scenario).abe.n_qubits == 3
         t = run_protocol(ProtocolConfig(500, scenario, 0))
         assert t.outcome_idx.max() < 2 ** (2 * m)
 
@@ -559,11 +562,13 @@ def first_rounds(t, k):
     return ProtocolTranscript(t.config, t.combo_idx[:k], t.outcome_idx[:k], t.sifted[:k])
 
 
-def assert_blocks_match_oracle(t, block):
+def assert_blocks_match_oracle(t):
+    """The writer's blocks are the rounds of each thousand, and joined they
+    are the oracle's lines."""
     blocks = list(transcript_to_jsonl(t))
     rounds = t.combo_idx.size
     assert [b.count("\n") for b in blocks] == [
-        min(block, rounds - a) for a in range(0, rounds, block)
+        min(1000, rounds - a) for a in range(0, rounds, 1000)
     ]
     assert all(b.endswith("\n") for b in blocks)
     # compared as lines: pytest's diff of two long strings takes minutes
@@ -573,7 +578,8 @@ def assert_blocks_match_oracle(t, block):
 class TestColumnarJsonl:
     """Blocks of whole lines, joined equal to one json.dumps line per round."""
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    # the rounds past the last whole block of one thousand
+    @pytest.mark.parametrize("tail", [1, 2, 3, 7])
     @settings(deadline=None, max_examples=10)
     @given(
         st.sampled_from(["G", "GHZ"]),
@@ -581,12 +587,10 @@ class TestColumnarJsonl:
         st.sampled_from([0.0, 0.3]),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_round_oracle(self, block, carrier, m, phi, seed):
-        t = make_transcript(carrier=carrier, m=m, rounds=2 * block + 3, phi=phi, seed=seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(protocol, "_JSONL_BLOCK_ROUNDS", block)
-            for k in sorted({1, max(block - 1, 1), block, block + 1, 2 * block + 3}):
-                assert_blocks_match_oracle(first_rounds(t, k), block)
+    def test_matches_per_round_oracle(self, tail, carrier, m, phi, seed):
+        t = make_transcript(carrier=carrier, m=m, rounds=1000 + tail, phi=phi, seed=seed)
+        for k in (1, tail, 999, 1000, 1000 + tail):
+            assert_blocks_match_oracle(first_rounds(t, k))
 
     @pytest.mark.parametrize("m, rounds", [(2, 3 * 2048 + 5), (6, 5 * 2048 + 1)])
     def test_writers_ignore_column_dtype(self, m, rounds):
@@ -602,20 +606,13 @@ class TestColumnarJsonl:
         )
 
     def test_default_block_boundaries(self):
-        block = protocol._JSONL_BLOCK_ROUNDS
-        t = make_transcript(m=2, rounds=2 * block + 3, phi=0.3, seed=5)
-        assert_blocks_match_oracle(t, block)
-
-    @pytest.mark.parametrize("block", [7, 333, 1024])
-    def test_blocks_split_at_thousands(self, block, monkeypatch):
-        # blocks that start below a multiple of 1000 and run past it
-        monkeypatch.setattr(protocol, "_JSONL_BLOCK_ROUNDS", block)
-        assert_blocks_match_oracle(make_transcript(m=2, rounds=2101, phi=0.3, seed=6), block)
+        t = make_transcript(m=2, rounds=2003, phi=0.3, seed=5)
+        assert_blocks_match_oracle(t)
 
     def test_round_numbers_across_powers_of_ten(self):
         # constant columns, written by the default blocks, checked at the rounds
         # where the number grows a digit: 1000, 10^4, 10^5 and 10^6
-        rounds, block = 1_000_005, protocol._JSONL_BLOCK_ROUNDS
+        rounds, block = 1_000_005, 1000
         config = ProtocolConfig(rounds, AttackScenario("G", 2, 0.0), 0)
         zeros = np.zeros(rounds, dtype=np.uint16)
         t = ProtocolTranscript(config, zeros, zeros, np.ones(rounds, dtype=bool))
