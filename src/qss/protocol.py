@@ -41,16 +41,14 @@ __all__ = [
 #: m = 6 with 2e4 rounds takes about 1.05 s on a shared 2-core VM.
 MAX_M = 7
 
-#: Round column type: 2m <= 14 bits, and 2^(2m), which searchsorted may return.
-_COMBO_DTYPE = np.min_scalar_type(2 ** (2 * MAX_M))
+#: Round column type: combinations and outcome indices of 2m <= 14 bits.
+_COMBO_DTYPE = np.min_scalar_type(2 ** (2 * MAX_M) - 1)
 
-#: Bytes the per-round columns of one run may take, counted as
-#: ``_ROUND_BYTES`` a round at every m.  An upper bound: the basis draws are
-#: made a block at a time, the uniforms and the grouping order take 8 bytes a
-#: round, the columns kept 2, 2 and 1, and a whole command's traced peak is
-#: 22-25 bytes a round.
-ROUND_BUDGET_BYTES = 2**31
-_ROUND_BYTES = 32
+#: Rounds one run may have: 2 GiB at 32 bytes a round, whatever m.  An upper
+#: bound: the basis draws are made a block at a time, the uniforms and the
+#: grouping order take 8 bytes a round, the columns kept 2 and 2, and a whole
+#: command's traced peak is 20-22 bytes a round at m <= 3.
+MAX_ROUNDS = 2**26
 
 #: Rounds whose basis bits ``run_protocol`` draws at once; the rounds x 2m
 #: matrix of all of them is never built.
@@ -73,9 +71,9 @@ class ProtocolConfig:
             raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
         if m > MAX_M:
             raise BudgetExceeded(f"protocol runs are capped at m <= {MAX_M}, got {m}")
-        if _ROUND_BYTES * self.rounds > ROUND_BUDGET_BYTES:
+        if self.rounds > MAX_ROUNDS:
             raise BudgetExceeded(
-                f"{self.rounds} rounds of {_ROUND_BYTES} bytes exceed {ROUND_BUDGET_BYTES} bytes"
+                f"protocol runs are capped at {MAX_ROUNDS} rounds, got {self.rounds}"
             )
 
     @property
@@ -99,13 +97,16 @@ def _bases(combo: int, n_parties: int) -> str:
 @dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
     """A run as columns, one entry per round: the basis combination (bit q,
-    MSB first, is 1 when party q measured sigma_y), the outcome index (bit q
-    is 1 when party q saw -1), and whether the round was sifted."""
+    MSB first, is 1 when party q measured sigma_y) and the outcome index (bit
+    q is 1 when party q saw -1).  A round is sifted when all its bases agree."""
 
     config: ProtocolConfig
     combo_idx: np.ndarray
     outcome_idx: np.ndarray
-    sifted: np.ndarray
+
+    @functools.cached_property
+    def sifted(self) -> np.ndarray:
+        return (self.combo_idx == 0) | (self.combo_idx == 2**self.config.n_parties - 1)
 
     @property
     def sift_count(self) -> int:
@@ -144,8 +145,8 @@ def _group(combos: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
-    """Simulate all rounds and sift them.  Each basis combination's outcome
-    law is built, sampled by its rounds and dropped in turn."""
+    """Simulate all rounds.  Each basis combination's outcome law is built,
+    sampled by its rounds and dropped in turn."""
     n_parties = config.n_parties
     rng = np.random.default_rng(config.seed)
     # the basis bits, drawn a block of rows at a time (the same stream as one
@@ -190,10 +191,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         probs = (sq[:, 0] + sq[:, 1]).reshape(-1)
         law = np.cumsum(probs / probs.sum())
         rows = order[bounds[combo] : bounds[combo + 1]]
-        outcome_idx[rows] = np.searchsorted(law, uniforms[rows], side="right")
-    np.minimum(outcome_idx, 2**n_parties - 1, out=outcome_idx)
-    sifted = (combos == 0) | (combos == 2**n_parties - 1)
-    return ProtocolTranscript(config, combos, outcome_idx, sifted)
+        # law[-1] is 1 up to rounding, so the last outcome takes every u past law[-2]
+        outcome_idx[rows] = np.searchsorted(law[:-1], uniforms[rows], side="right")
+    return ProtocolTranscript(config, combos, outcome_idx)
 
 
 def reconstruct_key(
@@ -297,10 +297,11 @@ def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
 def transcript_summary(
     t: ProtocolTranscript, coalition_subsets: Sequence[Sequence[int]] = ()
 ) -> dict:
-    """Summary dictionary: sift count, error rate, coalition-information table."""
-    _, _, error_rate = reconstruct_key(t)
+    """Sift count, error rate and coalition-information table; None without sifted rounds."""
+    any_sifted = t.sift_count > 0
+    error_rate = reconstruct_key(t)[2] if any_sifted else None
     table = {
-        ",".join(str(q) for q in sub): coalition_info(t, sub)
+        ",".join(str(q) for q in sub): coalition_info(t, sub) if any_sifted else None
         for sub in coalition_subsets
     }
     return {

@@ -1,0 +1,168 @@
+"""Mutation check of the fast paths: each mutant changes one snippet of
+``src/qss`` and names the tests that must fail on it.
+
+Run by hand from anywhere, optionally naming some mutants:
+
+    python tests/mutants.py [NAME ...]
+
+It copies ``src`` to a temporary directory, requires every named test to pass
+on the unmutated copy, then applies one mutant at a time and requires each of
+its tests to fail.  It exits 1 when a test fails on the copy or a mutant
+survives.  pytest does not collect this file; ``tests/test_mutants.py``
+checks that every snippet still occurs exactly once in its file.  A change to
+a fast path updates its mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/qss
+    snippet: str
+    replacement: str
+    killers: tuple[str, ...]  # pytest node IDs, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "sin-phi-row", "attack.py",
+        "abe[1, 0, 1] = math.sin(scenario.phi)", "abe[1, 1, 1] = math.sin(scenario.phi)",
+        ("tests/test_attack.py::TestAttackedState::test_bit_identical_to_kron_sum[qubit]",),
+    ),
+    Mutant(
+        "collapse-reversal-on-ghz", "attack.py",
+        'if t.scenario.carrier == "G":', 'if t.scenario.carrier == "GHZ":',
+        ("tests/test_attack.py::TestCoalitionCollapse::test_matches_closed_form",),
+    ),
+    Mutant(
+        "rho-ae-keeps-branch", "attack.py",
+        "return reduce_state(t.abe, (0, 2))", "return reduce_state(t.abe, (0, 1))",
+        ("tests/test_attack.py::TestReducedStates::test_rho_ae_closed_form",),
+    ),
+    Mutant(
+        "padded-digits-at-h0", "protocol.py",
+        "parts[1::5] = digits[h > 0][: b - a]", "parts[1::5] = padded[: b - a]",
+        ("tests/test_protocol.py::TestColumnarJsonl::test_matches_per_round_oracle[1]",),
+    ),
+    Mutant(
+        "thousands-prefix-past-5000", "protocol.py",
+        """'{"round":' + str(h) if h""", """'{"round":' + str(min(h, 5)) if h""",
+        ("tests/test_protocol.py::TestColumnarJsonl::test_round_numbers_across_powers_of_ten",),
+    ),
+    Mutant(
+        "key-without-y-flip", "protocol.py",
+        "(bits[:, 1:].sum(axis=1) + all_y * y_flip) % 2", "bits[:, 1:].sum(axis=1) % 2",
+        # m = 3 has no y-flip, so the m = 3 key tests cannot see it
+        ("tests/test_protocol.py::TestSiftingAndParity::test_m2_parity_sign_flips",),
+    ),
+    Mutant(
+        "no-chmod", "cli.py",
+        "os.chmod(tmp, 0o666 & ~umask)", "pass",
+        ("tests/test_cli.py::TestOutputMode::test_mode_follows_umask[umask022]",),
+    ),
+    Mutant(
+        "no-transcript-unlink", "cli.py",
+        "os.unlink(transcript_path)", "pass",
+        ("tests/test_cli.py::TestRunProtocolCommand::test_unwritable_summary_leaves_no_transcript",),
+    ),
+    Mutant(
+        "sift-mask-without-all-ones", "protocol.py",
+        "(self.combo_idx == 0) | (self.combo_idx == 2**self.config.n_parties - 1)",
+        "self.combo_idx == 0",
+        ("tests/test_protocol.py::TestSiftingAndParity::test_mixed_rounds_not_sifted",
+         "tests/test_protocol.py::TestKeyReconstruction::test_columns_are_combination_and_outcome"),
+    ),
+    Mutant(
+        "law-without-clamp", "protocol.py",
+        "np.searchsorted(law[:-1], uniforms[rows]", "np.searchsorted(law, uniforms[rows]",
+        ("tests/test_protocol.py::TestCompactColumns::test_largest_uniform_stays_in_range",),
+    ),
+    Mutant(
+        "round-cap-inclusive", "protocol.py",
+        "if self.rounds > MAX_ROUNDS:", "if self.rounds >= MAX_ROUNDS:",
+        ("tests/test_protocol.py::TestConfigValidation::test_round_budget_admits_its_limit[2]",),
+    ),
+    Mutant(
+        "zero-sift-guard-removed", "protocol.py",
+        "reconstruct_key(t)[2] if any_sifted else None", "reconstruct_key(t)[2]",
+        ("tests/test_cli.py::TestRunProtocolCommand::test_no_sifted_round_writes_both_files",),
+    ),
+)
+
+
+def failed_tests(src: Path, node_ids: list[str], cwd: Path) -> tuple[int, set[str]]:
+    """Run the tests against the package under ``src``: pytest's exit code and
+    the node IDs it reports as failed or in error."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--rootdir", str(ROOT), *(str(ROOT / n) for n in node_ids)],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+    failed = set()
+    for line in proc.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            # pytest names the file relative to the working directory
+            file, sep, rest = line.split(" ", 2)[1].partition("::")
+            failed.add(f"{(cwd / file).resolve().relative_to(ROOT)}{sep}{rest}")
+    return proc.returncode, failed
+
+
+def killed_by(killer: str, failed: set[str]) -> bool:
+    # a node ID without parameters names every one of its parametrized cases
+    return any(f == killer or f.startswith(killer + "[") for f in failed)
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src = tmp / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        killers = sorted({k for m in mutants for k in m.killers})
+        code, failed = failed_tests(src, killers, tmp)
+        if code != 0:
+            print(f"the unmutated copy fails (pytest exit {code}): {sorted(failed)}")
+            return 1
+        survived = []
+        for m in mutants:
+            path = src / "qss" / m.file
+            original = path.read_text()
+            if original.count(m.snippet) != 1:
+                print(f"{m.name}: snippet occurs {original.count(m.snippet)} times in {m.file}")
+                return 1
+            path.write_text(original.replace(m.snippet, m.replacement))
+            t0 = time.perf_counter()
+            try:
+                _, failed = failed_tests(src, list(m.killers), tmp)
+            finally:
+                path.write_text(original)
+            passed = [k for k in m.killers if not killed_by(k, failed)]
+            verdict = f"SURVIVED, passing: {passed}" if passed else "killed"
+            print(f"{m.name:28s} {verdict} ({time.perf_counter() - t0:.1f} s)")
+            if passed:
+                survived.append(m.name)
+    print(f"{len(mutants) - len(survived)} of {len(mutants)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -532,6 +532,20 @@ class TestRunProtocolCommand:
         assert set(summary["coalition_info"].values()) == {0.0}
         assert "-0.0" not in (tmp_path / "one.summary.json").read_text()
 
+    def test_no_sifted_round_writes_both_files(self, tmp_path):
+        # at m = 6 a round is sifted with probability 2^-11: seed 1 sifts none
+        out = tmp_path / "none"
+        assert run_cli(
+            ["run-protocol", "--m", "6", "--rounds", "1000", "--seed", "1", "--out", str(out)]
+        ) == 0
+        transcript = (tmp_path / "none.transcript.jsonl").read_text().splitlines()
+        assert len(transcript) == 1000
+        assert not any(json.loads(line)["sifted"] for line in transcript)
+        summary = json.loads((tmp_path / "none.summary.json").read_text())
+        assert summary["sift_count"] == 0 and summary["error_rate"] is None
+        assert len(summary["coalition_info"]) == 12
+        assert set(summary["coalition_info"].values()) == {None}
+
     def test_degrees_flag(self, tmp_path):
         out = tmp_path / "deg"
         assert run_cli(
@@ -575,9 +589,9 @@ class TestRunProtocolCommand:
 
     def test_transcript_streamed_within_round_budget(self, tmp_path):
         # 2-byte combination and outcome columns, 8-byte uniforms and grouping
-        # order, and JSONL blocks of one thousand lines: about 23 bytes a
-        # round, where int64 columns took 52; the 32 bytes a round that
-        # ProtocolConfig charges at every m
+        # order, and JSONL blocks of one thousand lines: about 21 bytes a
+        # round, where int64 columns took 52; the 32 bytes a round behind
+        # protocol.MAX_ROUNDS
         for m in (2, 3):
             assert self._traced_peak(tmp_path, m, 200_000) <= 32 * 200_000
 

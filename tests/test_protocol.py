@@ -16,7 +16,7 @@ from qss.attack import AttackScenario, TripartiteState, attacked_state, binary_e
 from qss.errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from qss.protocol import (
     MAX_M,
-    ROUND_BUDGET_BYTES,
+    MAX_ROUNDS,
     ProtocolConfig,
     ProtocolTranscript,
     RoundRecord,
@@ -81,14 +81,16 @@ class TestConfigValidation:
         assert peak < 8 * 16**5 // 4
 
     # built, never run: a run at these sizes would allocate its round columns;
-    # a run is charged 32 bytes a round whatever m
+    # the cap is the same whatever m
     @pytest.mark.parametrize("m", [2, 3, 7])
     def test_round_budget_admits_its_limit(self, m):
-        ProtocolConfig(ROUND_BUDGET_BYTES // 32, AttackScenario("G", m, 0.0), 0)
-        with pytest.raises(BudgetExceeded, match="of 32 bytes"):
-            ProtocolConfig(ROUND_BUDGET_BYTES // 32 + 1, AttackScenario("G", m, 0.0), 0)
+        ProtocolConfig(MAX_ROUNDS, AttackScenario("G", m, 0.0), 0)
+        with pytest.raises(
+            BudgetExceeded, match="^protocol runs are capped at 67108864 rounds, got 67108865$"
+        ):
+            ProtocolConfig(MAX_ROUNDS + 1, AttackScenario("G", m, 0.0), 0)
 
-    @pytest.mark.parametrize("rounds", [ROUND_BUDGET_BYTES // 32 + 1, 10**14, 10**100])
+    @pytest.mark.parametrize("rounds", [MAX_ROUNDS + 1, 10**14, 10**100])
     def test_round_budget_rejects_more(self, rounds):
         with pytest.raises(BudgetExceeded):
             ProtocolConfig(rounds, AttackScenario("G", 3, 0.0), 0)
@@ -209,8 +211,8 @@ class TestCompactColumns:
     run_protocol writes into it."""
 
     def test_dtype_holds_unclamped_outcomes(self):
-        # searchsorted over a law of 2^(2m) entries may return 2^(2m) itself
-        assert np.iinfo(protocol._COMBO_DTYPE).max >= 2 ** (2 * MAX_M)
+        # every combination and outcome index of 2 MAX_M bits
+        assert np.iinfo(protocol._COMBO_DTYPE).max >= 2 ** (2 * MAX_M) - 1
         assert np.dtype(protocol._COMBO_DTYPE).itemsize == 2
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -226,6 +228,26 @@ class TestCompactColumns:
         t = run_protocol(ProtocolConfig(500, AttackScenario("G", m, 0.3), 7))
         assert t.combo_idx.dtype == t.outcome_idx.dtype == protocol._COMBO_DTYPE
         assert np.all(t.outcome_idx == 2 ** (2 * m) - 1)
+
+    # at these angles some laws end below 1 by rounding, so a search of the
+    # whole law would put u = 1 - 2^-53 past the last outcome
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    def test_largest_uniform_stays_in_range(self, carrier, monkeypatch):
+        default_rng = np.random.default_rng
+
+        class LargestUniforms:
+            """The seeded generator's basis draws, every uniform 1 - 2^-53."""
+
+            def __init__(self, seed):
+                self.integers = default_rng(seed).integers
+
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(np.random, "default_rng", LargestUniforms)
+        t = run_protocol(ProtocolConfig(2000, AttackScenario(carrier, 3, 0.3), 7))
+        assert np.unique(t.combo_idx).size == 64
+        assert t.outcome_idx.max() < 2**6
 
 
 class TestDeterminism:
@@ -341,12 +363,17 @@ class TestKeyReconstruction:
         with pytest.raises(ValueError):
             bits[0, 0] = 1 - bits[0, 0]
 
+    def test_columns_are_combination_and_outcome(self):
+        # the sifted mask is read off the combinations, not stored
+        t = make_transcript(rounds=500, seed=3)
+        assert [f.name for f in dataclasses.fields(t)] == ["config", "combo_idx", "outcome_idx"]
+        expected = [len(set(r.bases)) == 1 for r in t.records]
+        assert t.sifted.tolist() == expected and t.sifted is t.sifted
+
     def test_empty_sifted_set(self):
         base = make_transcript(rounds=10)
         mixed = int("001001", 2)  # bases "XXYXXY"
-        empty = ProtocolTranscript(
-            base.config, np.array([mixed]), np.array([0]), np.array([False])
-        )
+        empty = ProtocolTranscript(base.config, np.array([mixed]), np.array([0]))
         assert empty.records == (RoundRecord("XXYXXY", (1,) * 6, False, "mixed"),)
         with pytest.raises(EmptySiftedSet):
             reconstruct_key(empty)
@@ -360,7 +387,7 @@ def paired_transcript(pairs, m=3, n_bobs=3):
     outcomes = (pairs[:, 0] << (2 * m - 1)) | (pairs[:, 1] << shift)
     config = ProtocolConfig(len(pairs), AttackScenario("G", m, 0.0), 0)
     all_x = np.zeros(len(pairs), dtype=np.int64)
-    return ProtocolTranscript(config, all_x, outcomes, np.ones(len(pairs), dtype=bool))
+    return ProtocolTranscript(config, all_x, outcomes)
 
 
 class TestMutualInfoEstimator:
@@ -383,7 +410,9 @@ class TestMutualInfoEstimator:
 
     def test_needs_samples(self):
         t = paired_transcript([(0, 0), (1, 1)])
-        empty = ProtocolTranscript(t.config, t.combo_idx, t.outcome_idx, ~t.sifted)
+        # Bob 5 alone measured sigma_y in both rounds
+        empty = ProtocolTranscript(t.config, np.ones_like(t.combo_idx), t.outcome_idx)
+        assert empty.sift_count == 0
         with pytest.raises(EmptySiftedSet):
             coalition_info(empty, [1])
 
@@ -539,8 +568,7 @@ class TestColumnarMutualInfo:
 
     def test_one_sifted_round_gives_zero(self):
         base = make_transcript(m=2, rounds=10)
-        one = ProtocolTranscript(base.config, np.array([0, 5]), np.array([0, 3]),
-                                 np.array([True, False]))
+        one = ProtocolTranscript(base.config, np.array([0, 5]), np.array([0, 3]))
         for subset in ([1], [2], [1, 2]):
             info = coalition_info(one, subset)
             assert info == 0.0 and math.copysign(1.0, info) == 1.0
@@ -559,7 +587,7 @@ def oracle_jsonl(t):
 
 
 def first_rounds(t, k):
-    return ProtocolTranscript(t.config, t.combo_idx[:k], t.outcome_idx[:k], t.sifted[:k])
+    return ProtocolTranscript(t.config, t.combo_idx[:k], t.outcome_idx[:k])
 
 
 def assert_blocks_match_oracle(t):
@@ -596,7 +624,7 @@ class TestColumnarJsonl:
     def test_writers_ignore_column_dtype(self, m, rounds):
         t = make_transcript(m=m, rounds=rounds, phi=0.3, seed=8)
         wide = ProtocolTranscript(t.config, t.combo_idx.astype(np.int64),
-                                  t.outcome_idx.astype(np.int64), t.sifted)
+                                  t.outcome_idx.astype(np.int64))
         assert t.combo_idx.dtype == t.outcome_idx.dtype == protocol._COMBO_DTYPE
         assert t.sift_count > 0
         assert "".join(transcript_to_jsonl(wide)) == "".join(transcript_to_jsonl(t))
@@ -615,7 +643,7 @@ class TestColumnarJsonl:
         rounds, block = 1_000_005, 1000
         config = ProtocolConfig(rounds, AttackScenario("G", 2, 0.0), 0)
         zeros = np.zeros(rounds, dtype=np.uint16)
-        t = ProtocolTranscript(config, zeros, zeros, np.ones(rounds, dtype=bool))
+        t = ProtocolTranscript(config, zeros, zeros)
         edges = (1000, 10**4, 10**5, 10**6)
         last = (rounds - 1) // block * block
         checked = {i // block * block for e in edges for i in (e - 1, e)} | {0, last - block, last}
