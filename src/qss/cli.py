@@ -167,10 +167,7 @@ def _cmd_bell(args) -> int:
     bell.check_tensor_qubits(args.n)
     carrier = args.state.upper()
     state = carrier_state(carrier, args.n)
-    if args.noise == 1.0:
-        tensor = correlation_tensor(state)
-    else:
-        tensor = correlation_tensor(add_white_noise(state, args.noise).realized)
+    tensor = correlation_tensor(add_white_noise(state, args.noise).realized)
     plane = bell.plane_sum(tensor)
     result = {
         "schema_version": SCHEMA_VERSION,

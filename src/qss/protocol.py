@@ -21,7 +21,7 @@ import numpy as np
 from .attack import AttackScenario, attacked_state
 from .errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from .qsim import EIGENBASIS, Outcome, _apply_one, popcounts
-from .states import branch_y_sign, make_carrier_branches
+from .states import branch_y_sign, carrier_branch
 
 __all__ = [
     "ProtocolConfig",
@@ -166,7 +166,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     scenario = config.scenario
     coef = attacked_state(scenario).abe.amplitudes.reshape(2, 2, 2)
     k = n_parties - 1
-    xi = make_carrier_branches(scenario.carrier, scenario.m)[0].amplitudes.reshape((2,) * k)
+    xi = carrier_branch(scenario.carrier, scenario.m).amplitudes.reshape((2,) * k)
     # indexed by a combination's bit for the party: 0 for sigma_x, 1 for sigma_y
     rotations = tuple(EIGENBASIS[ax].conj().T for ax in "XY")
     # |xibar> = X^k|xi>, and R_X X = Z R_X, R_Y X = Y R_Y, so R|xibar>[o] =

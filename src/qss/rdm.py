@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidArgument
-from .states import branch_weights, shell_norm
+from .states import branch_weights, shell_amplitudes
 
 __all__ = [
     "GramSolution",
@@ -133,7 +133,8 @@ def _constraint_system(n: int) -> tuple[np.ndarray, np.ndarray]:
     halves, folded = (rows >> np.uint64(k)).astype(np.intp), rows & np.uint64(full)
     support = np.array(sorted({*shells.tolist(), *folded.ravel().tolist()}), dtype=np.uint64)
     weight = np.array([y.bit_count() for y in support.tolist()])
-    a0, a1 = (np.isin(weight, ws) / shell_norm(k, ws) for ws in branch_weights("G", n))
+    v0_weights = branch_weights("G", n)  # v1 = X^k v0: v1 at weight w is v0 at k - w
+    a0, a1 = (shell_amplitudes(k, v0_weights, w) for w in (weight, k - weight))
     w = np.zeros((2, support.size, 4))
     cols, at = np.searchsorted(support, folded), np.searchsorted(support, shells)[:, None]
     w[halves, cols, np.arange(2)] = a0[at] / np.sqrt(2.0)

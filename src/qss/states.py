@@ -29,10 +29,12 @@ def carrier_weights(carrier: str, n: int) -> tuple[int, int]:
     return (1, n - 1) if carrier == "G" else (0, n)
 
 
-def shell_norm(k: int, weights: tuple[int, ...]) -> float:
-    """The norm of the unnormalized sum of the k-qubit basis states whose
-    Hamming weight is in ``weights``."""
-    return np.sqrt(float(sum(math.comb(k, w) for w in set(weights))))
+def shell_amplitudes(k: int, weights: tuple[int, ...], w: np.ndarray) -> np.ndarray:
+    """The amplitudes at Hamming weights ``w`` of the uniform k-qubit
+    superposition over the shells ``weights``: 1 over their norm, or 0."""
+    shell = np.zeros(k + 1)
+    shell[list(weights)] = 1.0 / np.sqrt(float(sum(math.comb(k, v) for v in set(weights))))
+    return shell[w]
 
 
 def _shell_state(k: int, weights: tuple[int, ...]) -> PureState:
@@ -41,9 +43,7 @@ def _shell_state(k: int, weights: tuple[int, ...]) -> PureState:
     if k > MAX_STATE_QUBITS:
         # before the 2^k amplitudes are allocated
         raise InvalidArgument(f"n_qubits must be in [1, {MAX_STATE_QUBITS}], got {k}")
-    shell = np.zeros(k + 1, dtype=complex)
-    shell[list(weights)] = 1.0
-    return PureState(k, shell[popcounts(k)] / shell_norm(k, weights))
+    return PureState(k, shell_amplitudes(k, weights, popcounts(k)))
 
 
 def g_state(n: int) -> PureState:
@@ -65,31 +65,24 @@ def dicke_vector(carrier: str, n: int) -> np.ndarray:
     return c
 
 
-def branch_weights(carrier: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The Hamming-weight shells of Alice's collapse branches |xi>, |xibar> on
-    the other n-1 qubits of the n-qubit carrier: its shells with Alice's
-    qubit read as 0 and as 1.  Both hold equally many basis states and, but
-    for G at n = 3, are disjoint, so the protocol's branches are orthonormal."""
-    weights = carrier_weights(carrier, n)
-    return tuple(w for w in weights if w < n), tuple(w - 1 for w in weights if w > 0)
+def branch_weights(carrier: str, n: int) -> tuple[int, ...]:
+    """The shells of Alice's collapse branch |xi> on the other n-1 qubits: the
+    carrier's with her qubit read as 0.  Both carriers are flip-invariant, so
+    |xibar> = X^(n-1)|xi> sits on the shells n-1-w, disjoint but for G at n = 3."""
+    return tuple(w for w in carrier_weights(carrier, n) if w < n)
 
 
 def branch_y_sign(carrier: str, m: int) -> int:
     """s such that sigma_y on all k = 2m-1 Bobs acts on span{|xi>, |xibar>} as
     s*Y (and sigma_x as X): Y^k|x> = i^k (-1)^|x| |not x>, and each branch's
     shells share one weight parity, so s = (-1)^m for G, (-1)^(m+1) for GHZ."""
-    xi, _ = branch_weights(carrier, 2 * m)
-    return (-1) ** (m - 1 + xi[0])
+    return (-1) ** (m - 1 + branch_weights(carrier, 2 * m)[0])
 
 
-def make_carrier_branches(carrier: str, m: int) -> tuple[PureState, PureState]:
-    """Alice's collapse branches (|xi>, |xibar>) on the 2m-1 Bob qubits.
-
-    For the G carrier they are the vectors v0, v1 of the marginal analysis at
-    n = 2m; for the GHZ carrier, the all-0 and all-1 product states.
-    """
-    xi, xibar = branch_weights(carrier, 2 * m)
-    return _shell_state(2 * m - 1, xi), _shell_state(2 * m - 1, xibar)
+def carrier_branch(carrier: str, m: int) -> PureState:
+    """Alice's collapse branch |xi> on the 2m-1 Bobs (rdm's v0 at n = 2m for G,
+    |0...0> for GHZ); |xibar> = X^(2m-1)|xi> is |xi> in reverse index order."""
+    return _shell_state(2 * m - 1, branch_weights(carrier, 2 * m))
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from qss.qsim import (
     reduce_state,
 )
 from qss.rdm import _ORTHO, _ORTHO_RHS, _rows
-from qss.states import _shell_state, make_carrier_branches
+from qss.states import _shell_state, carrier_branch
 
 PROB_FLOOR = 1e-12
 
@@ -80,8 +80,8 @@ def dense_attacked_state(scenario: AttackScenario) -> PureState:
         raise InvalidArgument(
             f"attacked state needs 2m + 1 <= {MAX_STATE_QUBITS} qubits, got m = {m}"
         )
-    xi, xibar = make_carrier_branches(scenario.carrier, m)
-    return PureState(2 * m + 1, attacked_amplitudes(scenario.phi, xi.amplitudes, xibar.amplitudes))
+    xi = carrier_branch(scenario.carrier, m).amplitudes
+    return PureState(2 * m + 1, attacked_amplitudes(scenario.phi, xi, xi[::-1]))
 
 
 def binomial_collapse(scenario: AttackScenario) -> DensityMatrix:

@@ -99,6 +99,59 @@ MUTANTS = (
         "reconstruct_key(t)[2] if any_sifted else None", "reconstruct_key(t)[2]",
         ("tests/test_cli.py::TestRunProtocolCommand::test_no_sifted_round_writes_both_files",),
     ),
+    # the rotated |xibar> as a signed gather of the rotated |xi>
+    Mutant(
+        "gather-without-parity-sign", "protocol.py",
+        "[:, None] * (1 - 2 * (ones & 1))", "[:, None] * np.ones_like(ones)",
+        ("tests/test_qsim.py::TestApplyOneKernel::test_protocol_matches_moveaxis_kernel",),
+    ),
+    Mutant(
+        # equivalent for GHZ alone: its rotated |xi> is constant, so any
+        # gather leaves it unchanged
+        "gather-at-xmask", "protocol.py",
+        "bobs[0][index ^ ymask]", "bobs[0][index ^ ymask ^ (2**k - 1)]",
+        ("tests/test_qsim.py::TestApplyOneKernel::test_protocol_matches_moveaxis_kernel",),
+    ),
+    Mutant(
+        "gather-without-y-phase", "protocol.py",
+        "phased[ones[ymask] % 4]", "phased[0]",
+        ("tests/test_qsim.py::TestApplyOneKernel::test_protocol_matches_moveaxis_kernel",),
+    ),
+    Mutant(
+        "xi-xibar-swap", "protocol.py",
+        ".reshape(4, 2) @ bobs", ".reshape(4, 2) @ bobs[::-1]",
+        ("tests/test_qsim.py::TestApplyOneKernel::test_protocol_matches_moveaxis_kernel",
+         "tests/test_protocol.py::TestSiftingAndParity::test_parity_holds_in_every_sifted_round"),
+    ),
+    Mutant(
+        "rotations-swapped", "protocol.py",
+        'for ax in "XY")', 'for ax in "YX")',
+        ("tests/test_qsim.py::TestApplyOneKernel::test_protocol_matches_moveaxis_kernel",),
+    ),
+    # the frame search's bound and value
+    Mutant(
+        "upper-bound-top-eigenvalue-only", "bell.py",
+        "(w[:, -1] + w[:, -2]).min()", "w[:, -1].min()",
+        ("tests/test_bell.py::TestUpperBound::test_carrier_values",),
+    ),
+    Mutant(
+        "parseval-weight-without-binomial", "dicke.py",
+        "2.0**n / math.comb(n, w) for w", "2.0**n for w",
+        ("tests/test_bell.py::TestSharedPlaneSearch::test_matches_dense_oracle",),
+    ),
+    # one collapse branch: |xibar> = X^k|xi>
+    Mutant(
+        "rdm-v1-at-v0-weight", "rdm.py",
+        "for w in (weight, k - weight)", "for w in (weight, weight)",
+        ("tests/test_rdm.py::TestGramUniqueness::test_matches_dense_oracle",),
+    ),
+    Mutant(
+        "branch-on-alice-one-shells", "states.py",
+        "return _shell_state(2 * m - 1, branch_weights(carrier, 2 * m))",
+        "return _shell_state(2 * m - 1, tuple(w - 1 for w in carrier_weights(carrier, 2 * m) if w))",
+        ("tests/test_states.py::TestBranchStates::test_xibar_is_index_reversal_of_xi",
+         "tests/test_states.py::TestBitIdentity::test_branches"),
+    ),
 )
 
 
@@ -156,7 +209,7 @@ def main(names: list[str]) -> int:
                 path.write_text(original)
             passed = [k for k in m.killers if not killed_by(k, failed)]
             verdict = f"SURVIVED, passing: {passed}" if passed else "killed"
-            print(f"{m.name:28s} {verdict} ({time.perf_counter() - t0:.1f} s)")
+            print(f"{m.name:32s} {verdict} ({time.perf_counter() - t0:.1f} s)")
             if passed:
                 survived.append(m.name)
     print(f"{len(mutants) - len(survived)} of {len(mutants)} mutants killed "

@@ -21,7 +21,7 @@ from qss.attack import (
 )
 from qss.bell import horodecki_m
 from qss.qsim import _apply_one, reduce_state
-from qss.states import branch_weights, branch_y_sign, g_state, make_carrier_branches
+from qss.states import branch_weights, branch_y_sign, carrier_branch, g_state
 
 import born
 from born import dense_attacked_state, outcome_probabilities, project
@@ -54,15 +54,15 @@ def born_joint(psi, basis):
 
 class TestUnitaryAction:
     def test_xi_branch_untouched(self):
-        xi, _ = make_carrier_branches("G", 2)
+        xi = carrier_branch("G", 2).amplitudes
         image, _ = branch_images(0.9)
-        assert np.abs(image - np.outer(xi.amplitudes, [1.0, 0.0])).max() < 1e-12
+        assert np.abs(image - np.outer(xi, [1.0, 0.0])).max() < 1e-12
 
     def test_xibar_branch_rotates(self):
-        xi, xibar = make_carrier_branches("G", 2)
+        xi = carrier_branch("G", 2).amplitudes
         _, image = branch_images(math.pi / 2)
-        assert abs(np.vdot(np.outer(xibar.amplitudes, [1.0, 0.0]), image)) < 1e-12
-        assert abs(np.vdot(np.outer(xi.amplitudes, [0.0, 1.0]), image)) == pytest.approx(
+        assert abs(np.vdot(np.outer(xi[::-1], [1.0, 0.0]), image)) < 1e-12
+        assert abs(np.vdot(np.outer(xi, [0.0, 1.0]), image)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -87,11 +87,11 @@ class TestAttackedState:
         # phi = pi/2: |psi> = (|0, xi, 0> + |1, xi, 1>)/sqrt(2)
         m = 2
         psi = dense_attacked_state(AttackScenario("G", m, math.pi / 2))
-        xi, _ = make_carrier_branches("G", m)
+        xi = carrier_branch("G", m).amplitudes
         e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         expected = (
-            np.kron(np.kron(e0, xi.amplitudes), e0)
-            + np.kron(np.kron(e1, xi.amplitudes), e1)
+            np.kron(np.kron(e0, xi), e0)
+            + np.kron(np.kron(e1, xi), e1)
         ) / np.sqrt(2.0)
         assert np.abs(psi.amplitudes - expected).max() < 1e-12
 
@@ -103,7 +103,8 @@ class TestAttackedState:
             xi, xibar = np.eye(2)
         else:
             carrier, m = {"G3": ("G", 3), "GHZ2": ("GHZ", 2)}[branches]
-            xi, xibar = (b.amplitudes for b in make_carrier_branches(carrier, m))
+            xi = carrier_branch(carrier, m).amplitudes
+            xibar = xi[::-1]
         e0, e1 = np.eye(2, dtype=complex)
         for phi in np.linspace(0.0, math.pi / 2, 41):
             expected = (
@@ -147,7 +148,7 @@ class TestAttackedState:
         def build(*args):
             raise AssertionError("the carrier branches were built")
 
-        monkeypatch.setattr(born, "make_carrier_branches", build)
+        monkeypatch.setattr(born, "carrier_branch", build)
         # any m makes a state; the dense oracle checks its register size.
         # m = 9 gives 2m + 1 = 19 qubits, m = 10 gives 21, past the 20 of PureState
         with pytest.raises(InvalidArgument):
@@ -164,13 +165,11 @@ class TestReducedStates:
         # rank-2 form built independently from the branch states:
         # ((1+cos^2)/2)|alpha><alpha| + (sin^2/2)|1 xi><1 xi|
         m = 2
-        xi, xibar = make_carrier_branches("G", m)
+        xi = carrier_branch("G", m).amplitudes
         c, s = math.cos(phi), math.sin(phi)
         e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        alpha = (np.kron(e0, xi.amplitudes) + c * np.kron(e1, xibar.amplitudes)) / math.sqrt(
-            1.0 + c * c
-        )
-        one_xi = np.kron(e1, xi.amplitudes)
+        alpha = (np.kron(e0, xi) + c * np.kron(e1, xi[::-1])) / math.sqrt(1.0 + c * c)
+        one_xi = np.kron(e1, xi)
         expected = ((1 + c * c) / 2) * outer(alpha) + (s * s / 2) * outer(one_xi)
         psi = dense_attacked_state(AttackScenario("G", m, phi))
         assert np.abs(reduce_state(psi, range(2 * m)).matrix - expected).max() < 1e-10
@@ -307,7 +306,8 @@ class TestBranchSpan:
         # as Y does |0> and |1>; sigma_x swaps the branches
         s = branch_y_sign(carrier, m)
         k = 2 * m - 1
-        xi, xibar = (b.amplitudes.reshape((2,) * k) for b in make_carrier_branches(carrier, m))
+        xi = carrier_branch(carrier, m).amplitudes
+        xi, xibar = (v.reshape((2,) * k) for v in (xi, xi[::-1]))
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
         sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -327,7 +327,8 @@ class TestBranchSpan:
         # on <xi|xibar> = 0 and on both branches sharing one norm, at the
         # protocol's n = 2m (at n = 3 the G shells share weight 1)
         for n in range(2, 1001, 2):
-            xi, xibar = (set(w) for w in branch_weights(carrier, n))
+            xi = set(branch_weights(carrier, n))
+            xibar = {n - 1 - w for w in xi}
             assert not xi & xibar
             assert sum(math.comb(n - 1, w) for w in xi) == sum(math.comb(n - 1, w) for w in xibar)
 

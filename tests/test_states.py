@@ -11,11 +11,11 @@ from qss.qsim import MAX_STATE_QUBITS, PauliString, expectation, reduce_state
 from qss.states import (
     add_white_noise,
     branch_weights,
+    carrier_branch,
     carrier_state,
     dicke_vector,
     g_state,
-    make_carrier_branches,
-    shell_norm,
+    shell_amplitudes,
 )
 
 from born import dicke_state, v_states
@@ -95,9 +95,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     @pytest.mark.parametrize("m", range(1, 11))
     def test_branches(self, carrier, m):
-        branches = make_carrier_branches(carrier, m)
-        for state, expected in zip(branches, hand_built_branch_amps(carrier, m)):
-            assert_bit_identical(state.amplitudes, expected)
+        xi = carrier_branch(carrier, m).amplitudes
+        for amps, expected in zip((xi, xi[::-1]), hand_built_branch_amps(carrier, m)):
+            assert_bit_identical(amps, expected)
 
 
 class TestWStates:
@@ -192,36 +192,42 @@ class TestGHZState:
 
 class TestBranchStates:
     def test_m1_degenerate_pair(self):
-        xi, xibar = make_carrier_branches("G", 1)
-        assert np.abs(xi.amplitudes - [0.0, 1.0]).max() < 1e-12
-        assert np.abs(xibar.amplitudes - [1.0, 0.0]).max() < 1e-12
+        xi = carrier_branch("G", 1).amplitudes
+        assert np.abs(xi - [0.0, 1.0]).max() < 1e-12
+        assert np.abs(xi[::-1] - [1.0, 0.0]).max() < 1e-12
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_branches_orthonormal(self, m):
-        xi, xibar = make_carrier_branches("G", m)
-        assert abs(np.vdot(xi.amplitudes, xibar.amplitudes)) < 1e-12
-        assert np.linalg.norm(xi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        xi = carrier_branch("G", m).amplitudes
+        assert abs(np.vdot(xi, xi[::-1])) < 1e-12
+        assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
 
     def test_xi_m2_explicit(self):
         # (|100> + |010> + |001> + |111>)/2
-        xi, _ = make_carrier_branches("G", 2)
+        xi = carrier_branch("G", 2)
         expected = np.zeros(8)
         expected[[4, 2, 1, 7]] = 0.5
         assert np.abs(xi.amplitudes - expected).max() < 1e-12
 
     def test_xibar_is_bit_flip_of_xi(self):
-        xi, xibar = make_carrier_branches("G", 3)
+        # X on every Bob reverses each axis; the result is the carrier's
+        # Alice-1 half
+        xi = carrier_branch("G", 3)
         k = xi.n_qubits
         flipped = xi.amplitudes.reshape((2,) * k)[(slice(None, None, -1),) * k]
-        assert np.abs(flipped.reshape(-1) - xibar.amplitudes).max() < 1e-12
+        xibar = g_state(6).amplitudes[2**k :] * np.sqrt(2.0)
+        assert np.abs(flipped.reshape(-1) - xibar).max() < 1e-12
 
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     @pytest.mark.parametrize("m", range(1, 8))
     def test_xibar_is_index_reversal_of_xi(self, carrier, m):
-        # X on every Bob maps index x to 2^k - 1 - x; run_protocol reads the
-        # rotated xibar off the rotated xi by this, so it must hold exactly
-        xi, xibar = make_carrier_branches(carrier, m)
-        assert np.array_equal(xibar.amplitudes, xi.amplitudes[::-1])
+        # the carrier is (|0>|xi> + |1>|xibar>)/sqrt(2) with Alice as qubit 0,
+        # and X on every Bob maps index x to 2^k - 1 - x; run_protocol reads
+        # the rotated xibar off the rotated xi by this
+        xi = carrier_branch(carrier, m).amplitudes
+        halves = carrier_state(carrier, 2 * m).amplitudes.reshape(2, -1) * np.sqrt(2.0)
+        assert np.abs(halves[0] - xi).max() <= 1e-15
+        assert np.abs(halves[1] - xi[::-1]).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_v_states_reconstruct_carrier(self, n):
@@ -236,14 +242,14 @@ class TestBranchStates:
         assert np.abs(g[half:] - v1.amplitudes / np.sqrt(2.0)).max() < 1e-12
 
     def test_ghz_branches_are_basis_states(self):
-        b0, b1 = make_carrier_branches("GHZ", 3)
-        assert np.argmax(np.abs(b0.amplitudes)) == 0
-        assert np.argmax(np.abs(b1.amplitudes)) == 31
-        assert abs(np.vdot(b0.amplitudes, b1.amplitudes)) < 1e-12
+        xi = carrier_branch("GHZ", 3).amplitudes
+        assert np.argmax(np.abs(xi)) == 0
+        assert np.argmax(np.abs(xi[::-1])) == 31
+        assert abs(np.vdot(xi, xi[::-1])) < 1e-12
 
     def test_unknown_carrier(self):
         with pytest.raises(InvalidArgument):
-            make_carrier_branches("cluster", 2)
+            carrier_branch("cluster", 2)
 
     def test_carrier_state_dispatch(self):
         assert np.abs(
@@ -274,14 +280,26 @@ class TestShells:
     def test_branch_weights(self, n):
         # the carrier's shells split on Alice's qubit, at the odd and even n
         # that rdm's branches (n) and the protocol's (2m) use
-        assert [set(w) for w in branch_weights("G", n)] == [{1, n - 1}, {0, n - 2}]
-        assert [set(w) for w in branch_weights("GHZ", n)] == [{0}, {n - 1}]
+        assert set(branch_weights("G", n)) == {1, n - 1}
+        assert branch_weights("GHZ", n) == (0,)
 
     @pytest.mark.parametrize("k", range(2, 64))
     def test_shell_norm(self, k):
-        # sqrt(k + 1) is the norm rdm wrote out for both of its branches
+        # sqrt(k + 1) is the norm rdm wrote out for both of its branches; a
+        # repeated weight counts once
+        w = np.arange(k + 1)
         for weights, count in [((1, k), k + 1), ((k - 1, 0), k + 1), ((0,), 1), ((1, 1), k)]:
-            assert shell_norm(k, weights) == np.sqrt(float(count))
+            expected = np.where(np.isin(w, weights), 1.0 / np.sqrt(float(count)), 0.0)
+            assert np.array_equal(shell_amplitudes(k, weights, w), expected)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_shell_amplitudes_match_dense_shell(self, k):
+        # each basis state of a listed weight, summed and normalized densely
+        weight = np.array([bin(x).count("1") for x in range(2**k)])
+        for weights in {(0,), (k,), (1, k), (k - 1, 0), (0, k), tuple(range(0, k + 1, 2))}:
+            dense = np.isin(weight, weights).astype(float)
+            dense /= np.linalg.norm(dense)
+            assert np.abs(shell_amplitudes(k, weights, weight) - dense).max() <= 1e-15
 
 def refuse_allocation(monkeypatch):
     def allocate(*args, **kwargs):
@@ -302,7 +320,7 @@ class TestSizeLimit:
             (functools.partial(carrier_state, "GHZ"), MAX_STATE_QUBITS + 1),
             (v_states, MAX_STATE_QUBITS + 2),
             # m = 11: 21 Bob qubits
-            (functools.partial(make_carrier_branches, "G"), 11),
+            (functools.partial(carrier_branch, "G"), 11),
         ],
         ids=["g_state", "ghz_state", "v_states", "g_branches"],
     )
@@ -316,7 +334,7 @@ class TestSizeLimit:
         # 79 Bob qubits, each branch a basis state
         refuse_allocation(monkeypatch)
         with pytest.raises(InvalidArgument):
-            make_carrier_branches("GHZ", 40)
+            carrier_branch("GHZ", 40)
 
     def test_v_states_minimum_size(self):
         with pytest.raises(InvalidArgument):
