@@ -26,6 +26,7 @@ __all__ = [
     "check_phi_grid",
     "rho_ae",
     "coalition_collapse",
+    "entropy",
     "binary_entropy",
     "mutual_info_ab",
     "mutual_info_ae",
@@ -119,13 +120,16 @@ def coalition_collapse(t: TripartiteState, kept_bob: int) -> DensityMatrix:
     return reduce_state(PureState(3, amps / np.linalg.norm(amps)), (0, 1))
 
 
+def entropy(probs) -> float:
+    """H in bits of a law, with 0 log 0 = 0, its terms summed in the given order."""
+    return 0.0 - sum(q * math.log2(q) for q in probs if q > 0.0)
+
+
 def binary_entropy(p: float) -> float:
     """H(p) in bits, with 0 log 0 = 0."""
     if not 0.0 <= p <= 1.0:
         raise InvalidArgument(f"probability must be in [0, 1], got {p}")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return entropy((p, 1.0 - p))
 
 
 def mutual_info_ab(phi: float) -> float:
@@ -156,26 +160,16 @@ def exact_mutual_info_ab(scenario: AttackScenario) -> float:
     the three qubits (Alice, branch, probe), at any m.
     """
     state = attacked_state(scenario).abe
-    joints = []
+    info = 0.0
     # on the branch span the Bobs' all-x product acts as X, the all-y one as s*Y
     for basis, sign in (("X", 1), ("Y", branch_y_sign(scenario.carrier, scenario.m))):
         ea = expectation(state, PauliString(basis + "II"))
         eb = sign * expectation(state, PauliString("I" + basis + "I"))
         eab = sign * expectation(state, PauliString(basis * 2 + "I"))
         # P(a, b) = (1 + a<A> + b<B> + ab<AB>)/4 for Alice's outcome a and the
-        # Bobs' product b; row and column 0 are the outcome +1
-        joint = np.array([[1 + ea + eb + eab, 1 + ea - eb - eab],
-                          [1 - ea + eb - eab, 1 - ea - eb + eab]]) / 4.0
-        # roundoff can leave entries a few ulp outside [0, 1]
-        joints.append(np.clip(joint, 0.0, 1.0))
-    h_cond = 0.0
-    for joint in joints:
-        h = 0.0
-        for j in range(2):
-            pb = joint[:, j].sum()
-            if pb > 0.0:
-                h += pb * binary_entropy(joint[0, j] / pb)
-        h_cond += 0.5 * h
-    p_alice = joints[0].sum(axis=1)[0]
-    return binary_entropy(p_alice) - h_cond
-
+        # Bobs' product b; row and column 0 are the outcome +1.  Roundoff can
+        # leave entries a few ulp outside [0, 1]
+        joint = np.clip(np.array([[1 + ea + eb + eab, 1 + ea - eb - eab],
+                                  [1 - ea + eb - eab, 1 - ea - eb + eab]]) / 4.0, 0.0, 1.0)
+        info += 0.5 * (entropy(joint.sum(1)) + entropy(joint.sum(0)) - entropy(joint.flat))
+    return info

@@ -12,13 +12,12 @@ of (config, seed).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attack import AttackScenario, attacked_state
+from .attack import AttackScenario, attacked_state, entropy
 from .errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
 from .qsim import EIGENBASIS, Outcome, _apply_one, popcounts
 from .states import branch_y_sign, carrier_branch
@@ -123,11 +122,8 @@ class ProtocolTranscript:
     @property
     def records(self) -> tuple[RoundRecord, ...]:
         n = self.config.n_parties
-        bases = {c: _bases(c, n) for c in np.unique(self.combo_idx).tolist()}
-        outcomes = {
-            o: tuple(1 - 2 * int(b) for b in format(o, f"0{n}b"))
-            for o in np.unique(self.outcome_idx).tolist()
-        }
+        bases = [_bases(c, n) for c in range(2**n)]
+        outcomes = [tuple(1 - 2 * int(b) for b in format(o, f"0{n}b")) for o in range(2**n)]
         rows = zip(self.combo_idx.tolist(), self.outcome_idx.tolist(), self.sifted.tolist())
         return tuple(
             RoundRecord(bases[c], outcomes[o], s, bases[c][0] if s else "mixed")
@@ -219,7 +215,7 @@ def _entropy(codes: np.ndarray) -> float:
     in which the codes first appear."""
     n = codes.size
     _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    return -sum((c / n) * math.log2(c / n) for c in counts[np.argsort(first)].tolist())
+    return entropy(c / n for c in counts[np.argsort(first)].tolist())
 
 
 def _plugin_mutual_info(x: np.ndarray, y: np.ndarray) -> float:
@@ -253,31 +249,23 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
 _SIGN_TEXT = str.maketrans({"0": "1,", "1": "-1,"})
 
 
-def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(x)`` of nonnegative integers without a sort, and a lookup
-    table: ``lookup[x]`` is the inverse."""
-    present = np.bincount(x) > 0
-    return np.flatnonzero(present), np.cumsum(present) - 1
-
-
 def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
     """One JSON document per round, one line each, yielded as text blocks
     that each hold the whole newline-terminated lines of the rounds of one
     thousand, 1000 h to 1000 h + 999.  Round numbers are read from digit
-    tables, not formatted one by one."""
+    tables, the other pieces from tables over every combination and outcome."""
     n = t.config.n_parties
-    combos, combo_of = _distinct(t.combo_idx)
-    outcomes, outcome_of = _distinct(t.outcome_idx)
     # a line is 5 pieces: prefix, round number, bases, outcomes, sifted flag
-    bases = np.array(
-        [f',"bases":"{_bases(c, n)}","outcomes":' for c in combos.tolist()], dtype=object
-    )
+    bases = np.array([f',"bases":"{_bases(c, n)}","outcomes":' for c in range(2**n)],
+                     dtype=object)
     # outcome bit 0 is +1 and bit 1 is -1: "011" -> "[1,-1,-1]"
     signs = np.array(
-        [f"[{format(o, f'0{n}b').translate(_SIGN_TEXT)[:-1]}]" for o in outcomes.tolist()],
+        [f"[{format(o, f'0{n}b').translate(_SIGN_TEXT)[:-1]}]" for o in range(2**n)],
         dtype=object,
     )
-    flags = np.array([',"sifted":false}\n', ',"sifted":true}\n'], dtype=object)
+    # one str object repeated, not np.full's copy per entry; true where sifted
+    flags = np.array([',"sifted":false}\n'] * 2**n, dtype=object)
+    flags[[0, -1]] = ',"sifted":true}\n'
     # round i is the prefix for h = i // 1000, then i % 1000 padded to three
     # digits, or unpadded while h = 0
     padded = [f"{j:03d}" for j in range(1000)]
@@ -288,9 +276,9 @@ def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
         parts = [None] * (5 * (b - a))
         parts[0::5] = ['{"round":' + str(h) if h else '{"round":'] * (b - a)
         parts[1::5] = digits[h > 0][: b - a]
-        parts[2::5] = bases[combo_of[t.combo_idx[a:b]]].tolist()
-        parts[3::5] = signs[outcome_of[t.outcome_idx[a:b]]].tolist()
-        parts[4::5] = flags[t.sifted[a:b].astype(np.intp)].tolist()
+        parts[2::5] = bases[t.combo_idx[a:b]].tolist()
+        parts[3::5] = signs[t.outcome_idx[a:b]].tolist()
+        parts[4::5] = flags[t.combo_idx[a:b]].tolist()
         yield "".join(parts)
 
 

@@ -152,6 +152,33 @@ MUTANTS = (
         ("tests/test_states.py::TestBranchStates::test_xibar_is_index_reversal_of_xi",
          "tests/test_states.py::TestBitIdentity::test_branches"),
     ),
+    # the all-y sign on the branch span, and the axis of Alice's rotation
+    Mutant(
+        "y-sign-off-by-one", "states.py",
+        "(-1) ** (m - 1 + branch_weights", "(-1) ** (m + branch_weights",
+        ("tests/test_attack.py::TestBranchSpan::test_y_sign_matches_dense_oracle",
+         "tests/test_attack.py::TestInformationCurves::test_joint_law_matches_born_oracle"),
+    ),
+    Mutant(
+        "alice-rotation-on-branch-axis", "protocol.py",
+        "_apply_one(coef, 0, rotations[combo >> k])", "_apply_one(coef, 1, rotations[combo >> k])",
+        ("tests/test_qsim.py::TestApplyOneKernel::test_protocol_matches_moveaxis_kernel",
+         "tests/test_cli.py::TestRunProtocolCommand::test_golden_output_hashes"),
+    ),
+    # the writer's whole-range flag table, and the one entropy; -sum in place
+    # of its 0.0 - sum is equivalent, as the signed zero reaches no output
+    Mutant(
+        "flag-true-at-zero-only", "protocol.py",
+        "flags[[0, -1]] = ", "flags[[0]] = ",
+        ("tests/test_protocol.py::TestColumnarJsonl::test_whole_range_tables_at_max_m",
+         "tests/test_cli.py::TestRunProtocolCommand::test_golden_output_hashes"),
+    ),
+    Mutant(
+        "exact-info-without-half", "attack.py",
+        "info += 0.5 * (entropy(", "info += (entropy(",
+        ("tests/test_attack.py::TestInformationCurves::test_exact_distribution_matches_analytic",
+         "tests/test_acceptance.py::test_criterion_3_security_crossing"),
+    ),
 )
 
 

@@ -13,6 +13,7 @@ from qss.attack import (
     attacked_state,
     binary_entropy,
     coalition_collapse,
+    entropy,
     exact_mutual_info_ab,
     mutual_info_ab,
     mutual_info_ae,
@@ -352,6 +353,16 @@ class TestEntropies:
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-12)
 
+    def test_entropy_of_laws(self):
+        assert entropy([0.25] * 4) == 2.0
+        assert entropy([0.5, 0.0, 0.5]) == 1.0
+        assert entropy([1.0]) == 0.0
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-9, 0.1, 1 / 3, 0.5, 0.75, 1 - 1e-9])
+    def test_binary_entropy_keeps_its_bits(self, p):
+        # 0 - (a + b) is (-a) - b under round-to-nearest
+        assert binary_entropy(p) == -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
     def test_binary_entropy_quarter(self):
         expected = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
         assert binary_entropy(0.25) == pytest.approx(expected, abs=1e-12)
@@ -423,27 +434,28 @@ class TestInformationCurves:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     def test_joint_law_matches_born_oracle(self, m, carrier, monkeypatch):
-        # the joint law is read through binary_entropy: P(Alice +1 | product)
-        # for the product +1 and -1 in the X rounds, then in the Y rounds,
-        # then Alice's marginal
+        # the joint law is read through entropy: per basis, X then Y, its row
+        # sums (Alice), its column sums (the Bobs' product) and its entries
         seen = []
 
-        def recorded(p):
-            seen.append(p)
-            return binary_entropy(p)
+        def recorded(probs):
+            seen.append(list(probs))
+            return entropy(seen[-1])
 
-        monkeypatch.setattr(attack, "binary_entropy", recorded)
+        monkeypatch.setattr(attack, "entropy", recorded)
         for phi in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
             scenario = AttackScenario(carrier, m, phi)
             seen.clear()
             info = exact_mutual_info_ab(scenario)
             joints = [born_joint(dense_attacked_state(scenario), basis) for basis in "XY"]
-            cond = [joint[0] / joint.sum(axis=0) for joint in joints]
-            p_alice = joints[0].sum(axis=1)[0]
-            assert np.abs(np.array(seen) - [*cond[0], *cond[1], p_alice]).max() < 1e-13
-            h_cond = sum(
-                0.5 * joint[:, j].sum() * binary_entropy(c[j])
-                for joint, c in zip(joints, cond)
-                for j in range(2)
-            )
-            assert abs(info - (binary_entropy(p_alice) - h_cond)) < 1e-13
+            laws = [law for j in joints for law in (j.sum(axis=1), j.sum(axis=0), j.reshape(-1))]
+            assert len(seen) == len(laws)
+            for got, law in zip(seen, laws):
+                assert np.abs(np.array(got) - law).max() < 1e-13
+            # I = sum p log2(p / (p_a p_b)), each sifted basis weighted 1/2
+            oracle = 0.0
+            for j in joints:
+                outer = np.outer(j.sum(axis=1), j.sum(axis=0))
+                terms = zip(j.flat, outer.flat)
+                oracle += 0.5 * sum(p * math.log2(p / q) for p, q in terms if p > 0)
+            assert abs(info - oracle) < 1e-13

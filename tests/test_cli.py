@@ -597,9 +597,10 @@ class TestRunProtocolCommand:
 
     def test_wide_transcript_within_budget(self, tmp_path):
         # at m = 6 one law and one 1000-line JSONL block bound the peak: about
-        # 1.32 MB, where 2048-line blocks took 1.60 MB and 8192-line blocks
-        # with int64 columns 4.0 MB
-        assert self._traced_peak(tmp_path, 6, 20_000) <= 1.5e6
+        # 1.24 MB with text tables over all 4,096 combinations and outcomes,
+        # where tables of the distinct values took 1.32 MB, 2048-line blocks
+        # 1.60 MB and 8192-line blocks with int64 columns 4.0 MB
+        assert self._traced_peak(tmp_path, 6, 20_000) <= 1.3e6
 
     def test_unwritable_summary_leaves_no_transcript(self, tmp_path):
         (tmp_path / "run.summary.json").mkdir()

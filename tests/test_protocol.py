@@ -186,8 +186,7 @@ GROUPING_CASES = _grouping_cases()
 
 
 class TestSortFreeGrouping:
-    """The 16-bit radix sort and the bincount tables give what the int64
-    argsort and ``np.unique`` gave."""
+    """The 16-bit radix sort gives what the int64 argsort gave."""
 
     @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
     def test_group_matches_int64_argsort(self, case):
@@ -196,14 +195,6 @@ class TestSortFreeGrouping:
         ref = np.argsort(combos.astype(np.int64), kind="stable")
         assert np.array_equal(order, ref)
         assert np.array_equal(bounds, np.searchsorted(combos[ref], np.arange(size + 1)))
-
-    @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
-    def test_distinct_matches_unique(self, case):
-        x, _ = GROUPING_CASES[case]
-        values, lookup = protocol._distinct(x)
-        ref_values, ref_inverse = np.unique(x, return_inverse=True)
-        assert np.array_equal(values, ref_values)
-        assert np.array_equal(lookup[x], ref_inverse)
 
 
 class TestCompactColumns:
@@ -632,6 +623,30 @@ class TestColumnarJsonl:
         assert json.dumps(transcript_summary(wide, subsets)) == json.dumps(
             transcript_summary(t, subsets)
         )
+
+    def test_whole_range_tables_at_max_m(self):
+        # a hand-built transcript at the largest m, so no law is built: its
+        # columns hit the first and last combination and outcome and a mixed
+        # one, on both sides of the block boundaries at rounds 1000 and 2000
+        n = 2 * MAX_M
+        top = 2**n - 1
+        mixed = int("01" * MAX_M, 2)
+        rng = np.random.default_rng(5)
+        combo = rng.choice(np.array([0, top, mixed], dtype=np.uint16), size=2_003)
+        outcome = rng.choice(np.array([0, top, mixed], dtype=np.uint16), size=2_003)
+        combo[[999, 1000, 1999, 2000, 2002]] = [top, 0, mixed, top, top]
+        outcome[[999, 1000, 1999, 2000, 2002]] = [0, top, top, mixed, top]
+        t = ProtocolTranscript(
+            ProtocolConfig(2_003, AttackScenario("G", MAX_M, 0.0), 0), combo, outcome
+        )
+        expected = []
+        for c, o in zip(combo.tolist(), outcome.tolist()):
+            bases = "".join("XY"[(c >> (n - 1 - q)) & 1] for q in range(n))
+            signs = tuple(1 - 2 * ((o >> (n - 1 - q)) & 1) for q in range(n))
+            sifted = c in (0, top)
+            expected.append(RoundRecord(bases, signs, sifted, bases[0] if sifted else "mixed"))
+        assert t.records == tuple(expected)
+        assert_blocks_match_oracle(t)
 
     def test_default_block_boundaries(self):
         t = make_transcript(m=2, rounds=2003, phi=0.3, seed=5)
