@@ -75,10 +75,6 @@ class ProtocolConfig:
                 f"protocol runs are capped at {MAX_ROUNDS} rounds, got {self.rounds}"
             )
 
-    @property
-    def n_parties(self) -> int:
-        return self.scenario.n_parties
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -105,23 +101,15 @@ class ProtocolTranscript:
 
     @functools.cached_property
     def sifted(self) -> np.ndarray:
-        return (self.combo_idx == 0) | (self.combo_idx == 2**self.config.n_parties - 1)
+        return (self.combo_idx == 0) | (self.combo_idx == 2**self.config.scenario.n_parties - 1)
 
     @property
     def sift_count(self) -> int:
         return int(np.count_nonzero(self.sifted))
 
-    @functools.cached_property
-    def _sifted_bits(self) -> np.ndarray:
-        """Outcome bits of the sifted rounds, (sift_count, n_parties), read-only int8."""
-        shifts = np.arange(self.config.n_parties - 1, -1, -1)
-        bits = ((self.outcome_idx[self.sifted, None] >> shifts) & 1).astype(np.int8)
-        bits.flags.writeable = False
-        return bits
-
     @property
     def records(self) -> tuple[RoundRecord, ...]:
-        n = self.config.n_parties
+        n = self.config.scenario.n_parties
         bases = [_bases(c, n) for c in range(2**n)]
         outcomes = [tuple(1 - 2 * int(b) for b in format(o, f"0{n}b")) for o in range(2**n)]
         rows = zip(self.combo_idx.tolist(), self.outcome_idx.tolist(), self.sifted.tolist())
@@ -143,7 +131,7 @@ def _group(combos: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     """Simulate all rounds.  Each basis combination's outcome law is built,
     sampled by its rounds and dropped in turn."""
-    n_parties = config.n_parties
+    n_parties = config.scenario.n_parties
     rng = np.random.default_rng(config.seed)
     # the basis bits, drawn a block of rows at a time (the same stream as one
     # draw of all rounds) and packed into each round's combination, MSB first
@@ -198,14 +186,16 @@ def reconstruct_key(
     """Alice's bits, the Bobs' cooperative reconstruction, and their error rate."""
     if t.sift_count == 0:
         raise EmptySiftedSet("transcript has no sifted rounds")
-    bits = t._sifted_bits
-    # all-y rounds carry a carrier-dependent parity sign: the full-y
-    # correlation is -s, so the product bit flips when s = +1
+    outcomes = t.outcome_idx[t.sifted]
+    # Alice holds bit k = 2m - 1; the Bobs' +-1 product is -1 iff an odd number
+    # of the k bits below it are set, and all-y rounds carry a carrier-dependent
+    # parity sign: the full-y correlation is -s, so the bit flips when s = +1
     scenario = t.config.scenario
+    k = scenario.n_parties - 1
     y_flip = (1 + branch_y_sign(scenario.carrier, scenario.m)) // 2
     all_y = t.combo_idx[t.sifted] != 0
-    # the product of +-1 outcomes is -1 iff an odd number of them are -1
-    alice, bob = bits[:, 0], (bits[:, 1:].sum(axis=1) + all_y * y_flip) % 2
+    alice = outcomes >> k
+    bob = (popcounts(k)[outcomes & (2**k - 1)] + all_y * y_flip) % 2
     errors = int(np.count_nonzero(alice != bob))
     return tuple(alice.tolist()), tuple(bob.tolist()), errors / t.sift_count
 
@@ -218,13 +208,6 @@ def _entropy(codes: np.ndarray) -> float:
     return entropy(c / n for c in counts[np.argsort(first)].tolist())
 
 
-def _plugin_mutual_info(x: np.ndarray, y: np.ndarray) -> float:
-    """Plug-in mutual information (bits) between paired nonnegative integer
-    codes; the joint code is built on y, which must be wide enough for it."""
-    joint = y * (int(x.max()) + 1) + x
-    return _entropy(x) + _entropy(y) - _entropy(joint)
-
-
 def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
     """Plug-in estimate of I(Alice's sifted bit : subset outcome tuple).
 
@@ -232,7 +215,8 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
     least one Bob; the all-Bobs case is key reconstruction, not a coalition.
     A single sifted round gives exactly 0.
     """
-    bobs = set(range(1, t.config.n_parties))
+    n = t.config.scenario.n_parties
+    bobs = set(range(1, n))
     sub = sorted(set(subset))
     if not sub or not set(sub) <= bobs:
         raise InvalidArgument(f"subset must be a nonempty set of Bob indices {sorted(bobs)}")
@@ -240,10 +224,12 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
         raise InvalidArgument("subset must be proper; use reconstruct_key for all Bobs")
     if t.sift_count == 0:
         raise EmptySiftedSet("transcript has no sifted rounds")
-    bits = t._sifted_bits
-    # the coalition's bits, MSB first, as one integer per round
-    packed = bits[:, sub] @ (1 << np.arange(len(sub) - 1, -1, -1))
-    return _plugin_mutual_info(bits[:, 0], packed)
+    o = t.outcome_idx[t.sifted]
+    # each mask codes the bits it keeps one to one: Alice's top bit, and Bob
+    # q's bit top >> q
+    top = 1 << (n - 1)
+    mask = sum(top >> q for q in sub)
+    return _entropy(o & top) + _entropy(o & mask) - _entropy(o & (top | mask))
 
 
 _SIGN_TEXT = str.maketrans({"0": "1,", "1": "-1,"})
@@ -254,7 +240,7 @@ def transcript_to_jsonl(t: ProtocolTranscript) -> Iterable[str]:
     that each hold the whole newline-terminated lines of the rounds of one
     thousand, 1000 h to 1000 h + 999.  Round numbers are read from digit
     tables, the other pieces from tables over every combination and outcome."""
-    n = t.config.n_parties
+    n = t.config.scenario.n_parties
     # a line is 5 pieces: prefix, round number, bases, outcomes, sifted flag
     bases = np.array([f',"bases":"{_bases(c, n)}","outcomes":' for c in range(2**n)],
                      dtype=object)

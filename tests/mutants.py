@@ -63,7 +63,8 @@ MUTANTS = (
     ),
     Mutant(
         "key-without-y-flip", "protocol.py",
-        "(bits[:, 1:].sum(axis=1) + all_y * y_flip) % 2", "bits[:, 1:].sum(axis=1) % 2",
+        "(popcounts(k)[outcomes & (2**k - 1)] + all_y * y_flip) % 2",
+        "popcounts(k)[outcomes & (2**k - 1)] % 2",
         # m = 3 has no y-flip, so the m = 3 key tests cannot see it
         ("tests/test_protocol.py::TestSiftingAndParity::test_m2_parity_sign_flips",),
     ),
@@ -79,7 +80,7 @@ MUTANTS = (
     ),
     Mutant(
         "sift-mask-without-all-ones", "protocol.py",
-        "(self.combo_idx == 0) | (self.combo_idx == 2**self.config.n_parties - 1)",
+        "(self.combo_idx == 0) | (self.combo_idx == 2**self.config.scenario.n_parties - 1)",
         "self.combo_idx == 0",
         ("tests/test_protocol.py::TestSiftingAndParity::test_mixed_rounds_not_sifted",
          "tests/test_protocol.py::TestKeyReconstruction::test_columns_are_combination_and_outcome"),
@@ -178,6 +179,23 @@ MUTANTS = (
         "info += 0.5 * (entropy(", "info += (entropy(",
         ("tests/test_attack.py::TestInformationCurves::test_exact_distribution_matches_analytic",
          "tests/test_acceptance.py::test_criterion_3_security_crossing"),
+    ),
+    # keys and coalition codes read as bit masks of the outcome index
+    Mutant(
+        "parity-reads-alice", "protocol.py",
+        "popcounts(k)[outcomes & (2**k - 1)]", "popcounts(k + 1)[outcomes]",
+        ("tests/test_protocol.py::TestKeyReconstruction::test_keys_and_error_rate_match_the_properties",),
+    ),
+    Mutant(
+        "coalition-bits-reversed", "protocol.py",
+        "sum(top >> q for q in sub)", "sum(1 << (q - 1) for q in sub)",
+        ("tests/test_protocol.py::TestColumnarMutualInfo::test_coalition_info_equals_counter_sums",
+         "tests/test_cli.py::TestRunProtocolCommand::test_golden_output_hashes"),
+    ),
+    Mutant(
+        "joint-code-drops-alice", "protocol.py",
+        "- _entropy(o & (top | mask))", "- _entropy(o & mask)",
+        ("tests/test_protocol.py::TestMutualInfoEstimator::test_constant_symbol",),
     ),
 )
 

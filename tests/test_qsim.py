@@ -195,7 +195,7 @@ class TestApplyOneKernel:
         ours = protocol.run_protocol(config)
         # the laws as the moveaxis kernel and a length-2 sum over Evan's probe
         # built them from the dense attacked state
-        n = config.n_parties
+        n = config.scenario.n_parties
         psi = dense_attacked_state(config.scenario)
         base = psi.amplitudes.reshape((2,) * psi.n_qubits)
         expected = []
