@@ -12,13 +12,15 @@ of (config, seed).
 from __future__ import annotations
 
 import functools
+import mmap
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .attack import AttackScenario, attacked_state, entropy
-from .errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
+from .errors import BudgetExceeded, EmptySiftedSet, InternalInconsistency, InvalidArgument
 from .qsim import EIGENBASIS, Outcome, _apply_one, popcounts
 from .states import branch_y_sign, carrier_branch
 
@@ -37,7 +39,8 @@ __all__ = [
 #: Largest m a run admits.  The work, for each of the 2^(2m) basis combinations
 #: 2m - 1 rotations of the 2^(2m-1) amplitudes of |xi>, one signed gather for
 #: |xibar> and one 4 x 2 x 2^(2m-1) product, grows about 19-fold per step in m:
-#: m = 6 with 2e4 rounds takes about 1.05 s on a shared 2-core VM.
+#: at m = 6 the 4,096 laws take about 0.8 s on one CPU of a shared 2-core VM,
+#: and about 0.45 s split over both.
 MAX_M = 7
 
 #: Round column type: combinations and outcome indices of 2m <= 14 bits.
@@ -128,9 +131,24 @@ def _group(combos: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return order, bounds
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the OS does not say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+#: Fewest combinations a forked law worker takes: below 512 (m <= 4) a fork
+#: costs more than the laws it would build.
+_WORKER_COMBOS = 512
+
+
 def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     """Simulate all rounds.  Each basis combination's outcome law is built,
-    sampled by its rounds and dropped in turn."""
+    sampled by its rounds and dropped in turn.  The combinations are cut into
+    contiguous ranges, one per usable CPU and at least ``_WORKER_COMBOS``
+    each; forked workers sample all ranges but the last, which this process
+    does, into one shared column, so every range builds the same laws in the
+    same order and the transcript does not depend on the split."""
     n_parties = config.scenario.n_parties
     rng = np.random.default_rng(config.seed)
     # the basis bits, drawn a block of rows at a time (the same stream as one
@@ -142,8 +160,11 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         combos[a:b] = rng.integers(0, 2, size=(b - a, n_parties)) @ weights
     uniforms = rng.random(config.rounds)
 
-    outcome_idx = np.empty(config.rounds, dtype=_COMBO_DTYPE)
     order, bounds = _group(combos, 2**n_parties)
+    # the outcomes in grouping order, shared with the forked workers
+    sampled = np.frombuffer(
+        mmap.mmap(-1, combos.nbytes), dtype=_COMBO_DTYPE, count=config.rounds
+    )
     # the attacked state is sum_b coef[a, b, e] |a>|branch b>|e>: its (Alice,
     # branch, probe) coefficients, and the branch xi with the Bobs on axes
     # 0 .. k-1, k = 2m-1, as in the dense register
@@ -159,24 +180,54 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     phased = np.array([1, -1j, -1, 1j])[:, None] * (1 - 2 * (ones & 1))
     index = np.arange(2**k)
     bobs = np.empty((2, 2**k), dtype=complex)  # rows R|xi>, R|xibar>
-    # every combination is built, used or not, so the work depends on m alone;
-    # its law is cumulative over the party outcomes, marginalized over Evan's probe
-    for combo in range(2**n_parties):
-        alice = _apply_one(coef, 0, rotations[combo >> k])
-        rotated = xi
-        for q in range(k):
-            rotated = _apply_one(rotated, q, rotations[(combo >> (k - 1 - q)) & 1])
-        np.copyto(bobs[0].reshape(rotated.shape), rotated)
-        ymask = combo & (2**k - 1)
-        np.multiply(bobs[0][index ^ ymask], phased[ones[ymask] % 4], out=bobs[1])
-        # rows (Alice, probe), columns the Bob outcomes
-        amps = alice.transpose(0, 2, 1).reshape(4, 2) @ bobs
-        sq = (np.abs(amps) ** 2).reshape(2, 2, -1)
-        probs = (sq[:, 0] + sq[:, 1]).reshape(-1)
-        law = np.cumsum(probs / probs.sum())
-        rows = order[bounds[combo] : bounds[combo + 1]]
-        # law[-1] is 1 up to rounding, so the last outcome takes every u past law[-2]
-        outcome_idx[rows] = np.searchsorted(law[:-1], uniforms[rows], side="right")
+
+    def sample(lo: int, hi: int) -> None:
+        # every combination is built, used or not, so the work depends on m
+        # alone; its law is cumulative over the party outcomes, marginalized
+        # over Evan's probe
+        for combo in range(lo, hi):
+            alice = _apply_one(coef, 0, rotations[combo >> k])
+            rotated = xi
+            for q in range(k):
+                rotated = _apply_one(rotated, q, rotations[(combo >> (k - 1 - q)) & 1])
+            np.copyto(bobs[0].reshape(rotated.shape), rotated)
+            ymask = combo & (2**k - 1)
+            np.multiply(bobs[0][index ^ ymask], phased[ones[ymask] % 4], out=bobs[1])
+            # rows (Alice, probe), columns the Bob outcomes
+            amps = alice.transpose(0, 2, 1).reshape(4, 2) @ bobs
+            sq = (np.abs(amps) ** 2).reshape(2, 2, -1)
+            probs = (sq[:, 0] + sq[:, 1]).reshape(-1)
+            law = np.cumsum(probs / probs.sum())
+            rows = order[bounds[combo] : bounds[combo + 1]]
+            # law[-1] is 1 up to rounding, so the last outcome takes every u past law[-2]
+            sampled[bounds[combo] : bounds[combo + 1]] = np.searchsorted(
+                law[:-1], uniforms[rows], side="right"
+            )
+
+    size = 2**n_parties
+    workers = max(1, min(_usable_cpus(), size // _WORKER_COMBOS))
+    cuts = [size * w // workers for w in range(workers + 1)]
+    pids = []
+    try:
+        for w in range(workers - 1):
+            pid = os.fork()
+            if pid == 0:
+                # a worker never returns into its parent's code
+                status = 1
+                try:
+                    sample(cuts[w], cuts[w + 1])
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        sample(cuts[-2], cuts[-1])
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    failed = [os.waitstatus_to_exitcode(s) for s in statuses if s != 0]
+    if failed:
+        raise InternalInconsistency(f"law workers failed with exit codes {failed}")
+    outcome_idx = np.empty(config.rounds, dtype=_COMBO_DTYPE)
+    outcome_idx[order] = sampled
     return ProtocolTranscript(config, combos, outcome_idx)
 
 

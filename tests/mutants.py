@@ -87,7 +87,7 @@ MUTANTS = (
     ),
     Mutant(
         "law-without-clamp", "protocol.py",
-        "np.searchsorted(law[:-1], uniforms[rows]", "np.searchsorted(law, uniforms[rows]",
+        "law[:-1], uniforms[rows]", "law, uniforms[rows]",
         ("tests/test_protocol.py::TestCompactColumns::test_largest_uniform_stays_in_range",),
     ),
     Mutant(
@@ -196,6 +196,25 @@ MUTANTS = (
         "joint-code-drops-alice", "protocol.py",
         "- _entropy(o & (top | mask))", "- _entropy(o & mask)",
         ("tests/test_protocol.py::TestMutualInfoEstimator::test_constant_symbol",),
+    ),
+    # the laws split over forked workers: every range sampled whole, every
+    # worker waited for and its exit status read
+    Mutant(
+        "worker-range-cut-short", "protocol.py",
+        "sample(cuts[w], cuts[w + 1])", "sample(cuts[w], cuts[w + 1] - 1)",
+        ("tests/test_protocol.py::TestForkedLawWorkers::test_columns_do_not_depend_on_the_split[2-G]",),
+    ),
+    Mutant(
+        "worker-status-ignored", "protocol.py",
+        "if failed:", "if False:",
+        ("tests/test_protocol.py::TestForkedLawWorkers::test_failed_worker_raises[2]",
+         "tests/test_cli.py::TestRunProtocolCommand::test_failed_law_worker_exits_3"),
+    ),
+    Mutant(
+        "workers-not-reaped", "protocol.py",
+        "[os.waitpid(pid, 0)[1] for pid in pids]", "[]",
+        ("tests/test_protocol.py::TestForkedLawWorkers::test_columns_do_not_depend_on_the_split[2-G]",
+         "tests/test_protocol.py::TestForkedLawWorkers::test_failed_parent_range_waits_for_workers"),
     ),
 )
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qss import cli, states
+from qss import cli, protocol, states
 from qss.cli import main
 
 
@@ -570,6 +570,35 @@ class TestRunProtocolCommand:
             ["run-protocol", "--m", "2", "--rounds", "10", "--seed", "-1", "--out", str(out)]
         ) == 2
         assert not list(tmp_path.iterdir())
+
+    def test_failed_law_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        # two workers however many CPUs, and a worker that raises
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(protocol, "_WORKER_COMBOS", 1)
+        parent = os.getpid()
+        apply_one = protocol._apply_one
+
+        def fails_in_a_worker(arr, axis, mat):
+            if os.getpid() != parent:
+                raise RuntimeError("a worker failed")
+            return apply_one(arr, axis, mat)
+
+        monkeypatch.setattr(protocol, "_apply_one", fails_in_a_worker)
+        out = tmp_path / "run"
+        assert run_cli(["run-protocol", "--m", "2", "--rounds", "200", "--out", str(out)]) == 3
+        assert "law workers failed with exit codes [1]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_long_job_never_forks(self, tmp_path, monkeypatch):
+        # the benchmark's protocol-long job: 64 combinations, below the
+        # 2 * 512 that a split needs, whatever the CPU count
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("run-protocol forked"))
+        out = tmp_path / "run"
+        assert run_cli(["run-protocol", "--m", "3", "--rounds", "100000", "--carrier", "G",
+                        "--phi", "0.3", "--seed", "1", "--out", str(out)]) == 0
 
     @staticmethod
     def _traced_peak(tmp_path, m, rounds):

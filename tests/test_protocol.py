@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import tracemalloc
 from collections import Counter
 
@@ -13,7 +14,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from qss import protocol
 from qss.attack import AttackScenario, TripartiteState, attacked_state, binary_entropy
-from qss.errors import BudgetExceeded, EmptySiftedSet, InvalidArgument
+from qss.errors import BudgetExceeded, EmptySiftedSet, InternalInconsistency, InvalidArgument
 from qss.protocol import (
     MAX_M,
     MAX_ROUNDS,
@@ -122,6 +123,8 @@ class TestBlockedBasisDraws:
 
         monkeypatch.setattr(np, "searchsorted", recorded)
         monkeypatch.setattr(protocol, "_apply_one", lambda arr, axis, mat: arr)
+        # every law in this process, so that each search is recorded here
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 1)
         t = run_protocol(ProtocolConfig(rounds, AttackScenario("G", m, 0.3), 31))
         assert np.array_equal(t.combo_idx, combos)
         # one call per combination, in index order, each with its rounds' uniforms
@@ -149,6 +152,91 @@ class TestRotationCount:
         # Alice's rotations act on the 8 (Alice, branch, probe) coefficients
         assert len(sizes) == n * combos
         assert Counter(sizes) == Counter({8: combos}) + Counter({2 ** (n - 1): (n - 1) * combos})
+
+
+def split_laws(monkeypatch, workers):
+    """Cut every run's combinations into ``workers`` ranges, whatever m, and
+    count the forks: a test-only stand-in for a machine with that many CPUs."""
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(protocol, "_WORKER_COMBOS", 1)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedLawWorkers:
+    """The combinations split over forked workers give the columns that one
+    process gives, and no worker outlives the run."""
+
+    @pytest.mark.parametrize("carrier", ["G", "GHZ"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_columns_do_not_depend_on_the_split(self, carrier, m, monkeypatch):
+        config = ProtocolConfig(3000, AttackScenario(carrier, m, 0.3), 11)
+        split_laws(monkeypatch, 1)
+        ref = run_protocol(config)
+        # 4^m combinations never split evenly in three
+        for workers in (2, 3):
+            forks = split_laws(monkeypatch, workers)
+            t = run_protocol(config)
+            assert len(forks) == workers - 1
+            assert_no_child_left()
+            assert np.array_equal(t.combo_idx, ref.combo_idx)
+            assert np.array_equal(t.outcome_idx, ref.outcome_idx)
+            assert t.outcome_idx.dtype == ref.outcome_idx.dtype
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failed_worker_raises(self, workers, monkeypatch):
+        split_laws(monkeypatch, workers)
+        parent = os.getpid()
+        apply_one = protocol._apply_one
+
+        def fails_in_a_worker(arr, axis, mat):
+            if os.getpid() != parent:
+                raise RuntimeError("a worker failed")
+            return apply_one(arr, axis, mat)
+
+        monkeypatch.setattr(protocol, "_apply_one", fails_in_a_worker)
+        with pytest.raises(InternalInconsistency) as failed:
+            run_protocol(ProtocolConfig(100, AttackScenario("G", 2, 0.3), 0))
+        assert str(failed.value).endswith(f"exit codes {[1] * (workers - 1)}")
+        assert_no_child_left()
+
+    def test_failed_parent_range_waits_for_workers(self, monkeypatch):
+        split_laws(monkeypatch, 2)
+        parent = os.getpid()
+        apply_one = protocol._apply_one
+
+        def fails_here(arr, axis, mat):
+            if os.getpid() == parent:
+                raise RuntimeError("this process failed")
+            return apply_one(arr, axis, mat)
+
+        monkeypatch.setattr(protocol, "_apply_one", fails_here)
+        with pytest.raises(RuntimeError, match="this process failed"):
+            run_protocol(ProtocolConfig(100, AttackScenario("G", 2, 0.3), 0))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_small_runs_stay_in_one_process(self, m, monkeypatch):
+        # fewer than 2 * 512 combinations: no fork, however many CPUs
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        run_protocol(ProtocolConfig(200, AttackScenario("G", m, 0.3), 0))
+
+    def test_one_process_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert protocol._usable_cpus() == 1
 
 
 class TestFactoredLaw:
