@@ -222,10 +222,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
             pids.append(pid)
         sample(cuts[-2], cuts[-1])
     finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    failed = [os.waitstatus_to_exitcode(s) for s in statuses if s != 0]
-    if failed:
-        raise InternalInconsistency(f"law workers failed with exit codes {failed}")
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise InternalInconsistency(f"law workers exited with codes {codes}")
     outcome_idx = np.empty(config.rounds, dtype=_COMBO_DTYPE)
     outcome_idx[order] = sampled
     return ProtocolTranscript(config, combos, outcome_idx)
@@ -260,11 +259,14 @@ def _entropy(codes: np.ndarray) -> float:
 
 
 def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
-    """Plug-in estimate of I(Alice's sifted bit : subset outcome tuple).
+    """Plug-in estimate of I(Alice's sifted bit : subset outcome tuple, basis).
 
-    ``subset`` holds Bob qubit indices (1 .. 2m-1) and must leave out at
-    least one Bob; the all-Bobs case is key reconstruction, not a coalition.
-    A single sifted round gives exactly 0.
+    Sifting announces the basis, so the coalition holds it too; as Alice's
+    bit is uniform in both bases, the exact value is I(A:S | basis), the mean
+    of the all-x and the all-y information.  ``subset`` holds Bob qubit
+    indices (1 .. 2m-1) and must leave out at least one Bob; the all-Bobs
+    case is key reconstruction, not a coalition.  A single sifted round gives
+    exactly 0.
     """
     n = t.config.scenario.n_parties
     bobs = set(range(1, n))
@@ -275,11 +277,13 @@ def coalition_info(t: ProtocolTranscript, subset: Iterable[int]) -> float:
         raise InvalidArgument("subset must be proper; use reconstruct_key for all Bobs")
     if t.sift_count == 0:
         raise EmptySiftedSet("transcript has no sifted rounds")
-    o = t.outcome_idx[t.sifted]
-    # each mask codes the bits it keeps one to one: Alice's top bit, and Bob
-    # q's bit top >> q
+    # the outcome index with the basis above it, bit n set in all-y rounds;
+    # each mask codes the bits it keeps one to one: Alice's bit top, Bob q's
+    # bit top >> q and the basis bit
+    all_y = t.combo_idx[t.sifted] != 0
+    o = t.outcome_idx[t.sifted] | all_y << n
     top = 1 << (n - 1)
-    mask = sum(top >> q for q in sub)
+    mask = 1 << n | sum(top >> q for q in sub)
     return _entropy(o & top) + _entropy(o & mask) - _entropy(o & (top | mask))
 
 

@@ -193,6 +193,12 @@ MUTANTS = (
          "tests/test_cli.py::TestRunProtocolCommand::test_golden_output_hashes"),
     ),
     Mutant(
+        "coalition-pools-bases", "protocol.py",
+        "mask = 1 << n | sum(", "mask = sum(",
+        ("tests/test_protocol.py::TestCoalitionInfoExactReference::test_m2_bob_reads_the_all_x_bit",
+         "tests/test_protocol.py::TestColumnarMutualInfo::test_coalition_info_equals_counter_sums"),
+    ),
+    Mutant(
         "joint-code-drops-alice", "protocol.py",
         "- _entropy(o & (top | mask))", "- _entropy(o & mask)",
         ("tests/test_protocol.py::TestMutualInfoEstimator::test_constant_symbol",),
@@ -206,13 +212,14 @@ MUTANTS = (
     ),
     Mutant(
         "worker-status-ignored", "protocol.py",
-        "if failed:", "if False:",
+        "if any(codes):", "if False:",
         ("tests/test_protocol.py::TestForkedLawWorkers::test_failed_worker_raises[2]",
          "tests/test_cli.py::TestRunProtocolCommand::test_failed_law_worker_exits_3"),
     ),
     Mutant(
         "workers-not-reaped", "protocol.py",
-        "[os.waitpid(pid, 0)[1] for pid in pids]", "[]",
+        "codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]",
+        "codes = []",
         ("tests/test_protocol.py::TestForkedLawWorkers::test_columns_do_not_depend_on_the_split[2-G]",
          "tests/test_protocol.py::TestForkedLawWorkers::test_failed_parent_range_waits_for_workers"),
     ),

@@ -478,32 +478,33 @@ class TestRunProtocolCommand:
         assert set(summary["coalition_info"]) == {"1", "2", "3", "1,2"}
 
     # sha256 of the transcript and summary, taken from the per-round
-    # implementation that the columnar transcript replaced
+    # implementation that the columnar transcript replaced; the summaries
+    # re-taken when the coalition codes took in the announced basis
     @pytest.mark.parametrize(
         "m, rounds, carrier, phi, seed, transcript_sha, summary_sha",
         [
             ("3", "20000", "G", "0.3", "1",
              "0d756cd8bef37b8e5dad703137617c0603b2e025174e3f294ae42bd82a5364d0",
-             "8743485a2dc8aca7abf101ddebaa3e944754cdc886e3a31ab4a777ba2ff10c8c"),
+             "90755d49199ed72c7e112cadb4350670c8fae6fbc99e6936465da6a72fc7a1c8"),
             ("3", "20000", "GHZ", "0.0", "2",
              "a647da52f5d6fe492de10dfaf02398a58deac5db9f91108b33ab9187ed85a922",
-             "b24347148b07a73502b2a364f0dedbe8e38cc493ec7c590416ac57234ab7b602"),
+             "c60aa7b064b068f125ccee4f4134b68b865178aa753fb352451c601633cee135"),
             ("2", "5000", "G", "0.7853981633974483", "3",
              "17396bfe997f986404647a034009465eb5c19baa5667f7972bed3c226f8c172c",
-             "c9c4106bcb72571838b3a3456f22419f138ae6546f2a93bdbccac17fab34e57a"),
+             "91d2723814d3384431522818af1850eef9cc052a693bcc6577695f47e910297f"),
             ("4", "5000", "GHZ", "0.3", "4",
              "f42aa84536a53f5ff1e7d7402a7c5f98501bb7b6025fb747d5bf5419a1e89841",
-             "b04404b6c63ac3fb184f4c3ff813c00723fb8490345b908f04d5f57b96438398"),
+             "6724db876bcbfa5f1d5baa464dbdf3390cc7b8db038ac6c14e58d6f870912bc2"),
             # taken from the 2^(2m) x 2^(2m) outcome table that the laws
             # built one combination at a time replaced
             ("5", "20000", "G", "0.3", "7",
              "f1f0644a74cd544a853b2805394756f6af036c7f85076d4f2f031d0f342a82c6",
-             "29039357aeddd7ca196a81d158a72c26ec44a91a0135300271019540204f73b0"),
+             "af177bf55e0e15406cfcb402fe2fb8005884b966b47a7b281e3bed83c86eb1ec"),
             # the benchmark's protocol-wide job, taken from the moveaxis
             # rotation kernel that the swapaxes one replaced
             ("6", "20000", "G", "0.3", "901",
              "1c6443e88595ea4826be2b8dcea773e13352073177ce88be71186c2dba80f181",
-             "f119781587d66f16c2ef0883fc615d98245cc5e495bf6dc3aad58f47b7429d4b"),
+             "9f2a36c48fd58f0038a0e40c5e81d29dec8f6258b9d7cc3238535f1ae066b935"),
         ],
     )
     def test_golden_output_hashes(
@@ -586,7 +587,7 @@ class TestRunProtocolCommand:
         monkeypatch.setattr(protocol, "_apply_one", fails_in_a_worker)
         out = tmp_path / "run"
         assert run_cli(["run-protocol", "--m", "2", "--rounds", "200", "--out", str(out)]) == 3
-        assert "law workers failed with exit codes [1]" in capsys.readouterr().err
+        assert "law workers exited with codes [1]" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

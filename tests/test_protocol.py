@@ -209,7 +209,7 @@ class TestForkedLawWorkers:
         monkeypatch.setattr(protocol, "_apply_one", fails_in_a_worker)
         with pytest.raises(InternalInconsistency) as failed:
             run_protocol(ProtocolConfig(100, AttackScenario("G", 2, 0.3), 0))
-        assert str(failed.value).endswith(f"exit codes {[1] * (workers - 1)}")
+        assert str(failed.value).endswith(f"exited with codes {[1] * (workers - 1)}")
         assert_no_child_left()
 
     def test_failed_parent_range_waits_for_workers(self, monkeypatch):
@@ -526,15 +526,16 @@ class TestCoalitionInfo:
 
 
 def coalition_law(scenario, subset):
-    """Exact joint law of (Alice's bit, the subset's bits) in a sifted round:
-    all-x and all-y rounds are sifted equally often, so it is their 50/50
-    mixture.  Shape (2, 2^|subset|), bits in qubit order."""
+    """Exact joint law of (Alice's bit, the announced basis and the subset's
+    bits) in a sifted round: all-x and all-y rounds are sifted equally often,
+    so each basis has half the mass.  Shape (2, 2 * 2^|subset|), columns the
+    all-x then the all-y outcomes, bits in qubit order."""
     psi = dense_attacked_state(scenario)
     laws = []
     for basis in "XY":
         bases = "".join(basis if q == 0 or q in subset else "I" for q in range(psi.n_qubits))
-        laws.append(outcome_probabilities(psi, bases))
-    return (0.5 * (laws[0] + laws[1])).reshape(2, -1)
+        laws.append(0.5 * outcome_probabilities(psi, bases).reshape(2, -1))
+    return np.concatenate(laws, axis=1)
 
 
 def support(p):
@@ -568,9 +569,26 @@ class TestCoalitionInfoExactReference:
             bias = cells / (2 * n * math.log(2))
             assert abs(estimate - info - bias) <= 5 * math.sqrt(var / n)
         else:
-            # 2 N ln2 times the estimate is chi-squared with d degrees of freedom
-            d = 2 ** len(subset) - 1
+            # 2 N ln2 times the estimate is chi-squared with d degrees of
+            # freedom, one fewer than the 2 * 2^|subset| (basis, outcome) cells
+            d = 2 ** (len(subset) + 1) - 1
             assert estimate <= (d + 5 * math.sqrt(2 * d)) / (2 * n * math.log(2))
+
+    def test_m2_bob_reads_the_all_x_bit(self):
+        # at m = 2 and phi = 0 Bob 1 holds Alice's bit in every all-x round
+        # and nothing of it in all-y rounds: I(A:S | basis) = (1 + 0) / 2,
+        # where the law pooled over both bases gives about 0.19 bits
+        scenario = AttackScenario("G", 2, 0.0)
+        law = coalition_law(scenario, (1,))
+        info, var = exact_coalition_info(law)
+        assert info == pytest.approx(0.5, abs=1e-12)
+        t = make_transcript(carrier="G", m=2, rounds=400_000, phi=0.0, seed=7)
+        n = t.sift_count
+        cells = support(law) - support(law.sum(axis=1)) - support(law.sum(axis=0)) + 1
+        bias = cells / (2 * n * math.log(2))
+        estimate = coalition_info(t, [1])
+        assert abs(estimate - info - bias) <= 5 * math.sqrt(var / n)
+        assert estimate > 0.45
 
     def test_exact_g_values(self):
         # 1 - H(2/3) for one Bob, and more for larger coalitions
@@ -595,10 +613,11 @@ def counter_mutual_info(samples):
 
 
 def counter_coalition_info(t, subset):
-    """(Alice's bit, the subset's +-1 outcomes) of each sifted record, through
-    ``counter_mutual_info``."""
+    """(Alice's bit, the basis and the subset's +-1 outcomes) of each sifted
+    record, through ``counter_mutual_info``."""
     samples = [
-        ((1 - rec.outcomes[0]) // 2, tuple(rec.outcomes[q] for q in sorted(subset)))
+        ((1 - rec.outcomes[0]) // 2,
+         (rec.basis_label, tuple(rec.outcomes[q] for q in sorted(subset))))
         for rec in t.records
         if rec.sifted
     ]
