@@ -198,11 +198,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
             sq = (np.abs(amps) ** 2).reshape(2, 2, -1)
             probs = (sq[:, 0] + sq[:, 1]).reshape(-1)
             law = np.cumsum(probs / probs.sum())
-            rows = order[bounds[combo] : bounds[combo + 1]]
+            rows = slice(bounds[combo], bounds[combo + 1])
             # law[-1] is 1 up to rounding, so the last outcome takes every u past law[-2]
-            sampled[bounds[combo] : bounds[combo + 1]] = np.searchsorted(
-                law[:-1], uniforms[rows], side="right"
-            )
+            sampled[rows] = np.searchsorted(law[:-1], uniforms[order[rows]], side="right")
 
     size = 2**n_parties
     workers = max(1, min(_usable_cpus(), size // _WORKER_COMBOS))
@@ -213,12 +211,11 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
             pid = os.fork()
             if pid == 0:
                 # a worker never returns into its parent's code
-                status = 1
                 try:
                     sample(cuts[w], cuts[w + 1])
-                    status = 0
+                    os._exit(0)
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             pids.append(pid)
         sample(cuts[-2], cuts[-1])
     finally:

@@ -87,7 +87,7 @@ MUTANTS = (
     ),
     Mutant(
         "law-without-clamp", "protocol.py",
-        "law[:-1], uniforms[rows]", "law, uniforms[rows]",
+        "law[:-1], uniforms[order[rows]]", "law, uniforms[order[rows]]",
         ("tests/test_protocol.py::TestCompactColumns::test_largest_uniform_stays_in_range",),
     ),
     Mutant(
