@@ -12,7 +12,6 @@ of (config, seed).
 from __future__ import annotations
 
 import functools
-import mmap
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -161,7 +160,10 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     uniforms = rng.random(config.rounds)
 
     order, bounds = _group(combos, 2**n_parties)
-    # the outcomes in grouping order, shared with the forked workers
+    # the outcomes in grouping order, shared with the forked workers; mmap is
+    # loaded here, so that commands without a run do not map its library
+    import mmap
+
     sampled = np.frombuffer(
         mmap.mmap(-1, combos.nbytes), dtype=_COMBO_DTYPE, count=config.rounds
     )
