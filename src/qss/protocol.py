@@ -38,8 +38,9 @@ __all__ = [
 #: Largest m a run admits.  The work, for each of the 2^(2m) basis combinations
 #: 2m - 1 rotations of the 2^(2m-1) amplitudes of |xi>, one signed gather for
 #: |xibar> and one 4 x 2 x 2^(2m-1) product, grows about 19-fold per step in m:
-#: at m = 6 the 4,096 laws take about 0.8 s on one CPU of a shared 2-core VM,
-#: and about 0.45 s split over both.
+#: on a shared 2-core VM the m = 6 command with 2e4 rounds takes about 0.8 s
+#: with its 4,096 laws built in one process, and about 0.49 s split over both
+#: CPUs.
 MAX_M = 7
 
 #: Round column type: combinations and outcome indices of 2m <= 14 bits.
