@@ -1,9 +1,10 @@
 """Command-line front end: every analysis as a seed-deterministic batch job.
 
-All angles are radians unless ``--deg`` is given.  Outputs are written
-atomically (temp file + rename), so a failed command never leaves a partial
-file.  Floats are emitted with round-trip precision; reruns with identical
-flags and seed produce byte-identical files.
+All angles are radians unless ``--deg`` is given.  Each command returns its
+files, and ``main`` writes them atomically (temp file + rename) and all or
+none, so a failed command leaves no file.  CSV cells and JSON values share
+one encoding, floats with round-trip precision; reruns with identical flags
+and seed produce byte-identical files.
 
 Exit codes: 0 success, 2 usage error, 3 numerical-invariant failure.
 """
@@ -63,28 +64,23 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _json_text(obj) -> str:
+def _encode(obj, **layout) -> str:
+    """JSON text of ``obj``, the one number encoding of every output."""
     try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(obj, allow_nan=False, **layout)
     except ValueError as exc:  # NaN or +-inf, which JSON cannot hold
         raise InternalInconsistency(f"non-finite value in the output: {exc}") from exc
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise InternalInconsistency(f"non-finite value {x!r} in the output")
-        return repr(x)
-    return str(x)
+def _json_doc(**fields) -> str:
+    return _encode({"schema_version": SCHEMA_VERSION, **fields}, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list], comments: list[str] = ()) -> str:
+def _csv_text(header: list[str], rows: list[list], comments: Iterable[tuple] = ()) -> str:
     lines = [f"# schema: {SCHEMA_VERSION}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    lines.extend(f"# {c}" for c in comments)
+    # a row's cells are its JSON array's items
+    lines.extend(_encode(row, separators=(",", ":"))[1:-1] for row in rows)
+    lines.extend(f"# {key}: {_encode(value)}" for key, value in comments)
     return "\n".join(lines) + "\n"
 
 
@@ -110,7 +106,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _cmd_run_protocol(args) -> int:
+def _cmd_run_protocol(args) -> dict[str, Iterable[str]]:
     phi = math.radians(args.phi) if args.deg else args.phi
     scenario = AttackScenario(args.carrier, args.m, phi)
     config = ProtocolConfig(args.rounds, scenario, args.seed)
@@ -118,28 +114,14 @@ def _cmd_run_protocol(args) -> int:
     singles = [(q,) for q in range(1, 2 * args.m)]
     extras = [tuple(range(1, 2 * args.m - 1))]  # all Bobs but the last one
     summary = transcript_summary(transcript, singles + extras)
-    summary.update(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "m": args.m,
-            "carrier": args.carrier,
-            "phi": phi,
-            "seed": args.seed,
-        }
-    )
-    # a summary that cannot be formatted or written leaves no transcript
-    summary_text = _json_text(summary)
-    transcript_path = args.out + ".transcript.jsonl"
-    _atomic_write(transcript_path, transcript_to_jsonl(transcript))
-    try:
-        _atomic_write(args.out + ".summary.json", (summary_text,))
-    except BaseException:
-        os.unlink(transcript_path)
-        raise
-    return 0
+    summary.update(m=args.m, carrier=args.carrier, phi=phi, seed=args.seed)
+    return {
+        args.out + ".transcript.jsonl": transcript_to_jsonl(transcript),
+        args.out + ".summary.json": (_json_doc(**summary),),
+    }
 
 
-def _cmd_sweep_attack(args) -> int:
+def _cmd_sweep_attack(args) -> dict[str, Iterable[str]]:
     grid = args.phi_grid
     if args.deg:
         grid = np.radians(grid)
@@ -152,17 +134,15 @@ def _cmd_sweep_attack(args) -> int:
         i_ab, i_ae = mutual_info_ab(phi), mutual_info_ae(phi)
         rows.append([phi, i_ab, i_ae, i_ab - i_ae, qber_x(phi), m_ab, m_ae])
     # I(A:E)(phi) is I(A:B)(pi/2 - phi), so the margin vanishes exactly at pi/4
-    crossing = math.pi / 4
     text = _csv_text(
         ["phi", "i_ab", "i_ae", "margin", "qber_x", "horodecki_ab", "horodecki_ae"],
         rows,
-        comments=[f"crossing_phi: {_fmt(crossing)}"],
+        comments=[("crossing_phi", math.pi / 4)],
     )
-    _atomic_write(args.out, (text,))
-    return 0
+    return {args.out: (text,)}
 
 
-def _cmd_bell(args) -> int:
+def _cmd_bell(args) -> dict[str, Iterable[str]]:
     # before add_white_noise builds a 2^n x 2^n matrix the tensor would refuse
     bell.check_tensor_qubits(args.n)
     carrier = args.state.upper()
@@ -170,7 +150,6 @@ def _cmd_bell(args) -> int:
     tensor = correlation_tensor(add_white_noise(state, args.noise).realized)
     plane = bell.plane_sum(tensor)
     result = {
-        "schema_version": SCHEMA_VERSION,
         "state": args.state,
         "n": args.n,
         "noise": args.noise,
@@ -192,47 +171,41 @@ def _cmd_bell(args) -> int:
             "two_setting_criterion_exceeded": value > 1.0,
             "upper_bound": bell.plane_sum_upper_bound(tensor),
         }
-    _atomic_write(args.out, (_json_text(result),))
-    return 0
+    return {args.out: (_json_doc(**result),)}
 
 
-def _cmd_thresholds(args) -> int:
+def _cmd_thresholds(args) -> dict[str, Iterable[str]]:
     reports = bell.crossover_scan(args.n_min, args.n_max)
     rows = [[r.n, r.p_crit_g, r.q_crit_ghz, r.g_more_robust] for r in reports]
     text = _csv_text(["n", "p_crit_g", "q_crit_ghz", "g_more_robust"], rows)
-    _atomic_write(args.out, (text,))
-    return 0
+    return {args.out: (text,)}
 
 
-def _cmd_rdm(args) -> int:
+def _cmd_rdm(args) -> dict[str, Iterable[str]]:
     solution = rdm.g_uniqueness_check(args.n)
-    result = {
-        "schema_version": SCHEMA_VERSION,
-        "n": args.n,
-        "forced_product": solution.forced_product,
-        "nullspace_dim": solution.nullspace_dim,
-        "residual": solution.residual,
-        "gram": [[[v.real, v.imag] for v in row] for row in solution.gram],
-        "ghz_counterexample": rdm.ghz_counterexample_check(args.n),
-    }
-    _atomic_write(args.out, (_json_text(result),))
-    return 0
+    text = _json_doc(
+        n=args.n,
+        forced_product=solution.forced_product,
+        nullspace_dim=solution.nullspace_dim,
+        residual=solution.residual,
+        gram=[[[v.real, v.imag] for v in row] for row in solution.gram],
+        ghz_counterexample=rdm.ghz_counterexample_check(args.n),
+    )
+    return {args.out: (text,)}
 
 
-def _cmd_tensor(args) -> int:
+def _cmd_tensor(args) -> dict[str, Iterable[str]]:
     # before the 2^n carrier amplitudes are built
     bell.check_tensor_qubits(args.n)
     state = carrier_state(args.state.upper(), args.n)
     tensor = correlation_tensor(state)
-    result = {
-        "schema_version": SCHEMA_VERSION,
-        "state": args.state,
-        "n": args.n,
-        "ordering": "xyz-row-major",
-        "entries": [float(v) for v in tensor.entries.reshape(-1)],
-    }
-    _atomic_write(args.out, (_json_text(result),))
-    return 0
+    text = _json_doc(
+        state=args.state,
+        n=args.n,
+        ordering="xyz-row-major",
+        entries=[float(v) for v in tensor.entries.reshape(-1)],
+    )
+    return {args.out: (text,)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -294,14 +267,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    written = []
     try:
-        return args.func(args)
+        try:
+            for path, chunks in args.func(args).items():
+                _atomic_write(path, chunks)
+                written.append(path)
+        except BaseException:
+            # a command's files are written all or none
+            for path in written:
+                os.unlink(path)
+            raise
     except (InvalidState, InternalInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (QssError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

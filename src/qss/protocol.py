@@ -147,8 +147,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     sampled by its rounds and dropped in turn.  The combinations are cut into
     contiguous ranges, one per usable CPU and at least ``_WORKER_COMBOS``
     each; forked workers sample all ranges but the last, which this process
-    does, into one shared column, so every range builds the same laws in the
-    same order and the transcript does not depend on the split."""
+    does, straight into the shared outcome column, so every range builds the
+    same laws in the same order and the transcript does not depend on the
+    split."""
     n_parties = config.scenario.n_parties
     rng = np.random.default_rng(config.seed)
     # the basis bits, drawn a block of rows at a time (the same stream as one
@@ -161,11 +162,11 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     uniforms = rng.random(config.rounds)
 
     order, bounds = _group(combos, 2**n_parties)
-    # the outcomes in grouping order, shared with the forked workers; mmap is
-    # loaded here, so that commands without a run do not map its library
+    # the outcome column, shared with the forked workers; mmap is loaded
+    # here, so that commands without a run do not map its library
     import mmap
 
-    sampled = np.frombuffer(
+    outcome_idx = np.frombuffer(
         mmap.mmap(-1, combos.nbytes), dtype=_COMBO_DTYPE, count=config.rounds
     )
     # the attacked state is sum_b coef[a, b, e] |a>|branch b>|e>: its (Alice,
@@ -201,9 +202,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
             sq = (np.abs(amps) ** 2).reshape(2, 2, -1)
             probs = (sq[:, 0] + sq[:, 1]).reshape(-1)
             law = np.cumsum(probs / probs.sum())
-            rows = slice(bounds[combo], bounds[combo + 1])
+            rows = order[bounds[combo] : bounds[combo + 1]]
             # law[-1] is 1 up to rounding, so the last outcome takes every u past law[-2]
-            sampled[rows] = np.searchsorted(law[:-1], uniforms[order[rows]], side="right")
+            outcome_idx[rows] = np.searchsorted(law[:-1], uniforms[rows], side="right")
 
     size = 2**n_parties
     workers = max(1, min(_usable_cpus(), size // _WORKER_COMBOS))
@@ -225,8 +226,6 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if any(codes):
         raise InternalInconsistency(f"law workers exited with codes {codes}")
-    outcome_idx = np.empty(config.rounds, dtype=_COMBO_DTYPE)
-    outcome_idx[order] = sampled
     return ProtocolTranscript(config, combos, outcome_idx)
 
 

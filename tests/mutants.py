@@ -73,10 +73,24 @@ MUTANTS = (
         "os.chmod(tmp, 0o666 & ~umask)", "pass",
         ("tests/test_cli.py::TestOutputMode::test_mode_follows_umask[umask022]",),
     ),
+    # main's rollback of a command's written files, on any failure
     Mutant(
         "no-transcript-unlink", "cli.py",
-        "os.unlink(transcript_path)", "pass",
+        "os.unlink(path)", "pass",
         ("tests/test_cli.py::TestRunProtocolCommand::test_unwritable_summary_leaves_no_transcript",),
+    ),
+    Mutant(
+        "rollback-only-on-oserror", "cli.py",
+        "except BaseException:\n            # a command's files are written all or none",
+        "except OSError:\n            # a command's files are written all or none",
+        ("tests/test_cli.py::TestRunProtocolCommand::test_any_failure_on_the_summary_leaves_no_transcript",),
+    ),
+    # the one number encoding of CSV and JSON outputs
+    Mutant(
+        "encoder-admits-nan", "cli.py",
+        "allow_nan=False", "allow_nan=True",
+        ("tests/test_cli.py::TestNonFiniteOutput::test_csv_value_exits_3",
+         "tests/test_cli.py::TestNonFiniteOutput::test_json_value_exits_3"),
     ),
     Mutant(
         "sift-mask-without-all-ones", "protocol.py",
@@ -87,7 +101,7 @@ MUTANTS = (
     ),
     Mutant(
         "law-without-clamp", "protocol.py",
-        "law[:-1], uniforms[order[rows]]", "law, uniforms[order[rows]]",
+        "law[:-1], uniforms[rows]", "law, uniforms[rows]",
         ("tests/test_protocol.py::TestCompactColumns::test_largest_uniform_stays_in_range",),
     ),
     Mutant(

@@ -192,6 +192,17 @@ class TestSweepAttack:
                 assert out.exists()
                 out.unlink()
 
+    def test_numpy_float_cell_is_float_text(self, tmp_path, monkeypatch):
+        # numpy 2 spells repr(np.float64(0.25)) as "np.float64(0.25)"
+        monkeypatch.setattr(cli, "mutual_info_ab", lambda phi: np.float64(0.25))
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            ["sweep-attack", "--m", "2", "--phi-grid", "0,0.5", "--out", str(out)]
+        ) == 0
+        rows, _ = read_csv(out)
+        assert [row["i_ab"] for row in rows] == ["0.25", "0.25"]
+        assert float(rows[0]["margin"]) == 0.25 - float(rows[0]["i_ae"])
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "x.csv"
         assert run_cli(
@@ -640,6 +651,24 @@ class TestRunProtocolCommand:
         ) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["run.summary.json"]
         assert not list((tmp_path / "run.summary.json").iterdir())
+
+    def test_any_failure_on_the_summary_leaves_no_transcript(self, tmp_path, monkeypatch):
+        # not an OSError, so no exit code: the rollback alone removes the transcript
+        replace = os.replace
+        targets = []
+
+        def second_fails(src, dst):
+            targets.append(os.path.basename(dst))
+            if len(targets) == 2:
+                raise RuntimeError("the summary's rename failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError):
+            run_cli(["run-protocol", "--m", "2", "--rounds", "200", "--out", str(out)])
+        assert targets == ["run.transcript.jsonl", "run.summary.json"]
+        assert not list(tmp_path.iterdir())
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         def chunks():
