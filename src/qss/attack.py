@@ -36,18 +36,13 @@ __all__ = [
 
 
 def check_phi_grid(grid) -> None:
-    """Raise ``InvalidArgument`` unless every attack angle of ``grid`` lies in
-    the domain [0, pi/2], up to 1e-12 of roundoff; NaN lies outside."""
-    if not np.all((0.0 <= grid) & (grid <= math.pi / 2 + 1e-12)):
-        raise InvalidArgument("phi grid must lie within [0, pi/2]")
-
-
-def _check_phi(phi: float) -> None:
-    """One attack angle's domain: the grid check's, with the angle named."""
-    try:
-        check_phi_grid(phi)
-    except InvalidArgument:
-        raise InvalidArgument(f"phi must be in [0, pi/2], got {phi}") from None
+    """Raise ``InvalidArgument`` naming the first attack angle of ``grid``, one
+    angle or an array of them, outside the domain [0, pi/2], up to 1e-12 of
+    roundoff; NaN lies outside."""
+    grid = np.asarray(grid, dtype=float)
+    outside = ~((0.0 <= grid) & (grid <= math.pi / 2 + 1e-12))
+    if outside.any():
+        raise InvalidArgument(f"phi must be in [0, pi/2], got {grid[outside][0]}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ class AttackScenario:
         if self.m < 1:
             raise InvalidArgument(f"m must be >= 1, got {self.m}")
         carrier_weights(self.carrier, 2 * self.m)  # refuses an unknown carrier
-        _check_phi(self.phi)
+        check_phi_grid(self.phi)
 
     @property
     def n_parties(self) -> int:
@@ -134,20 +129,20 @@ def binary_entropy(p: float) -> float:
 
 def mutual_info_ab(phi: float) -> float:
     """Closed-form I(A:B) = 1 - H((1 + cos phi)/2) in bits."""
-    _check_phi(phi)
+    check_phi_grid(phi)
     return 1.0 - binary_entropy((1.0 + math.cos(phi)) / 2.0)
 
 
 def mutual_info_ae(phi: float) -> float:
     """Closed-form I(A:E); equals I(A:B) at the complementary angle, which
     roundoff can take below 0 when phi is pi/2."""
-    _check_phi(phi)
+    check_phi_grid(phi)
     return mutual_info_ab(max(0.0, math.pi / 2 - phi))
 
 
 def qber_x(phi: float) -> float:
     """Probability that Alice's bit disagrees with the Bobs' product bit."""
-    _check_phi(phi)
+    check_phi_grid(phi)
     return (1.0 - math.cos(phi)) / 2.0
 
 

@@ -66,7 +66,7 @@ def horodecki_m(rho: DensityMatrix) -> float:
     if rho.n_qubits != 2:
         raise InvalidDimension(f"expected a 2-qubit state, got {rho.n_qubits} qubits")
     t = correlation_tensor(rho).entries
-    vals = np.sort(np.linalg.eigvalsh(t.T @ t))
+    vals = np.linalg.eigvalsh(t.T @ t)  # ascending
     return float(vals[-1] + vals[-2])
 
 
@@ -134,6 +134,14 @@ MAX_RESTARTS = 10**6
 _RESTART_BLOCK = 256
 
 
+def _check_search_flags(restarts: int, seed: int) -> None:
+    """Refuse a frame search's restart count or seed outside its domain."""
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise InvalidArgument(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+
+
 def maximize_plane_sum(
     dicke: np.ndarray, visibility: float = 1.0, restarts: int = 64, seed: int = 0
 ) -> tuple[float, np.ndarray]:
@@ -156,10 +164,7 @@ def maximize_plane_sum(
     ``_RESTART_BLOCK`` at a time.  The frame, shape (n, 2, 3), is the winning
     plane's e_theta, e_phi for every party.
     """
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise InvalidArgument(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    _check_search_flags(restarts, seed)
     if not 0.0 <= visibility <= 1.0:
         raise InvalidArgument(f"visibility must be in [0, 1], got {visibility}")
     dicke = np.asarray(dicke, dtype=complex)

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Iterable
 
 import numpy as np
@@ -47,16 +46,14 @@ SCHEMA_VERSION = "qss-1"
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the text chunks to ``path`` as they come, through a temp file
-    renamed into place, so a failure partway leaves no file behind.  The file
-    gets the mode that the umask gives a new file."""
+    renamed into place, so a failure partway leaves no file behind.  The temp
+    file is created as any new file is, with the mode the umask gives."""
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qss-tmp-")
+    tmp = os.path.join(directory, f".qss-tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x")  # before the try: a failed create made no file to remove
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.writelines(chunks)
-        os.chmod(tmp, 0o666 & ~umask)  # not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -145,6 +142,7 @@ def _cmd_sweep_attack(args) -> dict[str, Iterable[str]]:
 def _cmd_bell(args) -> dict[str, Iterable[str]]:
     # before add_white_noise builds a 2^n x 2^n matrix the tensor would refuse
     bell.check_tensor_qubits(args.n)
+    bell._check_search_flags(args.restarts, args.seed)
     carrier = args.state.upper()
     state = carrier_state(carrier, args.n)
     tensor = correlation_tensor(add_white_noise(state, args.noise).realized)

@@ -46,6 +46,12 @@ MUTANTS = (
         'if t.scenario.carrier == "G":', 'if t.scenario.carrier == "GHZ":',
         ("tests/test_attack.py::TestCoalitionCollapse::test_matches_closed_form",),
     ),
+    # one bad angle of many fails the whole grid before any point runs
+    Mutant(
+        "phi-check-all", "attack.py",
+        "outside.any()", "outside.all()",
+        ("tests/test_cli.py::TestSweepAttack::test_one_angle_past_half_pi_named_before_any_point_runs",),
+    ),
     Mutant(
         "rho-ae-keeps-branch", "attack.py",
         "return reduce_state(t.abe, (0, 2))", "return reduce_state(t.abe, (0, 1))",
@@ -68,9 +74,10 @@ MUTANTS = (
         # m = 3 has no y-flip, so the m = 3 key tests cannot see it
         ("tests/test_protocol.py::TestSiftingAndParity::test_m2_parity_sign_flips",),
     ),
+    # the temp file takes the mode open gives it, as a 0600 mkstemp file did not
     Mutant(
         "no-chmod", "cli.py",
-        "os.chmod(tmp, 0o666 & ~umask)", "pass",
+        'open(tmp, "x")', 'os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "w")',
         ("tests/test_cli.py::TestOutputMode::test_mode_follows_umask[umask022]",),
     ),
     # main's rollback of a command's written files, on any failure
@@ -150,6 +157,12 @@ MUTANTS = (
         ("tests/test_bell.py::TestUpperBound::test_carrier_values",),
     ),
     Mutant(
+        "search-flags-only-when-searching", "cli.py",
+        "bell._check_search_flags(args.restarts, args.seed)", "None",
+        ("tests/test_cli.py::TestBellCommand::test_bad_search_flags_exit_2[negative-seed-default]",
+         "tests/test_cli.py::TestBellCommand::test_bad_search_flags_exit_2[zero-restarts-default]"),
+    ),
+    Mutant(
         "parseval-weight-without-binomial", "dicke.py",
         "2.0**n / math.comb(n, w) for w", "2.0**n for w",
         ("tests/test_bell.py::TestSharedPlaneSearch::test_matches_dense_oracle",),
@@ -171,7 +184,9 @@ MUTANTS = (
     Mutant(
         "y-sign-off-by-one", "states.py",
         "(-1) ** (m - 1 + branch_weights", "(-1) ** (m + branch_weights",
-        ("tests/test_attack.py::TestBranchSpan::test_y_sign_matches_dense_oracle",
+        # every m fails; pytest takes seconds to report a failing m of 8 or 9
+        ("tests/test_attack.py::TestBranchSpan::test_y_sign_matches_dense_oracle[5-G]",
+         "tests/test_attack.py::TestBranchSpan::test_y_sign_matches_dense_oracle[5-GHZ]",
          "tests/test_attack.py::TestInformationCurves::test_joint_law_matches_born_oracle"),
     ),
     Mutant(

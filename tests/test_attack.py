@@ -408,8 +408,9 @@ class TestInformationCurves:
     def test_phi_domain_shared(self, phi):
         for check in (mutual_info_ab, mutual_info_ae, qber_x,
                       lambda p: AttackScenario("G", 2, p),
-                      lambda p: attack.check_phi_grid(np.array([0.5, p]))):
-            with pytest.raises(InvalidArgument):
+                      lambda p: attack.check_phi_grid(np.array([0.5, p, 2.0]))):
+            # the first angle outside is named
+            with pytest.raises(InvalidArgument, match=re.escape(f"got {phi}")):
                 check(phi)
 
     def test_phi_grid_check_admits_roundoff(self):

@@ -203,6 +203,20 @@ class TestSweepAttack:
         assert [row["i_ab"] for row in rows] == ["0.25", "0.25"]
         assert float(rows[0]["margin"]) == 0.25 - float(rows[0]["i_ae"])
 
+    def test_one_angle_past_half_pi_named_before_any_point_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def attack(*args):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(cli, "attacked_state", attack)
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            ["sweep-attack", "--m", "2", "--phi-grid", "0.2,1.7,0.4", "--out", str(out)]
+        ) == 2
+        assert capsys.readouterr().err == "error: phi must be in [0, pi/2], got 1.7\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "x.csv"
         assert run_cli(
@@ -319,6 +333,25 @@ class TestBellCommand:
         out = tmp_path / "bell.json"
         args = ["bell", "--state", "g", "--n", "4", "--frame", "search", "--seed", "-1"]
         assert run_cli(args + ["--out", str(out)]) == 2
+        assert not list(tmp_path.iterdir())
+
+    # a frame search's flags are checked whatever the frame
+    @pytest.mark.parametrize("frame", ["default", "search"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--restarts", "-3", "--seed", "-9"], "restarts must be in [1, 1000000], got -3"),
+            (["--restarts", "0"], "restarts must be in [1, 1000000], got 0"),
+            (["--restarts", str(10**13)], f"restarts must be in [1, 1000000], got {10**13}"),
+            (["--seed", "-9"], "seed must be >= 0, got -9"),
+        ],
+        ids=["both", "zero-restarts", "oversized-restarts", "negative-seed"],
+    )
+    def test_bad_search_flags_exit_2(self, tmp_path, capsys, frame, flags, message):
+        out = tmp_path / "bell.json"
+        args = ["bell", "--state", "g", "--n", "4", "--frame", frame, *flags]
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("restarts", [cli.bell.MAX_RESTARTS + 1, 10**13])
@@ -691,7 +724,7 @@ class TestRunProtocolCommand:
 
 
 class TestOutputMode:
-    """Outputs get the mode the umask gives a new file, not the temp file's."""
+    """Outputs get the mode the umask gives a new file, and the umask stays."""
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])
@@ -709,6 +742,18 @@ class TestOutputMode:
         ]
         for p in outputs:
             assert stat.S_IMODE(p.stat().st_mode) == mode
+
+    def test_main_never_changes_the_umask(self, tmp_path, monkeypatch):
+        calls = []
+        umask = os.umask
+
+        def recorded(mask):
+            calls.append(mask)
+            return umask(mask)
+
+        monkeypatch.setattr(os, "umask", recorded)
+        assert run_cli(["rdm", "--n", "3", "--out", str(tmp_path / "rdm.json")]) == 0
+        assert calls == []
 
 
 class TestNonFiniteOutput:
