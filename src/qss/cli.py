@@ -67,6 +67,8 @@ def _encode(obj, **layout) -> str:
         return json.dumps(obj, allow_nan=False, **layout)
     except ValueError as exc:  # NaN or +-inf, which JSON cannot hold
         raise InternalInconsistency(f"non-finite value in the output: {exc}") from exc
+    except TypeError as exc:  # a type JSON cannot hold, such as a numpy bool
+        raise InternalInconsistency(f"unencodable value in the output: {exc}") from exc
 
 
 def _json_doc(**fields) -> str:

@@ -53,8 +53,13 @@ _COMBO_DTYPE = np.min_scalar_type(2 ** (2 * MAX_M) - 1)
 MAX_ROUNDS = 2**26
 
 #: Rounds whose basis bits ``run_protocol`` draws at once; the rounds x 2m
-#: matrix of all of them is never built.
-_BASIS_BLOCK_ROUNDS = 8192
+#: matrix of all of them is never built, and the bits drawn do not depend on
+#: this size.  A block is a 2048 x 2m int64 array, at most 224 KiB (m = 7).
+#: Once the first block is freed, glibc's malloc serves the later ones from
+#: the heap, which keeps them resident for the rest of the command, so the
+#: block size shows in the peak RSS: at m = 6 an 8192-round block (786 KB)
+#: peaked about 0.75 MB higher.
+_BASIS_BLOCK_ROUNDS = 2048
 
 
 @dataclass(frozen=True)

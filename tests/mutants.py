@@ -116,6 +116,13 @@ MUTANTS = (
         "if self.rounds > MAX_ROUNDS:", "if self.rounds >= MAX_ROUNDS:",
         ("tests/test_protocol.py::TestConfigValidation::test_round_budget_admits_its_limit[2]",),
     ),
+    # the basis bits drawn in blocks small enough that a freed one costs
+    # little resident heap
+    Mutant(
+        "basis-block-8192", "protocol.py",
+        "_BASIS_BLOCK_ROUNDS = 2048", "_BASIS_BLOCK_ROUNDS = 8192",
+        ("tests/test_protocol.py::TestBlockedBasisDraws::test_no_block_over_256_kib",),
+    ),
     Mutant(
         "zero-sift-guard-removed", "protocol.py",
         "reconstruct_key(t)[2] if any_sifted else None", "reconstruct_key(t)[2]",

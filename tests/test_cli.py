@@ -786,6 +786,19 @@ class TestNonFiniteOutput:
         ) == 3
         assert not list(tmp_path.iterdir())
 
+    def test_summary_value_json_cannot_hold_exits_3(self, tmp_path, monkeypatch):
+        summary = cli.transcript_summary
+
+        def with_numpy_bool(*args):
+            return {**summary(*args), "error_rate": np.bool_(True)}
+
+        monkeypatch.setattr(cli, "transcript_summary", with_numpy_bool)
+        out = tmp_path / "run"
+        assert run_cli(
+            ["run-protocol", "--m", "2", "--rounds", "200", "--out", str(out)]
+        ) == 3
+        assert not list(tmp_path.iterdir())
+
 
 def _option(flag, valid, malformed, required=True):
     """(valid, malformed) strategies of argv tokens for one option.  A
@@ -802,15 +815,18 @@ def _option(flag, valid, malformed, required=True):
 
 
 def _argv(command, *options):
-    """Argument lists whose options are all valid, or all but one, which is
-    malformed, out of range, oversized or left out."""
+    """(argv, broke) pairs: an argument list whose options are all valid, or
+    all but one, which is malformed, out of range, oversized or left out, and
+    whether one is.  An option without malformed values (None) is never
+    broken."""
+    breakable = [i for i, (_, malformed) in enumerate(options) if malformed is not None]
 
     @st.composite
     def draw(draw):
-        broken = draw(st.one_of(st.none(), st.integers(0, len(options) - 1)))
+        broken = draw(st.one_of(st.none(), st.sampled_from(breakable)))
         parts = [draw(malformed if i == broken else valid)
                  for i, (valid, malformed) in enumerate(options)]
-        return [command] + [token for part in parts for token in part]
+        return [command] + [token for part in parts for token in part], broken is not None
 
     return draw()
 
@@ -822,7 +838,8 @@ _BAD_N = ["-3", "0", "13", "64", str(10**9), "nan", "inf", "1.5", ""]
 _STATE = (["g", "ghz"], ["w", "G"])
 _CARRIER = (["G", "GHZ"], ["W", "g"])
 _SEED = (["0", "7"], ["-1", "nan", "1.5"])
-_ANGLE = (["0", "0.3", "1.5707963267948966"], ["nan", "inf", "-inf", "-0.1", "1.6"])
+# 91 is past the end in radians and, with --deg, in degrees
+_ANGLE = (["0", "0.3", "1.5707963267948966"], ["nan", "inf", "-inf", "-0.1", "91"])
 _GRID = (
     st.one_of(
         st.lists(st.sampled_from(_ANGLE[0]), min_size=1, max_size=5).map(",".join),
@@ -839,8 +856,8 @@ _GRID = (
         ).map(lambda count: f"0:1:{count}"),
     ),
 )
-_DEG = (st.sampled_from([[], ["--deg"]]),) * 2
-_BAD_M = ["-1", "0", "1", str(10**9), "nan"]
+_DEG = (st.sampled_from([[], ["--deg"]]), None)
+_BAD_M = ["-1", "0", "1", "nan"]
 _SCAN_N = ["-4", "3", "1025", str(10**9), "nan"]
 
 FUZZ_COMMANDS = {
@@ -874,14 +891,15 @@ FUZZ_COMMANDS = {
     ),
     "sweep-attack": _argv(
         "sweep-attack",
-        _option("--m", ["2", "3"], _BAD_M + ["10"]),
+        # any m >= 2
+        _option("--m", ["2", "3", "10", str(10**9)], _BAD_M),
         _option("--carrier", *_CARRIER, required=False),
         _option("--phi-grid", *_GRID),
         _DEG,
     ),
     "run-protocol": _argv(
         "run-protocol",
-        _option("--m", ["2", "3"], _BAD_M + ["8"]),
+        _option("--m", ["2", "3"], _BAD_M + ["8", str(10**9)]),
         _option("--rounds", ["1", "300", "2000"], ["-5", "0", str(10**14), "nan"]),
         _option("--phi", *_ANGLE, required=False),
         _option("--carrier", *_CARRIER, required=False),
@@ -896,11 +914,11 @@ class TestExitCodeContract:
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
     def test_exit_code_and_leftovers(self, tmp_path_factory, command, data):
-        argv = data.draw(FUZZ_COMMANDS[command])
+        argv, broke = data.draw(FUZZ_COMMANDS[command])
         directory = tmp_path_factory.mktemp("fuzz")
         code = run_cli(argv + ["--out", str(directory / "out")])
         left = sorted(p.name for p in directory.iterdir())
-        assert code in (0, 2, 3), argv
+        assert code in ((2,) if broke else (0, 2, 3)), argv
         if code == 0:
             assert left and not any(name.startswith(".qss-tmp-") for name in left), argv
         else:

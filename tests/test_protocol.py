@@ -132,6 +132,32 @@ class TestBlockedBasisDraws:
         for combo, u in enumerate(handed):
             assert np.array_equal(u, uniforms[combos == combo])
 
+    def test_no_block_over_256_kib(self, monkeypatch):
+        # a block freed stays resident on the heap, so its size is peak RSS
+        default_rng = np.random.default_rng
+        blocks = []
+
+        class RecordedDraws:
+            """The seeded generator, each basis draw's array recorded."""
+
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                bits = self._rng.integers(*args, **kwargs)
+                blocks.append(bits)
+                return bits
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", RecordedDraws)
+        monkeypatch.setattr(protocol, "_apply_one", lambda arr, axis, mat: arr)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 1)
+        run_protocol(ProtocolConfig(10**4, AttackScenario("G", 6, 0.3), 31))
+        assert sum(len(bits) for bits in blocks) == 10**4
+        assert max(bits.nbytes for bits in blocks) <= 256 * 1024
+
 
 class TestRotationCount:
     """One rotation per party per combination, each Bob's on the 2^(2m-1)
