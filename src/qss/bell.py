@@ -8,12 +8,13 @@ order, stored dense as a (3,)*n array.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dicke import plane_axes, plane_model, refine_block
-from .errors import BudgetExceeded, InvalidArgument, InvalidDimension, InvalidState
+from .errors import BudgetExceeded, InvalidArgument, InvalidDimension, InvalidState, check_seed
 from .qsim import ATOL_EXACT, AXES, PAULI, DensityMatrix, PureState, State
 
 __all__ = [
@@ -134,12 +135,12 @@ MAX_RESTARTS = 10**6
 _RESTART_BLOCK = 256
 
 
-def _check_search_flags(restarts: int, seed: int) -> None:
-    """Refuse a frame search's restart count or seed outside its domain."""
+def _check_search_flags(restarts: int, seed: int) -> int:
+    """Refuse a frame search's restart count or seed outside its domain;
+    the seed as an int."""
     if not 1 <= restarts <= MAX_RESTARTS:
         raise InvalidArgument(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    return check_seed(seed)
 
 
 def maximize_plane_sum(
@@ -157,14 +158,15 @@ def maximize_plane_sum(
     the maximum over all local frames.
 
     Restart 0 starts from the z normal, the default sigma_x / sigma_y frame,
-    and the others from normals drawn from ``default_rng(seed)``.  Each takes
-    trust-region Newton steps on the sphere until the quadratic model
-    promises less than 1e-14 max(1, value), at most 100 steps; the first
-    restart with the largest value wins.  Restarts are refined together,
+    and restart r >= 1 from the normal of three ``gauss(0.0, 1.0)`` draws of
+    the standard library's ``random.Random(seed)``, taken in restart order.
+    Each takes trust-region Newton steps on the sphere until the quadratic
+    model promises less than 1e-14 max(1, value), at most 100 steps; the
+    first restart with the largest value wins.  Restarts are refined together,
     ``_RESTART_BLOCK`` at a time.  The frame, shape (n, 2, 3), is the winning
     plane's e_theta, e_phi for every party.
     """
-    _check_search_flags(restarts, seed)
+    seed = _check_search_flags(restarts, seed)
     if not 0.0 <= visibility <= 1.0:
         raise InvalidArgument(f"visibility must be in [0, 1], got {visibility}")
     dicke = np.asarray(dicke, dtype=complex)
@@ -173,7 +175,7 @@ def maximize_plane_sum(
     if not abs(np.linalg.norm(dicke) - 1.0) <= 1e-10:  # NaN fails the comparison
         raise InvalidArgument("Dicke vector must have unit norm")
     model = plane_model(dicke)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     best_val, best = -np.inf, (0.0, 0.0)
     for start in range(0, restarts, _RESTART_BLOCK):
         vals, th, ph = refine_block(model, rng, range(start, min(start + _RESTART_BLOCK, restarts)))

@@ -220,7 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--phi", type=float, default=0.0, help="attack angle")
     p.add_argument("--carrier", choices=CARRIERS, default="G")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="integer >= 0 seeding random.Random, which draws every round's "
+                        "bases and then its outcome")
     p.add_argument("--deg", action="store_true", help="interpret angles in degrees")
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_run_protocol)
@@ -240,7 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=1.0, help="visibility p")
     p.add_argument("--frame", choices=["default", "search"], default="default")
     p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="integer >= 0 seeding random.Random, whose gauss draws give the "
+                        "search's starting normals after the first")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bell)
 

@@ -12,6 +12,7 @@ gradient and Hessian, as a function of the plane's normal, and
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -112,11 +113,12 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray):
     return np.where(curve, ca, na), np.where(curve, cb, nb), np.maximum(newton_gain, curve_gain)
 
 
-def refine_block(model, rng: np.random.Generator, block: range):
+def refine_block(model, rng: random.Random, block: range):
     """Values and normal angles (th, ph) of the restarts in ``block``, all
     refined together by trust-region Newton steps on the sphere.  Restart 0's
-    normal is z; the others' are drawn from ``rng`` in restart order."""
-    v = rng.normal(size=(len(block) - (block.start == 0), 3))
+    normal is z; each other's is three ``rng.gauss`` draws, in restart order."""
+    draws = 3 * (len(block) - (block.start == 0))
+    v = np.array([rng.gauss(0.0, 1.0) for _ in range(draws)]).reshape(-1, 3)
     th = np.arctan2(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
     ph = np.arctan2(v[:, 1], v[:, 0])
     if block.start == 0:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all qss modules."""
+"""Exception hierarchy shared by all qss modules, and the seed check they share."""
+
+import operator
 
 
 class QssError(Exception):
@@ -27,3 +29,16 @@ class BudgetExceeded(QssError):
 
 class InternalInconsistency(QssError):
     """A condition that should be impossible by construction was observed."""
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int: an integer (a numpy one too) of at least 0.
+    Anything else is refused; a negative seed would give its absolute
+    value's stream."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidArgument(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    return seed

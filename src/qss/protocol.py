@@ -6,20 +6,29 @@ the 2m-1 Bobs) independently measures sigma_x or sigma_y with probability
 basis.  Outcome +1 maps to bit 0, outcome -1 to bit 1.
 
 Transcripts are bit-reproducible: the whole run is a deterministic function
-of (config, seed).
+of (config, seed).  The seed starts the standard library's Mersenne Twister,
+``random.Random(seed)``, which draws every round's basis combination and
+then every round's uniform for its outcome.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .attack import AttackScenario, attacked_state, entropy
-from .errors import BudgetExceeded, EmptySiftedSet, InternalInconsistency, InvalidArgument
+from .errors import (
+    BudgetExceeded,
+    EmptySiftedSet,
+    InternalInconsistency,
+    InvalidArgument,
+    check_seed,
+)
 from .qsim import EIGENBASIS, Outcome, _apply_one, popcounts
 from .states import branch_y_sign, carrier_branch
 
@@ -47,18 +56,18 @@ MAX_M = 7
 _COMBO_DTYPE = np.min_scalar_type(2 ** (2 * MAX_M) - 1)
 
 #: Rounds one run may have: 2 GiB at 32 bytes a round, whatever m.  An upper
-#: bound: the basis draws are made a block at a time, the uniforms and the
+#: bound: the random bytes are drawn a block at a time, the uniforms and the
 #: grouping order take 8 bytes a round, the columns kept 2 and 2, and a whole
 #: command's traced peak is 20-22 bytes a round at m <= 3.
 MAX_ROUNDS = 2**26
 
-#: Rounds whose basis bits ``run_protocol`` draws at once; the rounds x 2m
-#: matrix of all of them is never built, and the bits drawn do not depend on
-#: this size.  A block is a 2048 x 2m int64 array, at most 224 KiB (m = 7).
-#: Once the first block is freed, glibc's malloc serves the later ones from
-#: the heap, which keeps them resident for the rest of the command, so the
-#: block size shows in the peak RSS: at m = 6 an 8192-round block (786 KB)
-#: peaked about 0.75 MB higher.
+#: Rounds whose random bytes ``run_protocol`` draws at once, so that a run of
+#: ``MAX_ROUNDS`` never holds the 512 MB of its uniforms' bytes: a block draws
+#: 2 bytes a round for the combinations, then 8 for the uniforms, at most
+#: 16 KiB whatever the rounds.  The size does not show in the peak RSS: the
+#: m = 6 command with 2e4 rounds peaked at 32.1 MB with 2048- and 8192-round
+#: blocks and with one block.  Every block but the last is a whole number of
+#: the generator's 32-bit words, so the bytes drawn do not depend on it.
 _BASIS_BLOCK_ROUNDS = 2048
 
 
@@ -74,8 +83,7 @@ class ProtocolConfig:
             raise InvalidArgument(f"protocol needs m >= 2, got {m}")
         if self.rounds < 1:
             raise InvalidArgument(f"rounds must be >= 1, got {self.rounds}")
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if m > MAX_M:
             raise BudgetExceeded(f"protocol runs are capped at m <= {MAX_M}, got {m}")
         if self.rounds > MAX_ROUNDS:
@@ -156,15 +164,19 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     same laws in the same order and the transcript does not depend on the
     split."""
     n_parties = config.scenario.n_parties
-    rng = np.random.default_rng(config.seed)
-    # the basis bits, drawn a block of rows at a time (the same stream as one
-    # draw of all rounds) and packed into each round's combination, MSB first
-    weights = 1 << np.arange(n_parties - 1, -1, -1)
+    rng = random.Random(config.seed)
+    # round i's combination is the top 2m bits of the i-th little-endian
+    # uint16 of the stream's bytes; after all of them, its uniform is the top
+    # 53 bits of the i-th little-endian uint64 times 2^-53.  Both are drawn a
+    # block at a time, the same bytes as one draw of every round's
     combos = np.empty(config.rounds, dtype=_COMBO_DTYPE)
-    for a in range(0, config.rounds, _BASIS_BLOCK_ROUNDS):
-        b = min(a + _BASIS_BLOCK_ROUNDS, config.rounds)
-        combos[a:b] = rng.integers(0, 2, size=(b - a, n_parties)) @ weights
-    uniforms = rng.random(config.rounds)
+    uniforms = np.empty(config.rounds)
+    blocks = [(a, min(a + _BASIS_BLOCK_ROUNDS, config.rounds))
+              for a in range(0, config.rounds, _BASIS_BLOCK_ROUNDS)]
+    for a, b in blocks:
+        combos[a:b] = np.frombuffer(rng.randbytes(2 * (b - a)), "<u2") >> (16 - n_parties)
+    for a, b in blocks:
+        uniforms[a:b] = (np.frombuffer(rng.randbytes(8 * (b - a)), "<u8") >> 11) * 2.0**-53
 
     order, bounds = _group(combos, 2**n_parties)
     # the outcome column, shared with the forked workers; mmap is loaded

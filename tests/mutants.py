@@ -5,9 +5,10 @@ Run by hand from anywhere, optionally naming some mutants:
 
     python tests/mutants.py [NAME ...]
 
-It copies ``src`` to a temporary directory, requires every named test to pass
-on the unmutated copy, then applies one mutant at a time and requires each of
-its tests to fail.  It exits 1 when a test fails on the copy or a mutant
+It copies ``src`` to one temporary directory per usable CPU, requires every
+named test to pass on the unmutated copies, then applies each mutant to a
+copy of its own, as many at once as there are copies, and requires each of
+its tests to fail.  It exits 1 when a test fails on the copies or a mutant
 survives.  pytest does not collect this file; ``tests/test_mutants.py``
 checks that every snippet still occurs exactly once in its file.  A change to
 a fast path updates its mutant here.
@@ -15,12 +16,15 @@ a fast path updates its mutant here.
 
 from __future__ import annotations
 
+import functools
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -116,12 +120,22 @@ MUTANTS = (
         "if self.rounds > MAX_ROUNDS:", "if self.rounds >= MAX_ROUNDS:",
         ("tests/test_protocol.py::TestConfigValidation::test_round_budget_admits_its_limit[2]",),
     ),
-    # the basis bits drawn in blocks small enough that a freed one costs
-    # little resident heap
+    # the random bytes drawn in blocks of at most 16 KiB, and read as the
+    # stream that the tests rebuild
     Mutant(
-        "basis-block-8192", "protocol.py",
-        "_BASIS_BLOCK_ROUNDS = 2048", "_BASIS_BLOCK_ROUNDS = 8192",
-        ("tests/test_protocol.py::TestBlockedBasisDraws::test_no_block_over_256_kib",),
+        "basis-block-4096", "protocol.py",
+        "_BASIS_BLOCK_ROUNDS = 2048", "_BASIS_BLOCK_ROUNDS = 4096",
+        ("tests/test_protocol.py::TestBlockedBasisDraws::test_no_draw_over_16_kib",),
+    ),
+    Mutant(
+        "combination-shift", "protocol.py",
+        '"<u2") >> (16 - n_parties)', '"<u2") >> (15 - n_parties)',
+        ("tests/test_protocol.py::TestBlockedBasisDraws::test_matches_one_shot_draw[under_a_block-3]",),
+    ),
+    Mutant(
+        "uniform-shift", "protocol.py",
+        '"<u8") >> 11)', '"<u8") >> 10)',
+        ("tests/test_protocol.py::TestBlockedBasisDraws::test_matches_one_shot_draw[under_a_block-3]",),
     ),
     Mutant(
         "zero-sift-guard-removed", "protocol.py",
@@ -262,13 +276,16 @@ MUTANTS = (
 )
 
 
-def failed_tests(src: Path, node_ids: list[str], cwd: Path) -> tuple[int, set[str]]:
-    """Run the tests against the package under ``src``: pytest's exit code and
+def failed_tests(src: Path, node_ids: list[str]) -> tuple[int, set[str]]:
+    """Run the tests against the package under ``src``, from its parent
+    directory and with a base temp directory there: pytest's exit code and
     the node IDs it reports as failed or in error."""
+    cwd = src.parent
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         "--rootdir", str(ROOT), *(str(ROOT / n) for n in node_ids)],
+         "--rootdir", str(ROOT), "--basetemp", str(cwd / "basetemp"),
+         *(str(ROOT / n) for n in node_ids)],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
     failed = set()
@@ -285,38 +302,65 @@ def killed_by(killer: str, failed: set[str]) -> bool:
     return any(f == killer or f.startswith(killer + "[") for f in failed)
 
 
+def usable_cpus() -> int:
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
 def main(names: list[str]) -> int:
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
     mutants = [m for m in MUTANTS if not names or m.name in names]
-    start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        src = tmp / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        killers = sorted({k for m in mutants for k in m.killers})
-        code, failed = failed_tests(src, killers, tmp)
-        if code != 0:
-            print(f"the unmutated copy fails (pytest exit {code}): {sorted(failed)}")
+    for m in mutants:
+        count = (ROOT / "src" / "qss" / m.file).read_text().count(m.snippet)
+        if count != 1:
+            print(f"{m.name}: snippet occurs {count} times in {m.file}")
             return 1
-        survived = []
-        for m in mutants:
+    start = time.perf_counter()
+    workers = min(usable_cpus(), len(mutants))
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(workers) as pool:
+        # one copy of src for each worker, handed from run to run
+        copies = queue.SimpleQueue()
+        for w in range(workers):
+            src = Path(tmp) / str(w) / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            copies.put(src)
+
+        def on_a_copy(run, arg):
+            src = copies.get()
+            try:
+                return run(src, arg)
+            finally:
+                copies.put(src)
+
+        def mutated(src: Path, m: Mutant) -> tuple[list[str], float]:
+            """The killers that pass on ``src`` with ``m`` applied, and the time taken."""
             path = src / "qss" / m.file
             original = path.read_text()
-            if original.count(m.snippet) != 1:
-                print(f"{m.name}: snippet occurs {original.count(m.snippet)} times in {m.file}")
-                return 1
             path.write_text(original.replace(m.snippet, m.replacement))
             t0 = time.perf_counter()
             try:
-                _, failed = failed_tests(src, list(m.killers), tmp)
+                _, failed = failed_tests(src, list(m.killers))
             finally:
                 path.write_text(original)
-            passed = [k for k in m.killers if not killed_by(k, failed)]
+            return [k for k in m.killers if not killed_by(k, failed)], time.perf_counter() - t0
+
+        # the killers, split over the unmutated copies
+        killers = sorted({k for m in mutants for k in m.killers})
+        chunks = [killers[w::workers] for w in range(min(workers, len(killers)))]
+        results = list(pool.map(functools.partial(on_a_copy, failed_tests), chunks))
+        if any(code != 0 for code, _ in results):
+            codes = [code for code, _ in results]
+            failed = sorted(set().union(*(failed for _, failed in results)))
+            print(f"the unmutated copy fails (pytest exits {codes}): {failed}")
+            return 1
+        survived = []
+        runs = pool.map(functools.partial(on_a_copy, mutated), mutants)
+        for m, (passed, seconds) in zip(mutants, runs):
             verdict = f"SURVIVED, passing: {passed}" if passed else "killed"
-            print(f"{m.name:32s} {verdict} ({time.perf_counter() - t0:.1f} s)")
+            print(f"{m.name:32s} {verdict} ({seconds:.1f} s)", flush=True)
             if passed:
                 survived.append(m.name)
     print(f"{len(mutants) - len(survived)} of {len(mutants)} mutants killed "

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -452,6 +453,38 @@ class TestPlaneSearch:
         with pytest.raises(InvalidArgument):
             maximize_plane_sum(dicke_vector("G", 6), restarts=3, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvalidArgument, match="^seed must be an integer, got "):
+            maximize_plane_sum(dicke_vector("G", 4), restarts=3, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        ref = maximize_plane_sum(dicke_vector("G", 6), restarts=3, seed=9)
+        val, frame = maximize_plane_sum(dicke_vector("G", 6), restarts=3, seed=np.int64(9))
+        assert val == ref[0]
+        assert np.array_equal(frame, ref[1])
+
+    def test_restart_normals_are_the_seeds_gauss_draws(self, monkeypatch):
+        # a flat model stops every restart where it starts, so each block's
+        # one model call sees its starting normals
+        starts = []
+
+        def flat(th, ph):
+            starts.append((th, ph))
+            return np.zeros(th.size), np.zeros((th.size, 2)), np.zeros((th.size, 3))
+
+        monkeypatch.setattr(bell, "plane_model", lambda dicke: flat)
+        monkeypatch.setattr(bell, "_RESTART_BLOCK", 3)
+        maximize_plane_sum(np.array([1.0, 0.0, 0.0]), restarts=8, seed=12)
+        assert len(starts) == 3
+        th, ph = (np.concatenate(angles) for angles in zip(*starts))
+        assert th[0] == ph[0] == 0.0
+        # restart r >= 1 points along the r-th triple of gauss draws, across blocks
+        rng = random.Random(12)
+        v = np.array([[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(7)])
+        normals = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], 1)
+        assert np.allclose(normals[1:], v / np.linalg.norm(v, axis=1)[:, None], atol=1e-12)
+
     def test_restarts_cap_admitted(self, monkeypatch):
         blocks = []
 
@@ -567,7 +600,7 @@ class TestSharedPlaneSearch:
     def test_every_restart_ends_at_a_local_maximum(self, carrier, n):
         # not only the winner: no restart stops on a slope or at a saddle
         model = dicke.plane_model(dicke_vector(carrier, n))
-        _, th, ph = dicke.refine_block(model, np.random.default_rng(n), range(64))
+        _, th, ph = dicke.refine_block(model, random.Random(n), range(64))
         _, grad, hess = model(th, ph)
         h11, h22, h12 = hess.T
         assert np.abs(grad).max() <= 1e-5 * 2.0**n

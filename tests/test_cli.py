@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -280,12 +282,14 @@ class TestBellCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
     # sha256 of the frame-search bell JSON, taken while maximize_plane_sum
-    # still wrapped its axes in a validated frame object
+    # still wrapped its axes in a validated frame object; the first re-taken
+    # when the restart normals came from random.Random's gauss, and checked
+    # by feeding those normals to the search it replaced
     @pytest.mark.parametrize(
         "args, sha",
         [
             (["--state", "g", "--n", "6", "--noise", "0.5", "--restarts", "8", "--seed", "3"],
-             "d9ef2cac98e7832242554e84e992149b110c5352b37f1333f42cf4de9f1abc87"),
+             "b48a374c8649ab1b1c225ea582b1cd8fd0cbabd178c8199df4fcc5e3fe7bc9f4"),
             (["--state", "ghz", "--n", "4", "--restarts", "2"],
              "02ed00c591c94629e80e4dedee2ab1ce5ced58e44a1f68bb1f1f519f73d891cd"),
         ],
@@ -523,32 +527,34 @@ class TestRunProtocolCommand:
 
     # sha256 of the transcript and summary, taken from the per-round
     # implementation that the columnar transcript replaced; the summaries
-    # re-taken when the coalition codes took in the announced basis
+    # re-taken when the coalition codes took in the announced basis, and all
+    # re-taken when the rounds were drawn from random.Random's bytes, and
+    # checked by feeding those draws to the numpy-drawn run they replaced
     @pytest.mark.parametrize(
         "m, rounds, carrier, phi, seed, transcript_sha, summary_sha",
         [
             ("3", "20000", "G", "0.3", "1",
-             "0d756cd8bef37b8e5dad703137617c0603b2e025174e3f294ae42bd82a5364d0",
-             "90755d49199ed72c7e112cadb4350670c8fae6fbc99e6936465da6a72fc7a1c8"),
+             "a25d53008dda589e7865522a6940eaa8d273693fb9eee3ea8899df28ac5e6e98",
+             "518eca9e93447ddeaf5dea54e4d3918fac94c2fbbe5e7e6d48127e9e5588847a"),
             ("3", "20000", "GHZ", "0.0", "2",
-             "a647da52f5d6fe492de10dfaf02398a58deac5db9f91108b33ab9187ed85a922",
-             "c60aa7b064b068f125ccee4f4134b68b865178aa753fb352451c601633cee135"),
+             "6350a594739e4d5132f38dd878c98295ec213e7ef71261dcfb70064671d0c15e",
+             "286b2bb92d140eef11afacda8d470641a00081e44e8f4b0003e88b370b551ed4"),
             ("2", "5000", "G", "0.7853981633974483", "3",
-             "17396bfe997f986404647a034009465eb5c19baa5667f7972bed3c226f8c172c",
-             "91d2723814d3384431522818af1850eef9cc052a693bcc6577695f47e910297f"),
+             "7d478fd91a6d23948316396c5ea824c33e3f7b6f7a531af643119319df07550a",
+             "b3e3bbacdf9f2daa1b848700997791565c21dc6a9e35f3acee6d02c2a50e9916"),
             ("4", "5000", "GHZ", "0.3", "4",
-             "f42aa84536a53f5ff1e7d7402a7c5f98501bb7b6025fb747d5bf5419a1e89841",
-             "6724db876bcbfa5f1d5baa464dbdf3390cc7b8db038ac6c14e58d6f870912bc2"),
+             "49806eb6452de89c9e88d6a3bb1c2e9d36906fbc390f5a144cac989b18ecb84c",
+             "82da6b0725d13064ea8366377fc6a6ccb1077277a967c47f49cdd86470fcb5d5"),
             # taken from the 2^(2m) x 2^(2m) outcome table that the laws
             # built one combination at a time replaced
             ("5", "20000", "G", "0.3", "7",
-             "f1f0644a74cd544a853b2805394756f6af036c7f85076d4f2f031d0f342a82c6",
-             "af177bf55e0e15406cfcb402fe2fb8005884b966b47a7b281e3bed83c86eb1ec"),
+             "f89fd25d6503aba3ed7767e1bdbf06c6fcddfb7b141c93052a1a30002a5f4c30",
+             "6a59f3e2d9295556823402795ab4818526c3b29d6c5fd383d5bb9692d698e486"),
             # the benchmark's protocol-wide job, taken from the moveaxis
             # rotation kernel that the swapaxes one replaced
             ("6", "20000", "G", "0.3", "901",
-             "1c6443e88595ea4826be2b8dcea773e13352073177ce88be71186c2dba80f181",
-             "9f2a36c48fd58f0038a0e40c5e81d29dec8f6258b9d7cc3238535f1ae066b935"),
+             "13ec722fa5a5ba851086c946b7c2c990bab77077ee43f3188727e7c117febafd",
+             "447a076b8de1ebbbb9640dfe17e83d2192c897a2473e1d421ae96bad70b96161"),
         ],
     )
     def test_golden_output_hashes(
@@ -565,9 +571,11 @@ class TestRunProtocolCommand:
             assert hashlib.sha256(data).hexdigest() == expected
 
     def test_one_sifted_round_writes_both_files(self, tmp_path):
+        # at m = 3 a round is sifted with probability 1/32: seed 5 is the
+        # least that sifts exactly one of 20
         out = tmp_path / "one"
         assert run_cli(
-            ["run-protocol", "--m", "3", "--rounds", "20", "--phi", "0.3", "--seed", "1",
+            ["run-protocol", "--m", "3", "--rounds", "20", "--phi", "0.3", "--seed", "5",
              "--out", str(out)]
         ) == 0
         transcript = (tmp_path / "one.transcript.jsonl").read_text().splitlines()
@@ -578,10 +586,11 @@ class TestRunProtocolCommand:
         assert "-0.0" not in (tmp_path / "one.summary.json").read_text()
 
     def test_no_sifted_round_writes_both_files(self, tmp_path):
-        # at m = 6 a round is sifted with probability 2^-11: seed 1 sifts none
+        # at m = 6 a round is sifted with probability 2^-11: seed 2 is the
+        # least that sifts none of 1000
         out = tmp_path / "none"
         assert run_cli(
-            ["run-protocol", "--m", "6", "--rounds", "1000", "--seed", "1", "--out", str(out)]
+            ["run-protocol", "--m", "6", "--rounds", "1000", "--seed", "2", "--out", str(out)]
         ) == 0
         transcript = (tmp_path / "none.transcript.jsonl").read_text().splitlines()
         assert len(transcript) == 1000
@@ -798,6 +807,34 @@ class TestNonFiniteOutput:
             ["run-protocol", "--m", "2", "--rounds", "200", "--out", str(out)]
         ) == 3
         assert not list(tmp_path.iterdir())
+
+
+class TestNoNumpyRandom:
+    """No command imports numpy.random, whose import loads OpenSSL: each
+    runs in a fresh interpreter, which then holds no such module."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 1,024 combinations: on two or more CPUs the laws are split over a fork
+            ["run-protocol", "--m", "5", "--rounds", "2000", "--phi", "0.3", "--out", "run"],
+            ["sweep-attack", "--m", "2", "--phi-grid", "0,0.5", "--out", "sweep.csv"],
+            ["bell", "--state", "g", "--n", "6", "--frame", "search", "--restarts", "8",
+             "--out", "bell.json"],
+            ["thresholds", "--n-min", "4", "--n-max", "6", "--out", "thresholds.csv"],
+            ["rdm", "--n", "4", "--out", "rdm.json"],
+            ["tensor", "--state", "ghz", "--n", "4", "--out", "tensor.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_leaves_numpy_random_unloaded(self, tmp_path, argv):
+        script = ("import sys; from qss.cli import main; "
+                  "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+        # the package this test imported, wherever it lies
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert (proc.stdout, proc.stderr) == ("0 False\n", "")
 
 
 def _option(flag, valid, malformed, required=True):

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import random
 import tracemalloc
 from collections import Counter
 
@@ -61,6 +62,19 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgument):
             ProtocolConfig(10, AttackScenario("G", 2, 0.0), -1)
 
+    # random.Random would hash a float or a str into some stream
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvalidArgument, match="^seed must be an integer, got "):
+            ProtocolConfig(10, AttackScenario("G", 2, 0.0), seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        config = ProtocolConfig(300, AttackScenario("G", 2, 0.3), np.int64(5))
+        assert type(config.seed) is int
+        t, ref = run_protocol(config), make_transcript(m=2, rounds=300, phi=0.3, seed=5)
+        assert np.array_equal(t.combo_idx, ref.combo_idx)
+        assert np.array_equal(t.outcome_idx, ref.outcome_idx)
+
     def test_table_budget_admits_m7(self):
         config = ProtocolConfig(10, AttackScenario("G", 7, 0.0), 0)
         assert config.scenario.m == MAX_M
@@ -97,9 +111,21 @@ class TestConfigValidation:
             ProtocolConfig(rounds, AttackScenario("G", 3, 0.0), 0)
 
 
+def one_shot_stream(seed, rounds, n):
+    """Every round's combination and uniform, rebuilt bit by bit from one
+    ``getrandbits`` call each: round i's combination is the top n bits of
+    the i-th 16 bits, its uniform the top 53 of the i-th 64 times 2^-53."""
+    rng = random.Random(seed)
+    bits = rng.getrandbits(16 * rounds)
+    combos = [(bits >> (16 * i + 16 - n)) & (2**n - 1) for i in range(rounds)]
+    bits = rng.getrandbits(64 * rounds)
+    uniforms = [((bits >> (64 * i + 11)) & (2**53 - 1)) / 2**53 for i in range(rounds)]
+    return np.array(combos), np.array(uniforms)
+
+
 class TestBlockedBasisDraws:
-    """The basis bits drawn a block of rows at a time give the combinations
-    and uniforms of one draw of every round's bits."""
+    """The stream's bytes drawn a block of rounds at a time give the
+    combinations and uniforms of one draw of every round's."""
 
     @pytest.mark.parametrize("m", [2, 3, 6])
     @pytest.mark.parametrize("length", ["under_a_block", "two_blocks", "two_blocks_and_1"])
@@ -107,10 +133,7 @@ class TestBlockedBasisDraws:
         block = protocol._BASIS_BLOCK_ROUNDS
         rounds = {"under_a_block": 100, "two_blocks": 2 * block,
                   "two_blocks_and_1": 2 * block + 1}[length]
-        n = 2 * m
-        rng = np.random.default_rng(31)
-        combos = rng.integers(0, 2, size=(rounds, n)) @ (1 << np.arange(n - 1, -1, -1))
-        uniforms = rng.random(rounds)
+        combos, uniforms = one_shot_stream(31, rounds, 2 * m)
         # the uniforms each combination hands to searchsorted, never its law;
         # with rotations left out the 2^(2m) laws cost little
         handed = []
@@ -128,35 +151,26 @@ class TestBlockedBasisDraws:
         t = run_protocol(ProtocolConfig(rounds, AttackScenario("G", m, 0.3), 31))
         assert np.array_equal(t.combo_idx, combos)
         # one call per combination, in index order, each with its rounds' uniforms
-        assert len(handed) == 2**n
+        assert len(handed) == 4**m
         for combo, u in enumerate(handed):
             assert np.array_equal(u, uniforms[combos == combo])
 
-    def test_no_block_over_256_kib(self, monkeypatch):
-        # a block freed stays resident on the heap, so its size is peak RSS
-        default_rng = np.random.default_rng
-        blocks = []
+    def test_no_draw_over_16_kib(self, monkeypatch):
+        # 2048-round blocks: however many the rounds, no draw holds more
+        # than 16 KiB of bytes and the int they come from
+        sizes = []
+        randbytes = random.Random.randbytes
 
-        class RecordedDraws:
-            """The seeded generator, each basis draw's array recorded."""
+        def recorded(self, n):
+            sizes.append(n)
+            return randbytes(self, n)
 
-            def __init__(self, seed):
-                self._rng = default_rng(seed)
-
-            def integers(self, *args, **kwargs):
-                bits = self._rng.integers(*args, **kwargs)
-                blocks.append(bits)
-                return bits
-
-            def __getattr__(self, name):
-                return getattr(self._rng, name)
-
-        monkeypatch.setattr(np.random, "default_rng", RecordedDraws)
+        monkeypatch.setattr(random.Random, "randbytes", recorded)
         monkeypatch.setattr(protocol, "_apply_one", lambda arr, axis, mat: arr)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 1)
         run_protocol(ProtocolConfig(10**4, AttackScenario("G", 6, 0.3), 31))
-        assert sum(len(bits) for bits in blocks) == 10**4
-        assert max(bits.nbytes for bits in blocks) <= 256 * 1024
+        assert sum(sizes) == 10 * 10**4
+        assert max(sizes) <= 16 * 1024
 
 
 class TestRotationCount:
@@ -338,20 +352,26 @@ class TestCompactColumns:
     # whole law would put u = 1 - 2^-53 past the last outcome
     @pytest.mark.parametrize("carrier", ["G", "GHZ"])
     def test_largest_uniform_stays_in_range(self, carrier, monkeypatch):
-        default_rng = np.random.default_rng
+        rounds = 2000  # one block: one draw for the combinations, one for the uniforms
+        randbytes = random.Random.randbytes
+        handed = []
+        searchsorted = np.searchsorted
 
-        class LargestUniforms:
-            """The seeded generator's basis draws, every uniform 1 - 2^-53."""
+        def largest_uniforms(self, n):
+            """The stream's bytes for the combinations, all ones, every
+            uniform 1 - 2^-53, for the uniforms."""
+            return b"\xff" * n if n == 8 * rounds else randbytes(self, n)
 
-            def __init__(self, seed):
-                self.integers = default_rng(seed).integers
+        def recorded(a, v, side="left", sorter=None):
+            if side == "right":
+                handed.append(np.array(v))
+            return searchsorted(a, v, side=side, sorter=sorter)
 
-            def random(self, size):
-                return np.full(size, np.nextafter(1.0, 0.0))
-
-        monkeypatch.setattr(np.random, "default_rng", LargestUniforms)
-        t = run_protocol(ProtocolConfig(2000, AttackScenario(carrier, 3, 0.3), 7))
+        monkeypatch.setattr(random.Random, "randbytes", largest_uniforms)
+        monkeypatch.setattr(np, "searchsorted", recorded)
+        t = run_protocol(ProtocolConfig(rounds, AttackScenario(carrier, 3, 0.3), 7))
         assert np.unique(t.combo_idx).size == 64
+        assert np.all(np.concatenate(handed) == np.nextafter(1.0, 0.0))
         assert t.outcome_idx.max() < 2**6
 
 
