@@ -123,8 +123,8 @@ MUTANTS = (
     # the random bytes drawn in blocks of at most 16 KiB, and read as the
     # stream that the tests rebuild
     Mutant(
-        "basis-block-4096", "protocol.py",
-        "_BASIS_BLOCK_ROUNDS = 2048", "_BASIS_BLOCK_ROUNDS = 4096",
+        "basis-block-8192", "protocol.py",
+        "_BASIS_BLOCK_ROUNDS = 2048", "_BASIS_BLOCK_ROUNDS = 8192",
         ("tests/test_protocol.py::TestBlockedBasisDraws::test_no_draw_over_16_kib",),
     ),
     Mutant(
